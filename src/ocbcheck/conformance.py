@@ -8,17 +8,23 @@ process can downgrade eventual violations to warnings (prefix mode).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
+from typing import Iterable, Mapping
 
 from .cardinality import Cardinality
-from .eventlog import EventLog, LogError, ObjectModel, Relation
-from .model import OcbcModel, RelationshipType
+from .eventlog import Event, EventLog, LogError, Relation
+from .model import BehavioralConstraint, OcbcModel, RelationshipType
 from .violations import Violation, sort_violations
 
 
 class _Context:
-    """One replay over the log, producing per-event checks and shared indexes."""
+    """One replay over the log, producing per-event checks and shared indexes.
+
+    Behavioral constraints correlate through `correlation`, which navigates
+    the final snapshot; the neighbour map of each relationship-type scope is
+    built once, however many reference events use it.
+    """
 
     def __init__(self, model: OcbcModel, log: EventLog):
         self.model = model
@@ -38,6 +44,9 @@ class _Context:
             self._rts_by_src_class.setdefault(rt.source, []).append(rt)
             self._rts_by_tar_class.setdefault(rt.target, []).append(rt)
         self._replay()
+        self.correlation = _Correlation(
+            model, self.final_class, self.final_relations, self.events_by_obj_act
+        )
         self._check_fulfilment()
         self._check_events_per_object()
         self._check_behavioral()
@@ -118,8 +127,7 @@ class _Context:
 
         for index, event in enumerate(log.events):
             self.events_by_activity.setdefault(event.activity, []).append(index)
-            for obj in event.objects:
-                self.events_by_obj_act.setdefault(obj, {}).setdefault(event.activity, []).append(index)
+            _add_position(self.events_by_obj_act, index, event)
 
             asserted = event.delta.assert_snapshot
             prev_objects = set(self._class_of) if asserted is not None else None
@@ -334,45 +342,13 @@ class _Context:
                         )
                     )
 
-    def _neighbors(self, rt_id: str) -> dict[str, set[str]]:
-        nbr: dict[str, set[str]] = {}
-        for rel_type, src, tar in self.final_relations:
-            if rel_type == rt_id:
-                nbr.setdefault(src, set()).add(tar)
-                nbr.setdefault(tar, set()).add(src)
-        return nbr
-
-    def _targets_for(self, cid: str, ref_index: int) -> set[int]:
-        constraint = self.model.bcm.constraint(cid)
-        via = self.model.scope[cid]
-        refs = self.log.events[ref_index].objects
-        target_events: set[int] = set()
-        if via in self.model.clam.classes:
-            for obj in refs:
-                if self.final_class.get(obj) == via:
-                    target_events.update(
-                        self.events_by_obj_act.get(obj, {}).get(constraint.target_activity, ())
-                    )
-        else:
-            nbr = self._neighbor_cache.setdefault(via, self._neighbors(via))
-            partners: set[str] = set()
-            for obj in refs:
-                partners |= nbr.get(obj, set())
-            for partner in partners:
-                target_events.update(
-                    self.events_by_obj_act.get(partner, {}).get(constraint.target_activity, ())
-                )
-        return target_events
-
     def _check_behavioral(self) -> None:
-        self._neighbor_cache: dict[str, dict[str, set[str]]] = {}
         for constraint in self.model.bcm.constraints:
             for ref_index in self.events_by_activity.get(constraint.ref_activity, ()):
-                targets = self._targets_for(constraint.id, ref_index)
-                before = sum(1 for t in targets if t < ref_index)
-                after = sum(1 for t in targets if t > ref_index)
+                event = self.log.events[ref_index]
+                lists = self.correlation.target_positions(constraint, event.objects)
+                before, after = _count_around(lists, ref_index)
                 if not constraint.ctype.accepts(before, after):
-                    event = self.log.events[ref_index]
                     self.by_kind["IX"].append(
                         Violation(
                             kind="IX", event=event.id, seq=event.seq,
@@ -380,6 +356,90 @@ class _Context:
                             expected=constraint.ctype.render(),
                         )
                     )
+
+
+def _add_position(positions: dict[str, dict[str, list[int]]], index: int, event: Event) -> None:
+    """Record the log position of `event` under each object it references and
+    its activity; positions are added in log order, so each list ascends."""
+    for obj in event.objects:
+        positions.setdefault(obj, {}).setdefault(event.activity, []).append(index)
+
+
+class _Correlation:
+    """Correlates reference events with the target events of a constraint.
+
+    Correlation navigates the final object model: objects of the scope class
+    that the reference event references, or partners reached from them over
+    relations of the scope relationship type in either direction.  The
+    neighbour map of a relationship type is built once, on first use.
+    """
+
+    def __init__(
+        self,
+        model: OcbcModel,
+        class_of: Mapping[str, str],
+        relations: frozenset[Relation],
+        positions: dict[str, dict[str, list[int]]],
+    ):
+        self.model = model
+        self.class_of = class_of
+        self.relations = relations
+        self.positions = positions
+        self._neighbours: dict[str, dict[str, set[str]]] = {}
+
+    def _neighbours_via(self, rt_id: str) -> dict[str, set[str]]:
+        nbr = self._neighbours.get(rt_id)
+        if nbr is None:
+            nbr = self._neighbours[rt_id] = {}
+            for rel_type, src, tar in self.relations:
+                if rel_type == rt_id:
+                    nbr.setdefault(src, set()).add(tar)
+                    nbr.setdefault(tar, set()).add(src)
+        return nbr
+
+    def target_positions(
+        self, constraint: BehavioralConstraint, objects: Iterable[str]
+    ) -> list[list[int]]:
+        """Positions of the target events correlated with a reference event
+        over `objects`: one ascending list per correlated object.  A target
+        event referencing several correlated objects is in several lists."""
+        via = self.model.scope[constraint.id]
+        if via in self.model.clam.classes:
+            correlated: Iterable[str] = [o for o in objects if self.class_of.get(o) == via]
+        else:
+            nbr = self._neighbours_via(via)
+            correlated = set().union(*(nbr.get(o, ()) for o in objects))
+        lists = []
+        for obj in correlated:
+            positions = self.positions.get(obj, {}).get(constraint.target_activity)
+            if positions:
+                lists.append(positions)
+        return lists
+
+
+def _count_around(lists: list[list[int]], ref: int) -> tuple[int, int]:
+    """Distinct positions in the ascending `lists` strictly before and after `ref`.
+
+    The longest list is counted by bisection, so a high fan-in object costs
+    O(log n) per reference event; the others only add positions it lacks.
+    """
+    if len(lists) == 1:
+        (only,) = lists
+        return bisect_left(only, ref), len(only) - bisect_right(only, ref)
+    if not lists:
+        return 0, 0
+    longest = max(lists, key=len)
+    extra = {
+        t for lst in lists if lst is not longest for t in lst if not _contains(longest, t)
+    }
+    before = bisect_left(longest, ref) + sum(1 for t in extra if t < ref)
+    after = len(longest) - bisect_right(longest, ref) + sum(1 for t in extra if t > ref)
+    return before, after
+
+
+def _contains(ascending: list[int], value: int) -> bool:
+    i = bisect_left(ascending, value)
+    return i < len(ascending) and ascending[i] == value
 
 
 def check_type_i(model: OcbcModel, log: EventLog) -> list[Violation]:
@@ -427,18 +487,13 @@ def check_type_ix(model: OcbcModel, log: EventLog) -> list[Violation]:
     return _Context(model, log).by_kind["IX"]
 
 
-def resolve_targets(
-    model: OcbcModel,
-    log: EventLog,
-    cid: str,
-    ref_event: str,
-    om: ObjectModel | None = None,
-) -> set[str]:
+def resolve_targets(model: OcbcModel, log: EventLog, cid: str, ref_event: str) -> set[str]:
     """Target events of a constraint for one reference event.
 
-    Correlation navigates the given object model (the final snapshot when
-    omitted): shared objects of the scope class, or relations of the scope
-    relationship type traversed in either direction.
+    Correlation navigates the final snapshot: shared objects of the scope
+    class, or relations of the scope relationship type traversed in either
+    direction.  The IX check counts the same events, less the reference
+    event itself.
     """
     if not model.bcm.has_constraint(cid):
         raise LogError(f"unknown constraint {cid!r}")
@@ -449,29 +504,14 @@ def resolve_targets(
             f"event {ref_event!r} has activity {event.activity!r}, "
             f"expected reference activity {constraint.ref_activity!r}"
         )
-    if om is None:
-        om = log.final_snapshot()
-    via = model.scope[cid]
-    target_ids = set(log.events_of_activity(constraint.target_activity))
-    out: set[str] = set()
-    if via in model.clam.classes:
-        shared = {o for o in event.objects if om.class_of.get(o) == via}
-        for tid in target_ids:
-            if log.event(tid).objects & shared:
-                out.add(tid)
-    else:
-        nbr: dict[str, set[str]] = {}
-        for rel_type, src, tar in om.relations:
-            if rel_type == via:
-                nbr.setdefault(src, set()).add(tar)
-                nbr.setdefault(tar, set()).add(src)
-        partners: set[str] = set()
-        for obj in event.objects:
-            partners |= nbr.get(obj, set())
-        for tid in target_ids:
-            if log.event(tid).objects & partners:
-                out.add(tid)
-    return out
+    positions: dict[str, dict[str, list[int]]] = {}
+    for index, candidate in enumerate(log.events):
+        if candidate.activity == constraint.target_activity:
+            _add_position(positions, index, candidate)
+    final = log.final_snapshot()
+    correlation = _Correlation(model, final.class_of, final.relations, positions)
+    lists = correlation.target_positions(constraint, event.objects)
+    return {log.events[i].id for positions in lists for i in positions}
 
 
 def check_violations(

@@ -171,7 +171,7 @@ class EventLog:
         state = _ReplayState(self.init)
         for i, event in enumerate(events):
             state.apply(event, i)
-            for obj in sorted(event.objects - state.class_of.keys()):
+            for obj in sorted(o for o in event.objects if o not in state.class_of):
                 warnings.append(
                     f"event {event.id!r} (seq {event.seq}) references object {obj!r} "
                     f"that does not exist in its snapshot"

@@ -305,7 +305,7 @@ class _Generator:
         self.init_class: dict[str, str] = {}
         self.counter = 0
         self.pool: dict[str, list[str]] = {}
-        self.active: list[_LiveObject] = []
+        self.active: list[_LiveObject] = []  # pruned of finished objects as it is scanned
         # Outstanding relation demand, keyed by the class whose creation absorbs it.
         self.pending: dict[str, list[list]] = {}  # [live, need, remaining]
 
@@ -455,7 +455,7 @@ class _Generator:
             if len(self.events) >= budget:
                 raise GenerationError(f"generation budget ({budget} events) exceeded")
             choices: list[str] = ["start"]
-            dischargeable = [o for o in self.active if not o.acts_done]
+            dischargeable = self.active = [o for o in self.active if not o.acts_done]
             if dischargeable:
                 choices += ["act", "act"]
             flushables = [cls for cls in self.pending if self._flushable(cls)]
@@ -471,7 +471,7 @@ class _Generator:
         while True:
             if len(self.events) > budget + self.target:
                 raise GenerationError("generation budget exceeded while draining obligations")
-            dischargeable = [o for o in self.active if not o.acts_done]
+            dischargeable = self.active = [o for o in self.active if not o.acts_done]
             if dischargeable:
                 self._discharge_act(dischargeable[0])
                 continue

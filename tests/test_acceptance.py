@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import random
+import statistics
 import time
 import tracemalloc
 
@@ -13,6 +15,7 @@ import pytest
 
 from conftest import record_acceptance
 from ocbcheck import (
+    EventLog,
     FormatError,
     ModelDefectsError,
     builtin_constraint_type,
@@ -244,6 +247,50 @@ def test_criterion_9_throughput_and_scaling():
     record_acceptance(
         9, f"10k-event check in {t_small * 1000:.0f} ms; 2x log -> {ratio:.2f}x time, "
            f"{memory_ratio:.2f}x memory",
+    )
+
+
+def test_criterion_9_relationship_scoped_scaling():
+    """The order process correlates IX through relationships and folds
+    many-to-many deltas; building its log and checking it stay linear."""
+    model = order_process_model()
+    small = generate_conforming(model, events=1000, seed=1)
+    large = generate_conforming(model, events=2 * len(small.events), seed=1)
+    # The generator overshoots its target, so compare time per event.
+    assert len(large.events) >= 2 * len(small.events)
+
+    def per_event(run, log):
+        repeats = math.ceil(len(large.events) / len(log.events))
+        gc.collect()
+        started = time.perf_counter()
+        for _ in range(repeats):
+            run(log)
+        return (time.perf_counter() - started) / (repeats * len(log.events))
+
+    def per_event_ratio(run):
+        # The speed of a shared machine drifts by up to 1.8x over seconds, so
+        # each ratio comes from two adjacent timings, in alternating order,
+        # each covering about as many events; the median is taken over at
+        # least five such pairs and over as many as fit in two seconds.
+        ratios = []
+        deadline = time.perf_counter() + 2.0
+        while len(ratios) < 5 or time.perf_counter() < deadline:
+            if len(ratios) % 2:
+                t_large = per_event(run, large)
+                t_small = per_event(run, small)
+            else:
+                t_small = per_event(run, small)
+                t_large = per_event(run, large)
+            ratios.append(t_large / t_small)
+        return statistics.median(ratios)
+
+    build = per_event_ratio(lambda log: EventLog(init=log.init, events=log.events))
+    check = per_event_ratio(lambda log: check_all(model, log))
+    assert build <= 1.5, f"doubling the log scaled per-event build time by {build:.2f}x"
+    assert check <= 1.5, f"doubling the log scaled per-event check time by {check:.2f}x"
+    record_acceptance(
+        9, f"order process {len(small.events)} -> {len(large.events)} events: per-event "
+           f"build {build:.2f}x, check {check:.2f}x",
     )
 
 

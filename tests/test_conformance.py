@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import dataclasses
+import random
+from pathlib import Path
 
 import pytest
 
 from ocbcheck import (
+    BcModel,
+    ClassModel,
     EventLog,
     LogError,
     ObjectModel,
+    OcbcModel,
     check_all,
     check_type_i,
     check_type_ii,
@@ -19,21 +24,31 @@ from ocbcheck import (
     check_type_viii,
     check_type_ix,
     check_violations,
+    load_log,
+    load_model,
     resolve_targets,
 )
+from ocbcheck.cardinality import MAX_BOUND, Cardinality, ConstraintType
 from scenarios import (
+    constraint,
     event,
     hiring_log,
     hiring_model,
+    link,
     order_object_model,
     order_class_snapshot_model,
     order_process_log,
     order_process_model,
     precedence_log,
     precedence_model,
+    random_log,
+    random_model,
+    rel_type,
     ticket_log,
     ticket_model,
 )
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 # -- Type I: validity of every snapshot ---------------------------------------
@@ -297,6 +312,110 @@ def test_shared_object_correlation():
     # close pos. shares the position object with open pos.
     assert resolve_targets(model, log, "c3#2", "e6") == {"e2"}
     assert check_type_ix(model, log) == []
+
+
+def _ix_counts(model, log):
+    """IX's (before, after) for every (constraint, reference event).
+
+    Every constraint type is replaced by one that only a sum of 2**31-1
+    target events satisfies, so IX reports each reference event with its
+    counts.
+    """
+    never = ConstraintType(total=Cardinality.exactly(MAX_BOUND))
+    constraints = tuple(dataclasses.replace(c, ctype=never) for c in model.bcm.constraints)
+    blind = dataclasses.replace(model, bcm=dataclasses.replace(model.bcm, constraints=constraints))
+    return {(v.constraint, v.event): (v.before, v.after) for v in check_type_ix(blind, log)}
+
+
+def _shared_partner_scenario():
+    """One order with two lines; a pick event references both lines."""
+    model = OcbcModel(
+        bcm=BcModel(
+            activities=frozenset({"pick", "pack", "ship"}),
+            constraints=(
+                constraint("c1", "unary-precedence", "ship", "pick"),  # via r
+                constraint("c2", "unary-precedence", "pack", "pick"),  # via line
+                constraint("c3", "unary-precedence", "pick", "pick"),  # via line
+                constraint("c4", "precedence", "ship", "pick"),  # via line
+            ),
+        ),
+        clam=ClassModel(
+            classes=frozenset({"order", "line"}),
+            rel_types=(rel_type("r", "order", "line"),),
+        ),
+        links=(link("pick", "line"), link("pack", "line"), link("ship", "order"), link("ship", "line")),
+        scope={"c1": "r", "c2": "line", "c3": "line", "c4": "line"},
+    )
+    init = ObjectModel(
+        class_of={"o1": "order", "l1": "line", "l2": "line"},
+        relations=frozenset({("r", "o1", "l1"), ("r", "o1", "l2")}),
+    )
+    log = EventLog(
+        init=init,
+        events=(
+            event("e1", 1, "pick", {"l1", "l2"}),
+            event("e2", 2, "pack", {"l1", "l2"}),
+            event("e3", 3, "ship", {"o1"}),
+            event("e4", 4, "pick", {"l1"}),
+            event("e5", 5, "pick", {"l2"}),
+        ),
+    )
+    return model, log
+
+
+def test_target_referencing_two_correlated_objects_counts_once():
+    model, log = _shared_partner_scenario()
+    counts = _ix_counts(model, log)
+    # e1 references both partners of o1 (via r) and both lines of e2 (via line).
+    assert counts[("c1", "e3")] == (1, 2)
+    assert counts[("c2", "e2")] == (1, 2)
+    assert resolve_targets(model, log, "c1", "e3") == {"e1", "e4", "e5"}
+    # Counted twice, e1 would make before=2 and break unary-precedence.
+    assert [(v.constraint, v.event) for v in check_type_ix(model, log)] == [("c3", "e1"), ("c4", "e3")]
+
+
+def test_reference_event_is_not_its_own_target():
+    model, log = _shared_partner_scenario()
+    counts = _ix_counts(model, log)
+    assert (counts[("c3", "e1")], counts[("c3", "e4")], counts[("c3", "e5")]) == ((0, 2), (1, 0), (1, 0))
+    assert resolve_targets(model, log, "c3", "e4") == {"e1", "e4"}
+
+
+def test_reference_without_an_object_of_the_scope_class_has_no_targets():
+    model, log = _shared_partner_scenario()
+    assert _ix_counts(model, log)[("c4", "e3")] == (0, 0)
+    assert resolve_targets(model, log, "c4", "e3") == set()
+
+
+def _correlation_cases():
+    for name in ("order-process", "unmatched-precedence"):
+        model = load_model((DEMO / f"{name}.ocbc.json").read_bytes())
+        yield name, model, load_log((DEMO / f"{name}.oclog.jsonl").read_bytes())
+    yield "order-process scenario", order_process_model(), order_process_log()
+    yield "hiring", hiring_model(), hiring_log()
+    yield "precedence", precedence_model(), precedence_log()
+    yield "shared partners", *_shared_partner_scenario()
+    for seed in range(300):
+        rng = random.Random(seed)
+        model = random_model(rng)
+        yield f"random seed {seed}", model, random_log(rng, model)
+
+
+def test_resolve_targets_agrees_with_ix_counts():
+    pairs = 0
+    for name, model, log in _correlation_cases():
+        expected = {}
+        for c in model.bcm.constraints:
+            for ref in log.events_of_activity(c.ref_activity):
+                position = log.index_of(ref)
+                targets = [log.index_of(t) for t in resolve_targets(model, log, c.id, ref)]
+                expected[(c.id, ref)] = (
+                    sum(1 for t in targets if t < position),
+                    sum(1 for t in targets if t > position),
+                )
+        assert _ix_counts(model, log) == expected, name
+        pairs += len(expected)
+    assert pairs > 1000
 
 
 def test_hiring_mutants():
