@@ -420,26 +420,14 @@ class _Correlation:
 def _count_around(lists: list[list[int]], ref: int) -> tuple[int, int]:
     """Distinct positions in the ascending `lists` strictly before and after `ref`.
 
-    The longest list is counted by bisection, so a high fan-in object costs
-    O(log n) per reference event; the others only add positions it lacks.
+    One list is counted by bisection.  Several lists are merged into a set,
+    so a target event referencing two correlated objects counts once.
     """
     if len(lists) == 1:
         (only,) = lists
         return bisect_left(only, ref), len(only) - bisect_right(only, ref)
-    if not lists:
-        return 0, 0
-    longest = max(lists, key=len)
-    extra = {
-        t for lst in lists if lst is not longest for t in lst if not _contains(longest, t)
-    }
-    before = bisect_left(longest, ref) + sum(1 for t in extra if t < ref)
-    after = len(longest) - bisect_right(longest, ref) + sum(1 for t in extra if t > ref)
-    return before, after
-
-
-def _contains(ascending: list[int], value: int) -> bool:
-    i = bisect_left(ascending, value)
-    return i < len(ascending) and ascending[i] == value
+    targets = set().union(*lists)
+    return sum(t < ref for t in targets), sum(t > ref for t in targets)
 
 
 def check_type_i(model: OcbcModel, log: EventLog) -> list[Violation]:

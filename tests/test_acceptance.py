@@ -270,12 +270,11 @@ def test_criterion_9_relationship_scoped_scaling():
     def per_event_ratio(run):
         # The speed of a shared machine drifts by up to 1.8x over seconds, so
         # each ratio comes from two adjacent timings, in alternating order,
-        # each covering about as many events; the median is taken over at
-        # least five such pairs and over as many as fit in two seconds.
+        # each covering about as many events; the median is taken over a
+        # fixed nine such pairs.
         ratios = []
-        deadline = time.perf_counter() + 2.0
-        while len(ratios) < 5 or time.perf_counter() < deadline:
-            if len(ratios) % 2:
+        for pair in range(9):
+            if pair % 2:
                 t_large = per_event(run, large)
                 t_small = per_event(run, small)
             else:
