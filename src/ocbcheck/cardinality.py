@@ -143,6 +143,17 @@ class Cardinality:
         return self.render()
 
 
+def _bound(digits: str, offset: int) -> int:
+    # Length first: int() refuses digit strings longer than sys.get_int_max_str_digits().
+    significant = digits.lstrip("0") or "0"
+    if len(significant) > len(str(MAX_BOUND)):
+        raise CardinalityError(f"bound of {len(significant)} digits exceeds 32-bit range", offset)
+    value = int(significant)
+    if value > MAX_BOUND:
+        raise CardinalityError(f"bound {value} exceeds 32-bit range", offset)
+    return value
+
+
 def parse_cardinality(text: str) -> Cardinality:
     """Parse the ``N | N..M | N..* | *`` grammar, with comma-separated unions."""
     ranges: list[tuple[int, int | None]] = []
@@ -155,18 +166,14 @@ def parse_cardinality(text: str) -> Cardinality:
         if match.group(1):
             ranges.append((0, None))
         else:
-            low = int(match.group(2))
-            if low > MAX_BOUND:
-                raise CardinalityError(f"bound {low} exceeds 32-bit range", offset)
+            low = _bound(match.group(2), offset)
             upper = match.group(3)
             if upper is None:
                 ranges.append((low, low))
             elif upper == "*":
                 ranges.append((low, None))
             else:
-                high = int(upper)
-                if high > MAX_BOUND:
-                    raise CardinalityError(f"bound {high} exceeds 32-bit range", offset)
+                high = _bound(upper, offset)
                 if high < low:
                     raise CardinalityError(f"range {low}..{high} is empty", offset)
                 ranges.append((low, high))

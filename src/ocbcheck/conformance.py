@@ -23,7 +23,8 @@ class _Context:
 
     Behavioral constraints correlate through `correlation`, which navigates
     the final snapshot; the neighbour map of each relationship-type scope is
-    built once, however many reference events use it.
+    built once, however many reference events use it.  `by_kind` keeps each
+    kind's violations in detection order; the public entry points sort.
     """
 
     def __init__(self, model: OcbcModel, log: EventLog):
@@ -50,8 +51,6 @@ class _Context:
         self._check_fulfilment()
         self._check_events_per_object()
         self._check_behavioral()
-        for kind in self.by_kind:
-            self.by_kind[kind] = sort_violations(self.by_kind[kind])
 
     # -- replay with incremental object-model validity tracking ---------------
 
@@ -432,47 +431,47 @@ def _count_around(lists: list[list[int]], ref: int) -> tuple[int, int]:
 
 def check_type_i(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Validity of the object model after every event."""
-    return _Context(model, log).by_kind["I"]
+    return sort_violations(_Context(model, log).by_kind["I"])
 
 
 def check_type_ii(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Fulfilment: eventual relationship cardinalities, at the final snapshot."""
-    return _Context(model, log).by_kind["II"]
+    return sort_violations(_Context(model, log).by_kind["II"])
 
 
 def check_type_iii(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Monotonicity: objects never disappear or change class."""
-    return _Context(model, log).by_kind["III"]
+    return sort_violations(_Context(model, log).by_kind["III"])
 
 
 def check_type_iv(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Activity existence: every event's activity is declared."""
-    return _Context(model, log).by_kind["IV"]
+    return sort_violations(_Context(model, log).by_kind["IV"])
 
 
 def check_type_v(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Object existence: referenced objects exist when the event occurs."""
-    return _Context(model, log).by_kind["V"]
+    return sort_violations(_Context(model, log).by_kind["V"])
 
 
 def check_type_vi(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Proper classes: events only reference objects of linked classes."""
-    return _Context(model, log).by_kind["VI"]
+    return sort_violations(_Context(model, log).by_kind["VI"])
 
 
 def check_type_vii(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Right number of events per object, always and eventually."""
-    return _Context(model, log).by_kind["VII"]
+    return sort_violations(_Context(model, log).by_kind["VII"])
 
 
 def check_type_viii(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Right number of referenced objects per event."""
-    return _Context(model, log).by_kind["VIII"]
+    return sort_violations(_Context(model, log).by_kind["VIII"])
 
 
 def check_type_ix(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Behavioral constraints over object-correlated target events."""
-    return _Context(model, log).by_kind["IX"]
+    return sort_violations(_Context(model, log).by_kind["IX"])
 
 
 def resolve_targets(model: OcbcModel, log: EventLog, cid: str, ref_event: str) -> set[str]:

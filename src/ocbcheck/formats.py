@@ -11,6 +11,7 @@ byte-stable.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 from .bc import PairConstraint, expand_shorthand
@@ -35,7 +36,7 @@ from .model import (
     validate_model,
 )
 from .report import ConformanceReport, aggregate
-from .violations import Violation
+from .violations import KINDS, Violation
 
 
 class FormatError(ValueError):
@@ -64,13 +65,20 @@ def _decode(data: bytes | str) -> str:
     return data
 
 
+_TYPE_NAMES = {dict: "object", list: "array", str: "string", int: "integer", bool: "boolean"}
+
+
 def _expect(value: Any, kind: type, where: str) -> Any:
-    names = {dict: "object", list: "array", str: "string", int: "integer", bool: "boolean"}
     if kind is int and isinstance(value, bool):
         raise FormatError("expected integer, got boolean", where)
     if not isinstance(value, kind):
-        raise FormatError(f"expected {names[kind]}, got {type(value).__name__}", where)
+        raise FormatError(f"expected {_TYPE_NAMES[kind]}, got {type(value).__name__}", where)
     return value
+
+
+# `_take` and `_string_list` run for every field of every event.  A value
+# whose type is exactly `kind` is one `_expect` accepts, so they return it
+# before formatting a location that only an error message would use.
 
 
 def _take(obj: dict, key: str, kind: type, where: str, default: Any = ...) -> Any:
@@ -78,7 +86,10 @@ def _take(obj: dict, key: str, kind: type, where: str, default: Any = ...) -> An
         if default is ...:
             raise FormatError(f"missing required key {key!r}", where)
         return default
-    return _expect(obj.pop(key), kind, f"{where}.{key}")
+    value = obj.pop(key)
+    if type(value) is kind:
+        return value
+    return _expect(value, kind, f"{where}.{key}")
 
 
 def _no_extras(obj: dict, where: str) -> None:
@@ -99,21 +110,29 @@ def _card(obj: dict, key: str, where: str, default: Cardinality = ANY) -> Cardin
 
 def _string_list(value: Any, where: str) -> list[str]:
     _expect(value, list, where)
-    return [_expect(item, str, f"{where}[{i}]") for i, item in enumerate(value)]
+    for i, item in enumerate(value):
+        if type(item) is not str:
+            _expect(item, str, f"{where}[{i}]")
+    return value
 
 
 def _relation(value: Any, where: str) -> tuple[str, str, str]:
-    _expect(value, list, where)
-    if len(value) != 3:
+    if len(_expect(value, list, where)) != 3:
         raise FormatError("expected [relType, source, target]", where)
-    return tuple(_expect(part, str, f"{where}[{i}]") for i, part in enumerate(value))  # type: ignore[return-value]
+    return tuple(_string_list(value, where))  # type: ignore[return-value]
 
 
 def _parse_json(data: bytes | str, where: str = "document") -> Any:
+    text = _decode(data)
     try:
-        return json.loads(_decode(data))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})", where) from None
+    except RecursionError:
+        raise FormatError("invalid JSON: nesting deeper than the decoder allows", where) from None
+    except ValueError:  # the only other decoder error: an over-long integer literal
+        limit = sys.get_int_max_str_digits()
+        raise FormatError(f"invalid JSON: integer longer than {limit} digits", where) from None
 
 
 # -- model documents ---------------------------------------------------------
@@ -432,26 +451,41 @@ def save_log(log: EventLog) -> bytes:
 # -- report documents --------------------------------------------------------
 
 _VIOLATION_DEFAULTS = Violation(kind="I").__dict__
+# (field, default) in key order; "kind" is always written.
+_VIOLATION_FIELDS = tuple(
+    (key, object() if key == "kind" else default) for key, default in sorted(_VIOLATION_DEFAULTS.items())
+)
 
 
 def _violation_dict(v: Violation) -> dict:
-    out = {"kind": v.kind}
-    for key, default in _VIOLATION_DEFAULTS.items():
-        if key == "kind":
-            continue
-        value = getattr(v, key)
-        if value != default:
-            out[key] = value
-    return out
+    fields = v.__dict__
+    return {key: fields[key] for key, default in _VIOLATION_FIELDS if fields[key] != default}
+
+
+def _violations_json(violations: tuple[Violation, ...]) -> str:
+    r"""The violation list exactly as ``json.dumps(indent=2, sort_keys=True)``
+    lays it out one level down, but encoded in one C-encoder call.
+
+    Every field is a string or an integer, and an encoded string holds no raw
+    newline, so "},\n      {" occurs only between two violations.
+    """
+    if not violations:
+        return "[]"
+    flat = json.dumps([_violation_dict(v) for v in violations], separators=(",\n      ", ": "))
+    body = flat[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+    return "[\n    {\n      " + body + "\n    }\n  ]"
 
 
 def save_report(report: ConformanceReport) -> bytes:
-    """Canonical report serialization: sorted keys, pre-sorted violations."""
+    r"""Canonical report serialization: sorted keys, pre-sorted violations.
+
+    The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``.
+    """
     doc = {
         "conforms": report.conforms,
         "prefix_mode": report.prefix_mode,
         "summary": report.summary,
-        "violations": [_violation_dict(v) for v in report.violations],
+        "violations": [],
         "per_constraint": report.per_constraint,
         "per_aoc_edge": [
             {"activity": activity, "class": cls, "always": always, "eventually": eventually}
@@ -460,7 +494,9 @@ def save_report(report: ConformanceReport) -> bytes:
         "per_rel_type": report.per_rel_type,
         "unknown_activities": list(report.unknown_activities),
     }
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    frame = json.dumps(doc, indent=2, sort_keys=True)
+    # "violations" sorts last, so the frame ends with its empty list: '[]\n}'.
+    return (frame[:-4] + _violations_json(report.violations) + "\n}\n").encode("utf-8")
 
 
 def load_report(data: bytes | str) -> ConformanceReport:
@@ -471,10 +507,15 @@ def load_report(data: bytes | str) -> ConformanceReport:
         where = f"violations[{i}]"
         entry = dict(_expect(item, dict, where))
         kind = _take(entry, "kind", str, where)
+        if kind not in KINDS:
+            raise FormatError(f"unknown problem type {kind!r}", f"{where}.kind")
         fields: dict[str, Any] = {}
         for key, default in _VIOLATION_DEFAULTS.items():
             if key != "kind" and key in entry:
-                fields[key] = entry.pop(key)
+                value = entry.pop(key)
+                if value is not None or default is not None:  # observed/before/after may be null
+                    _expect(value, int if default is None else type(default), f"{where}.{key}")
+                fields[key] = value
         _no_extras(entry, where)
         violations.append(Violation(kind=kind, **fields))
     prefix = _take(doc, "prefix_mode", bool, "document", default=False)

@@ -7,6 +7,7 @@ import gc
 import json
 import math
 import random
+import re
 import statistics
 import time
 import tracemalloc
@@ -138,6 +139,9 @@ def test_criterion_6_oracle_equivalence_on_random_scenarios():
         fast = list(check_violations(model, log))
         slow = sort_violations(naive_check(model, log))
         assert fast == slow, f"divergence from the definitional evaluator at seed {seed}"
+        assert fast == sort_violations(fast)
+        behavioral = check_type_ix(model, log)
+        assert behavioral == sort_violations(behavioral), f"unsorted type IX list at seed {seed}"
         pairs += 1
     assert pairs == 500
     record_acceptance(6, "optimized checker matches the definitional evaluator on 500 random pairs")
@@ -315,6 +319,13 @@ BAD_MODEL_DOCS = [
         "unknown constraint template",
     ),
     (b"\xff\xfe", "not valid UTF-8"),
+    (
+        b'{"activities": [], "classes": ["k"], "relationships": [{"id": "r", "source": "k", '
+        b'"target": "k", "card_src_always": 1}]}',
+        re.escape("relationships[0].card_src_always: expected string, got int"),
+    ),
+    (b"[" * 100_000, re.escape("document: invalid JSON: nesting deeper than the decoder allows")),
+    (b"9" * 5000, re.escape("document: invalid JSON: integer longer than 4300 digits")),
 ]
 
 BAD_LOG_DOCS = [
@@ -341,6 +352,28 @@ BAD_LOG_DOCS = [
         "cannot remove absent relation",
     ),
     (b'{"id": "e1", "seq": 1, "activity": "a"}\n{"init": {}}', "init model must be the first line"),
+    (b'{"id": "e1", "seq": true, "activity": "a"}', re.escape("line 1.seq: expected integer, got boolean")),
+    (
+        b'{"id": "e1", "seq": 1, "activity": "a", "objects": ["o", 2]}',
+        re.escape("line 1.objects[1]: expected string, got int"),
+    ),
+    (
+        b'{"id": "e1", "seq": 1, "activity": "a", "new_objects": [{"id": 7, "class": "k"}]}',
+        re.escape("line 1.new_objects[0].id: expected string, got int"),
+    ),
+    (
+        b'{"id": "e1", "seq": 1, "activity": "a", "new_relations": [["r", "x", null]]}',
+        re.escape("line 1.new_relations[0][2]: expected string, got NoneType"),
+    ),
+    (
+        b'{"id": "e1", "seq": 1, "activity": "a", "assert_snapshot": {"objects": [{"id": "o", "class": 3}]}}',
+        re.escape("line 1.assert_snapshot.objects[0].class: expected string, got int"),
+    ),
+    (b"[" * 100_000, re.escape("line 1: invalid JSON: nesting deeper than the decoder allows")),
+    (
+        b'{"id": "e1", "seq": ' + b"9" * 5000 + b', "activity": "a"}',
+        re.escape("line 1: invalid JSON: integer longer than 4300 digits"),
+    ),
 ]
 
 

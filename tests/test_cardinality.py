@@ -46,6 +46,9 @@ def test_parse_error_carries_position():
 def test_parse_rejects_overflow():
     with pytest.raises(CardinalityError):
         parse_cardinality(str(2**31))
+    with pytest.raises(CardinalityError, match="bound of 5000 digits"):
+        parse_cardinality("1.." + "9" * 5000)
+    assert parse_cardinality("0" * 5000 + "7").minimum() == 7
     assert parse_cardinality(str(2**31 - 1)).minimum() == 2**31 - 1
 
 

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
 import json
+import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ocbcheck import (
     FormatError,
     ModelDefectsError,
+    Violation,
+    aggregate,
     check_all,
     load_log,
     load_model,
@@ -21,9 +28,13 @@ from scenarios import (
     order_process_model,
     precedence_log,
     precedence_model,
+    random_log,
+    random_model,
     ticket_log,
     ticket_model,
 )
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 FIG_MODEL = {
@@ -325,6 +336,113 @@ def test_report_conforms_flag_is_checked():
     doc["conforms"] = True
     with pytest.raises(FormatError, match="conforms flag"):
         load_report(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "entry, needle",
+    [
+        ({"kind": "X"}, "violations[0].kind: unknown problem type 'X'"),
+        ({"kind": "IX", "seq": "4"}, "violations[0].seq: expected integer, got str"),
+        ({"kind": "IX", "before": True}, "violations[0].before: expected integer, got boolean"),
+        ({"kind": "IV", "activity": ["a"]}, "violations[0].activity: expected string, got list"),
+    ],
+)
+def test_report_violation_fields_are_typed(entry, needle):
+    with pytest.raises(FormatError, match=re.escape(needle)):
+        load_report(json.dumps({"conforms": False, "violations": [entry]}))
+
+
+def reference_report_bytes(report) -> bytes:
+    """The report laid out by one ``json.dumps(indent=2, sort_keys=True)`` call."""
+    defaults = Violation(kind="I").__dict__
+    doc = {
+        "conforms": report.conforms,
+        "prefix_mode": report.prefix_mode,
+        "summary": report.summary,
+        "violations": [
+            {key: value for key, value in v.__dict__.items() if key == "kind" or value != defaults[key]}
+            for v in report.violations
+        ],
+        "per_constraint": report.per_constraint,
+        "per_aoc_edge": [
+            {"activity": activity, "class": cls, "always": always, "eventually": eventually}
+            for (activity, cls), (always, eventually) in report.per_aoc_edge.items()
+        ],
+        "per_rel_type": report.per_rel_type,
+        "unknown_activities": list(report.unknown_activities),
+    }
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+# Texts that need escaping, or that look like the writer's own joints.
+ODD_TEXTS = ['"', "\\", "\n", "\t", "\u00e9", "\U0001f600", "},\n      {", '"violations": []']
+
+
+def test_report_bytes_are_indent_2_sorted_json():
+    rng = random.Random(19)
+    model = random_model(rng)
+    log = random_log(rng, model)
+    every_kind = check_all(model, log)
+    assert all(every_kind.summary.values()), every_kind.summary
+    with_warnings = check_all(model, log, prefix=True)
+    assert with_warnings.warnings and with_warnings.errors
+    odd = aggregate(
+        [
+            Violation(kind="IX", event=text, seq=i, constraint=text, expected=text, before=0, after=i, detail=text)
+            for i, text in enumerate(ODD_TEXTS)
+        ]
+        + [Violation(kind="IV", event=f"e{i}", seq=i, activity=text) for i, text in enumerate(ODD_TEXTS)]
+    )
+    for report in (aggregate([]), every_kind, with_warnings, odd):
+        assert save_report(report) == reference_report_bytes(report)
+
+
+def mutants(data: bytes, rng: random.Random):
+    """Truncations, byte flips, over-long integers and deep nesting of `data`."""
+    for _ in range(30):
+        yield data[: rng.randrange(len(data))]
+    for _ in range(30):
+        flipped = bytearray(data)
+        for _ in range(rng.randint(1, 4)):
+            flipped[rng.randrange(len(flipped))] = rng.randrange(256)
+        yield bytes(flipped)
+    digit_runs = list(re.finditer(rb"[0-9]+", data))
+    for filler in [b"9" * 5000] * 5 + [b"[" * 50 + b"]" * 50, b"[" * 100_000 + b"]" * 100_000] * 3:
+        run = rng.choice(digit_runs)
+        yield data[: run.start()] + filler + data[run.end() :]
+    for depth in (50, 100_000):
+        yield b"[" * depth + data + b"]" * depth
+
+
+@pytest.mark.parametrize("name", ["order-process", "unmatched-precedence"])
+def test_mutated_demo_documents_load_or_raise_format_error(name, tmp_path):
+    model_data = (DEMO / f"{name}.ocbc.json").read_bytes()
+    log_data = (DEMO / f"{name}.oclog.jsonl").read_bytes()
+    model = load_model(model_data)
+    rng = random.Random(f"fuzz:{name}")
+    model_mutants = list(mutants(model_data, rng))
+    for data in model_mutants:
+        try:
+            load_model(data)
+        except FormatError:
+            pass
+    log_mutants = list(mutants(log_data, rng))
+    for data in log_mutants:
+        try:
+            log = load_log(data)
+        except FormatError:
+            continue
+        save_report(check_all(model, log, prefix=True))
+    # The command line maps the same inputs to an exit code and never a traceback.
+    model_path, log_path = tmp_path / "model.ocbc.json", tmp_path / "log.oclog.jsonl"
+    model_path.write_bytes(model_data)
+    runs = [(["validate-model", str(log_path)], data) for data in model_mutants[-2:]]
+    runs += [(["check", str(model_path), str(log_path)], data) for data in rng.sample(log_mutants, 3) + log_mutants[-2:]]
+    for args, data in runs:
+        log_path.write_bytes(data)
+        result = subprocess.run([sys.executable, "-m", "ocbcheck.cli", *args], capture_output=True)
+        assert result.returncode in (0, 1, 2)
+        assert b"Traceback" not in result.stderr, result.stderr.decode(errors="replace")
 
 
 def test_save_is_deterministic_across_runs():
