@@ -77,7 +77,14 @@ class Cardinality:
         return self.ranges == ((0, None),)
 
     def __contains__(self, n: int) -> bool:
-        return any(low <= n and (high is None or n <= high) for low, high in self.ranges)
+        # The ranges ascend with gaps between them, so once `n` is below a
+        # range's low bound it is in no later range either.
+        for low, high in self.ranges:
+            if n < low:
+                return False
+            if high is None or n <= high:
+                return True
+        return False
 
     def minimum(self) -> int:
         return self.ranges[0][0]

@@ -98,7 +98,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for warning in log.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     report = check_all(model, log, kinds=args.types, prefix=args.prefix)
-    payload = save_report(report) if args.format == "json" else render_text(report).encode()
+    if args.format == "json":
+        payload = save_report(report)
+    else:
+        # A log may hold a lone surrogate escape, which UTF-8 cannot encode.
+        payload = render_text(report).encode(errors="backslashreplace")
     if args.out:
         Path(args.out).write_bytes(payload)
     else:

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 from .cardinality import Cardinality
 from .eventlog import Event, EventLog, LogError, Relation
-from .model import BehavioralConstraint, OcbcModel, RelationshipType
+from .model import ActivityClassLink, BehavioralConstraint, OcbcModel, RelationshipType
 from .violations import Violation, sort_violations
 
 
@@ -36,9 +36,11 @@ class _Context:
         self.events_by_activity: dict[str, list[int]] = {}
         self.final_class: dict[str, str] = {}
         self.final_relations: frozenset[Relation] = frozenset()
-        self._links_by_activity = {}
+        # Type VIII checks only the links that bound the objects per event.
+        self._counted_links: dict[str, list[ActivityClassLink]] = {}
         for link in model.links:
-            self._links_by_activity.setdefault(link.activity, []).append(link)
+            if not link.card_objects.is_universal:
+                self._counted_links.setdefault(link.activity, []).append(link)
         self._rts_by_src_class: dict[str, list[RelationshipType]] = {}
         self._rts_by_tar_class: dict[str, list[RelationshipType]] = {}
         for rt in model.clam.rel_types:
@@ -237,10 +239,11 @@ class _Context:
                     )
 
             # Type VIII: the event references the right number of objects per class.
-            for link in self._links_by_activity.get(event.activity, ()):
-                if link.card_objects.is_universal:
-                    continue
-                count = sum(1 for o in event.objects if self._class_of.get(o) == link.cls)
+            for link in self._counted_links.get(event.activity, ()):
+                count = 0
+                for obj in event.objects:
+                    if self._class_of.get(obj) == link.cls:
+                        count += 1
                 if count not in link.card_objects:
                     self.by_kind["VIII"].append(
                         Violation(
@@ -501,6 +504,20 @@ def resolve_targets(model: OcbcModel, log: EventLog, cid: str, ref_event: str) -
     return {log.events[i].id for positions in lists for i in positions}
 
 
+def _collect(
+    model: OcbcModel, log: EventLog, kinds: tuple[str, ...] | None, prefix: bool
+) -> list[Violation]:
+    """All violations of the selected kinds, unsorted."""
+    context = _Context(model, log)
+    selected = kinds if kinds is not None else tuple(context.by_kind)
+    out: list[Violation] = []
+    for kind in selected:
+        out.extend(context.by_kind[kind])
+    if prefix:
+        out = [_downgrade(model, v) for v in out]
+    return out
+
+
 def check_violations(
     model: OcbcModel,
     log: EventLog,
@@ -513,14 +530,7 @@ def check_violations(
     (fulfilment, eventual event-count shortfalls, and behavioral violations
     fixable by more target events) are downgraded to warnings.
     """
-    context = _Context(model, log)
-    selected = kinds if kinds is not None else tuple(context.by_kind)
-    out: list[Violation] = []
-    for kind in selected:
-        out.extend(context.by_kind[kind])
-    if prefix:
-        out = [_downgrade(model, v) for v in out]
-    return sort_violations(out)
+    return sort_violations(_collect(model, log, kinds, prefix))
 
 
 def _downgrade(model: OcbcModel, violation: Violation) -> Violation:
@@ -541,7 +551,8 @@ def check_all(
     kinds: tuple[str, ...] | None = None,
     prefix: bool = False,
 ):
-    """Run all (or the selected) checkers and aggregate into a report."""
+    """Run all (or the selected) checkers and aggregate into a report;
+    `aggregate` sorts the violations."""
     from .report import aggregate
 
-    return aggregate(check_violations(model, log, kinds=kinds, prefix=prefix), prefix=prefix)
+    return aggregate(_collect(model, log, kinds, prefix), prefix=prefix)

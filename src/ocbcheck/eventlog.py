@@ -40,10 +40,13 @@ class ObjectModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "class_of", MappingProxyType(dict(self.class_of)))
         object.__setattr__(self, "relations", frozenset(self.relations))
-        for rel in self.relations:
-            for endpoint in rel[1:]:
-                if endpoint not in self.class_of:
-                    raise LogError(f"relation {rel} references unknown object {endpoint!r}")
+        class_of = self.class_of
+        dangling = [rel for rel in self.relations if rel[1] not in class_of or rel[2] not in class_of]
+        if dangling:
+            # The set iterates in hash order; name the smallest relation.
+            rel = min(dangling)
+            endpoint = rel[1] if rel[1] not in class_of else rel[2]
+            raise LogError(f"relation {rel} references unknown object {endpoint!r}")
 
     @property
     def objects(self) -> frozenset[str]:

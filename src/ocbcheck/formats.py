@@ -108,11 +108,13 @@ def _card(obj: dict, key: str, where: str, default: Cardinality = ANY) -> Cardin
         raise FormatError(f"bad cardinality {text!r}: {exc}", f"{where}.{key}") from None
 
 
-def _string_list(value: Any, where: str) -> list[str]:
-    _expect(value, list, where)
+def _string_list(value: Any, where: str, key: str = "") -> list[str]:
+    """`value` as a list of strings; the location is `where` followed by `key`."""
+    if type(value) is not list:
+        _expect(value, list, where + key)
     for i, item in enumerate(value):
         if type(item) is not str:
-            _expect(item, str, f"{where}[{i}]")
+            _expect(item, str, f"{where}{key}[{i}]")
     return value
 
 
@@ -339,18 +341,25 @@ def _object_model(value: Any, where: str) -> ObjectModel:
         raise FormatError(str(exc), where) from None
 
 
-def _event(value: Any, where: str) -> Event:
-    entry = dict(_expect(value, dict, where))
+def _event(entry: dict, where: str) -> Event:
+    """Decode one event from the fresh dict `load_log` decoded: its keys are
+    popped in place, and optional keys are only touched when present."""
     eid = _take(entry, "id", str, where)
     seq = _take(entry, "seq", int, where)
     if not 1 <= seq <= MAX_SEQ:
         raise FormatError(f"seq {seq} outside the 64-bit positive range", f"{where}.seq")
     activity = _take(entry, "activity", str, where)
-    attrs_raw = _take(entry, "attrs", dict, where, default={})
-    attrs = {
-        key: _expect(val, str, f"{where}.attrs.{key}") for key, val in sorted(attrs_raw.items())
-    }
-    objects = _string_list(_take(entry, "objects", list, where, default=[]), f"{where}.objects")
+    attrs = {}
+    if "attrs" in entry:
+        attrs = {
+            key: _expect(val, str, f"{where}.attrs.{key}")
+            for key, val in sorted(_take(entry, "attrs", dict, where).items())
+        }
+    objects = ()
+    if "objects" in entry:
+        objects = _string_list(entry.pop("objects"), where, ".objects")
+    if not entry:  # no delta keys and no unknown keys
+        return Event(id=eid, seq=seq, activity=activity, objects=objects, attrs=attrs)
     new_objects = []
     for i, item in enumerate(_take(entry, "new_objects", list, where, default=[])):
         inner = f"{where}.new_objects[{i}]"
@@ -374,7 +383,7 @@ def _event(value: Any, where: str) -> Event:
         id=eid,
         seq=seq,
         activity=activity,
-        objects=frozenset(objects),
+        objects=objects,
         attrs=attrs,
         delta=ObjectDelta(
             new_objects=tuple(new_objects),

@@ -369,6 +369,30 @@ BAD_LOG_DOCS = [
         b'{"id": "e1", "seq": 1, "activity": "a", "assert_snapshot": {"objects": [{"id": "o", "class": 3}]}}',
         re.escape("line 1.assert_snapshot.objects[0].class: expected string, got int"),
     ),
+    (
+        b'{"id": "e1", "seq": 1, "activity": "a", "attrs": ["k"]}',
+        re.escape("line 1.attrs: expected object, got list"),
+    ),
+    (
+        b'{"id": "e1", "seq": 1, "activity": "a", "attrs": {"j": "v", "k": 1}}',
+        re.escape("line 1.attrs.k: expected string, got int"),
+    ),
+    (
+        b'{"id": "e1", "seq": 1, "activity": "a", "objects": null}',
+        re.escape("line 1.objects: expected array, got NoneType"),
+    ),
+    (
+        b'{"id": "e1", "seq": 1, "activity": "a", "objects": [3]}',
+        re.escape("line 1.objects[0]: expected string, got int"),
+    ),
+    (
+        b'{"id": "e1", "seq": 1, "activity": "a", "assert_snapshot": null}',
+        re.escape("line 1.assert_snapshot: expected object, got NoneType"),
+    ),
+    (
+        b'{"id": "e1", "seq": 1, "activity": "a", "objects": ["o"], "zz": 1, "yy": 2}',
+        re.escape("line 1: unknown key 'yy'"),
+    ),
     (b"[" * 100_000, re.escape("line 1: invalid JSON: nesting deeper than the decoder allows")),
     (
         b'{"id": "e1", "seq": ' + b"9" * 5000 + b', "activity": "a"}',

@@ -60,6 +60,17 @@ def test_membership():
     assert 10**9 in parse_cardinality("1..*")
 
 
+@pytest.mark.parametrize("text", ["0,2..3,5..*", "1", "*", "4..4,7", "0..1,3,6..8,11"])
+def test_membership_matches_definition(text):
+    card = parse_cardinality(text)
+
+    def defined(n):
+        return any(low <= n and (high is None or n <= high) for low, high in card.ranges)
+
+    for n in [*range(13), 10**12]:
+        assert (n in card) == defined(n), (text, n)
+
+
 def test_render_parse_round_trip():
     rng = random.Random(7)
     for _ in range(200):

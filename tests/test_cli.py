@@ -180,3 +180,21 @@ def test_generate_is_deterministic_per_seed(workspace, capsys):
     first = capsys.readouterr().out
     main(["generate", model, "--events", "12", "--seed", "8"])
     assert capsys.readouterr().out == first
+
+
+def test_check_text_escapes_lone_surrogate(tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    # JSON accepts the escape "\ud800", which UTF-8 cannot encode.
+    log_path = tmp_path / "surrogate.oclog.jsonl"
+    log_path.write_bytes(b'{"id": "e1", "seq": 1, "activity": "\\ud800"}\n')
+    model_path = Path(__file__).resolve().parent.parent / "demo" / "order-process.ocbc.json"
+    result = subprocess.run(
+        [sys.executable, "-m", "ocbcheck.cli", "check", str(model_path), str(log_path), "--format", "text"],
+        capture_output=True,
+    )
+    assert b"Traceback" not in result.stderr, result.stderr.decode(errors="replace")
+    assert result.returncode == 1
+    assert b"\\ud800" in result.stdout

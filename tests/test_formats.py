@@ -445,6 +445,39 @@ def test_mutated_demo_documents_load_or_raise_format_error(name, tmp_path):
         assert b"Traceback" not in result.stderr, result.stderr.decode(errors="replace")
 
 
+def test_dangling_relation_error_stable_across_hash_randomization():
+    import os
+
+    # The init line relates x1 to four missing objects; the error must name
+    # the same relation whatever order the relation set iterates in.
+    init = {
+        "init": {
+            "objects": [{"id": "x1", "class": "c"}],
+            "relations": [["r", "x1", f"y{i}"] for i in range(1, 5)],
+        }
+    }
+    script = (
+        "import sys\n"
+        "from ocbcheck import FormatError, load_log\n"
+        "try:\n"
+        "    load_log(sys.stdin.buffer.read())\n"
+        "except FormatError as exc:\n"
+        "    print(exc)\n"
+    )
+    outputs = set()
+    for hash_seed in ("1", "2", "3", "4", "5", "6"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            input=json.dumps(init).encode(),
+            env=env,
+            capture_output=True,
+        )
+        assert result.returncode == 0, result.stderr.decode(errors="replace")
+        outputs.add(result.stdout)
+    assert outputs == {b"line 1.init: relation ('r', 'x1', 'y1') references unknown object 'y1'\n"}
+
+
 def test_save_is_deterministic_across_runs():
     a = save_report(check_all(ticket_model(), ticket_log()))
     b = save_report(check_all(ticket_model(), ticket_log()))
