@@ -7,10 +7,7 @@ from .cardinality import (
     CardinalityError,
     ConstraintType,
     builtin_constraint_type,
-    cardinality_contains,
-    constraint_type_accepts,
     parse_cardinality,
-    render_cardinality,
 )
 from .conformance import (
     check_all,
@@ -26,7 +23,7 @@ from .conformance import (
     check_violations,
     resolve_targets,
 )
-from .eventlog import Event, EventLog, LogError, ObjectDelta, ObjectModel, objects_of_class
+from .eventlog import Event, EventLog, LogError, ObjectDelta, ObjectModel
 from .formats import (
     FormatError,
     ModelDefectsError,
@@ -88,7 +85,6 @@ __all__ = [
     "aggregate",
     "bc_model_satisfied",
     "builtin_constraint_type",
-    "cardinality_contains",
     "check_all",
     "check_type_i",
     "check_type_ii",
@@ -100,7 +96,6 @@ __all__ = [
     "check_type_viii",
     "check_type_ix",
     "check_violations",
-    "constraint_type_accepts",
     "evaluate_bc",
     "expand_shorthand",
     "generate_conforming",
@@ -108,9 +103,7 @@ __all__ = [
     "load_log",
     "load_model",
     "load_report",
-    "objects_of_class",
     "parse_cardinality",
-    "render_cardinality",
     "resolve_targets",
     "save_log",
     "save_model",

@@ -1,8 +1,10 @@
 """Evaluation of plain behavioral constraint models over an ordered event sequence.
 
 No object correlation here: every event of the target activity counts.  This
-is the arithmetic core reused by the behavioral-constraint conformance check,
-and is directly usable for single-instance (case-based) traces.
+is the trace-level semantics of behavioral constraints, directly usable for
+single-instance (case-based) traces.  The IX conformance check does not call
+`evaluate_bc`: it applies the same `ConstraintType.accepts` to counts of
+object-correlated target events.  Model loading uses `expand_shorthand`.
 """
 
 from __future__ import annotations

@@ -188,14 +188,6 @@ def parse_cardinality(text: str) -> Cardinality:
     return Cardinality(tuple(ranges))
 
 
-def render_cardinality(card: Cardinality) -> str:
-    return card.render()
-
-
-def cardinality_contains(card: Cardinality, n: int) -> bool:
-    return n in card
-
-
 ANY = Cardinality.universal()
 
 
@@ -281,7 +273,3 @@ def builtin_constraint_type(name: str) -> ConstraintType:
         return TEMPLATES[name]
     except KeyError:
         raise ValueError(f"unknown constraint template {name!r}") from None
-
-
-def constraint_type_accepts(ctype: ConstraintType, before: int, after: int) -> bool:
-    return ctype.accepts(before, after)

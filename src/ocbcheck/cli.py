@@ -98,6 +98,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for warning in log.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     report = check_all(model, log, kinds=args.types, prefix=args.prefix)
+    del log  # the report holds all that is rendered; free the log and its indexes first
     if args.format == "json":
         payload = save_report(report)
     else:

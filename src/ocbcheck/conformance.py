@@ -10,32 +10,28 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .cardinality import Cardinality
-from .eventlog import Event, EventLog, LogError, Relation
-from .model import ActivityClassLink, BehavioralConstraint, OcbcModel, RelationshipType
-from .violations import Violation, sort_violations
+from .eventlog import EMPTY_DELTA, Event, EventLog, LogError, Relation
+from .model import ActivityClassLink, OcbcModel, RelationshipType
+from .violations import KINDS, Violation, sort_violations
 
 
 class _Context:
-    """One replay over the log, producing per-event checks and shared indexes.
+    """One replay over the log for the per-event checks, reading the indexes
+    that the `EventLog` build kept.
 
-    Behavioral constraints correlate through `correlation`, which navigates
-    the final snapshot; the neighbour map of each relationship-type scope is
-    built once, however many reference events use it.  `by_kind` keeps each
-    kind's violations in detection order; the public entry points sort.
+    Behavioral constraints correlate through `_Correlation`, which navigates
+    the final snapshot.  `by_kind` keeps each kind's violations in detection
+    order; the public entry points sort.
     """
 
     def __init__(self, model: OcbcModel, log: EventLog):
         self.model = model
         self.log = log
-        self.by_kind: dict[str, list[Violation]] = {k: [] for k in "I II III IV V VI VII VIII IX".split()}
+        self.by_kind: dict[str, list[Violation]] = {k: [] for k in KINDS}
         self.first_seen: dict[tuple[str, str], int] = {}  # (object, class) -> event index
-        self.events_by_obj_act: dict[str, dict[str, list[int]]] = {}
-        self.events_by_activity: dict[str, list[int]] = {}
-        self.final_class: dict[str, str] = {}
-        self.final_relations: frozenset[Relation] = frozenset()
         # Type VIII checks only the links that bound the objects per event.
         self._counted_links: dict[str, list[ActivityClassLink]] = {}
         for link in model.links:
@@ -43,13 +39,14 @@ class _Context:
                 self._counted_links.setdefault(link.activity, []).append(link)
         self._rts_by_src_class: dict[str, list[RelationshipType]] = {}
         self._rts_by_tar_class: dict[str, list[RelationshipType]] = {}
+        # The always-cardinality of each (relationship type, side), rendered once for Type I.
+        self._expected: dict[tuple[str, str], str] = {}
         for rt in model.clam.rel_types:
             self._rts_by_src_class.setdefault(rt.source, []).append(rt)
             self._rts_by_tar_class.setdefault(rt.target, []).append(rt)
+            for side in ("src", "tar"):
+                self._expected[rt.id, side] = self._keeper(rt, side)[1].render()
         self._replay()
-        self.correlation = _Correlation(
-            model, self.final_class, self.final_relations, self.events_by_obj_act
-        )
         self._check_fulfilment()
         self._check_events_per_object()
         self._check_behavioral()
@@ -116,136 +113,140 @@ class _Context:
         for rel in self._relations:
             self._add_relation(rel)
 
+    def _apply(self, index: int, event: Event) -> None:
+        """Fold the event's delta (and, at the first event, the initial model)
+        into the validity state; record first appearances and Type III."""
+        delta = event.delta
+        asserted = delta.assert_snapshot
+        prev_objects = set(self._class_of) if asserted is not None else None
+
+        if index == 0:
+            init = self.log.init
+            self._class_of.update(init.class_of)
+            self._relations.update(init.relations)
+            for obj in self._class_of:
+                self._add_object(obj)
+            for rel in init.relations:
+                self._add_relation(rel)
+        for obj, cls in delta.new_objects:
+            self._class_of[obj] = cls
+            self._add_object(obj)
+        for rel in delta.new_relations:
+            if rel not in self._relations:
+                self._relations.add(rel)
+                self._add_relation(rel)
+        for rel in delta.removed_relations:
+            self._relations.discard(rel)
+            self._remove_relation(rel)
+        if asserted is not None:
+            self._class_of = dict(asserted.class_of)
+            self._relations = set(asserted.relations)
+            self._rebuild_validity_state()
+
+        # (object, class) pairs present in the snapshot after this event.
+        changed = (
+            self._class_of.items()
+            if asserted is not None or index == 0
+            else [(o, self._class_of[o]) for o, _ in delta.new_objects]
+        )
+        for pair in changed:
+            self.first_seen.setdefault(pair, index)
+
+        # Type III: objects must not disappear or change class over time.
+        if asserted is not None:
+            for obj in sorted(prev_objects - self._class_of.keys()):
+                self.by_kind["III"].append(
+                    Violation(
+                        kind="III", event=event.id, seq=event.seq, obj=obj,
+                        detail="object disappeared from the object model",
+                    )
+                )
+        for obj, cls in changed:
+            previous = self._last_class.get(obj)
+            if previous is not None and previous != cls:
+                self.by_kind["III"].append(
+                    Violation(
+                        kind="III", event=event.id, seq=event.seq, obj=obj,
+                        detail=f"object changed class from {previous!r} to {cls!r}",
+                    )
+                )
+            self._last_class[obj] = cls
+
+    def _report_invalid(self, event: Event) -> None:
+        """Type I: the current snapshot must be valid for the class model."""
+        found = self.by_kind["I"]
+        for key in self._bad_card:
+            rt_id, side, obj = key
+            found.append(
+                Violation(
+                    kind="I", event=event.id, seq=event.seq, rel_type=rt_id,
+                    side=side, obj=obj, temporal="always",
+                    observed=self._cnt.get(key, 0), expected=self._expected[rt_id, side],
+                )
+            )
+        for (rt_id, src, tar, side), (obj, got, want) in self._bad_type.items():
+            found.append(
+                Violation(
+                    kind="I", event=event.id, seq=event.seq, rel_type=rt_id,
+                    side=side, obj=obj, cls=got, expected=want,
+                    detail=f"relation ({rt_id},{src},{tar}): {side} endpoint has class "
+                    f"{got!r}, expected {want!r}",
+                )
+            )
+        for rt_id, src, tar in self._unknown_rt:
+            found.append(
+                Violation(
+                    kind="I", event=event.id, seq=event.seq, rel_type=rt_id,
+                    detail=f"relation ({rt_id},{src},{tar}): relationship type "
+                    f"not declared in the class model",
+                )
+            )
+
     def _replay(self) -> None:
-        model, log = self.model, self.log
+        model, by_kind = self.model, self.by_kind
         self._class_of: dict[str, str] = {}
         self._relations: set[Relation] = set()
         self._cnt: dict[tuple[str, str, str], int] = {}
         self._bad_card: set[tuple[str, str, str]] = set()
         self._bad_type: dict[tuple[str, str, str, str], tuple[str, str, str]] = {}
         self._unknown_rt: set[Relation] = set()
-        last_class_seen: dict[str, str] = {}  # survives disappearance, for re-add checks
+        self._last_class: dict[str, str] = {}  # survives disappearance, for re-add checks
+        activities = model.bcm.activities
 
-        for index, event in enumerate(log.events):
-            self.events_by_activity.setdefault(event.activity, []).append(index)
-            _add_position(self.events_by_obj_act, index, event)
-
-            asserted = event.delta.assert_snapshot
-            prev_objects = set(self._class_of) if asserted is not None else None
-
-            if index == 0:
-                self._class_of.update(log.init.class_of)
-                self._relations.update(log.init.relations)
-                for obj in self._class_of:
-                    self._add_object(obj)
-                for rel in log.init.relations:
-                    self._add_relation(rel)
-            for obj, cls in event.delta.new_objects:
-                self._class_of[obj] = cls
-                self._add_object(obj)
-            for rel in event.delta.new_relations:
-                if rel not in self._relations:
-                    self._relations.add(rel)
-                    self._add_relation(rel)
-            for rel in event.delta.removed_relations:
-                self._relations.discard(rel)
-                self._remove_relation(rel)
-            if asserted is not None:
-                self._class_of = dict(asserted.class_of)
-                self._relations = set(asserted.relations)
-                self._rebuild_validity_state()
-
-            # (object, class) pairs present in the snapshot after this event.
-            if asserted is not None or index == 0:
-                for obj, cls in self._class_of.items():
-                    self.first_seen.setdefault((obj, cls), index)
-            else:
-                for obj, _ in event.delta.new_objects:
-                    self.first_seen.setdefault((obj, self._class_of[obj]), index)
-
-            # Type III: objects must not disappear or change class over time.
-            if asserted is not None:
-                for obj in sorted(prev_objects - self._class_of.keys()):
-                    self.by_kind["III"].append(
-                        Violation(
-                            kind="III", event=event.id, seq=event.seq, obj=obj,
-                            detail="object disappeared from the object model",
-                        )
-                    )
-            changed = (
-                self._class_of.items()
-                if asserted is not None or index == 0
-                else ((o, self._class_of[o]) for o, _ in event.delta.new_objects)
-            )
-            for obj, cls in changed:
-                previous = last_class_seen.get(obj)
-                if previous is not None and previous != cls:
-                    self.by_kind["III"].append(
-                        Violation(
-                            kind="III", event=event.id, seq=event.seq, obj=obj,
-                            detail=f"object changed class from {previous!r} to {cls!r}",
-                        )
-                    )
-                last_class_seen[obj] = cls
-
-            # Type I: current snapshot must be valid for the class model.
-            for rt_id, side, obj in self._bad_card:
-                rt = model.clam.rel_type(rt_id)
-                self.by_kind["I"].append(
-                    Violation(
-                        kind="I", event=event.id, seq=event.seq, rel_type=rt_id,
-                        side=side, obj=obj, temporal="always",
-                        observed=self._cnt.get((rt_id, side, obj), 0),
-                        expected=self._keeper(rt, side)[1].render(),
-                    )
-                )
-            for (rt_id, src, tar, side), (obj, got, want) in self._bad_type.items():
-                self.by_kind["I"].append(
-                    Violation(
-                        kind="I", event=event.id, seq=event.seq, rel_type=rt_id,
-                        side=side, obj=obj, cls=got, expected=want,
-                        detail=f"relation ({rt_id},{src},{tar}): {side} endpoint has class "
-                        f"{got!r}, expected {want!r}",
-                    )
-                )
-            for rt_id, src, tar in self._unknown_rt:
-                self.by_kind["I"].append(
-                    Violation(
-                        kind="I", event=event.id, seq=event.seq, rel_type=rt_id,
-                        detail=f"relation ({rt_id},{src},{tar}): relationship type "
-                        f"not declared in the class model",
-                    )
-                )
+        for index, event in enumerate(self.log.events):
+            if event.delta is not EMPTY_DELTA or index == 0:
+                self._apply(index, event)
+            if self._bad_card or self._bad_type or self._unknown_rt:
+                self._report_invalid(event)
+            activity, class_of = event.activity, self._class_of
 
             # Type IV: the event's activity must exist in the behavioral model.
-            if event.activity not in model.bcm.activities:
-                self.by_kind["IV"].append(
-                    Violation(kind="IV", event=event.id, seq=event.seq, activity=event.activity)
+            if activity not in activities:
+                by_kind["IV"].append(
+                    Violation(kind="IV", event=event.id, seq=event.seq, activity=activity)
                 )
 
             # Types V and VI: referenced objects exist and have a linked class.
-            for obj in sorted(event.objects):
-                cls = self._class_of.get(obj)
+            for obj in event.objects:
+                cls = class_of.get(obj)
                 if cls is None:
-                    self.by_kind["V"].append(
-                        Violation(kind="V", event=event.id, seq=event.seq, obj=obj)
-                    )
-                elif not model.has_link(event.activity, cls):
-                    self.by_kind["VI"].append(
+                    by_kind["V"].append(Violation(kind="V", event=event.id, seq=event.seq, obj=obj))
+                elif not model.has_link(activity, cls):
+                    by_kind["VI"].append(
                         Violation(
                             kind="VI", event=event.id, seq=event.seq, obj=obj,
-                            activity=event.activity, cls=cls,
+                            activity=activity, cls=cls,
                         )
                     )
 
             # Type VIII: the event references the right number of objects per class.
-            for link in self._counted_links.get(event.activity, ()):
+            for link in self._counted_links.get(activity, ()):
                 count = 0
                 for obj in event.objects:
-                    if self._class_of.get(obj) == link.cls:
+                    if class_of.get(obj) == link.cls:
                         count += 1
                 if count not in link.card_objects:
-                    self.by_kind["VIII"].append(
+                    by_kind["VIII"].append(
                         Violation(
                             kind="VIII", event=event.id, seq=event.seq,
                             activity=link.activity, cls=link.cls,
@@ -253,26 +254,20 @@ class _Context:
                         )
                     )
 
-        if not log.events and log.init.class_of:
-            # A log without events still exposes the initial model for queries.
-            self._class_of = dict(log.init.class_of)
-            self._relations = set(log.init.relations)
-        self.final_class = self._class_of
-        self.final_relations = frozenset(self._relations)
-
     # -- eventual checks over the final snapshot ------------------------------
 
     def _check_fulfilment(self) -> None:
         if not self.log.events:
             return
         last = self.log.events[-1]
+        final = self.log.final_snapshot()
         by_class: dict[str, list[str]] = {}
-        for obj, cls in self.final_class.items():
+        for obj, cls in final.class_of.items():
             by_class.setdefault(cls, []).append(obj)
         for rt in self.model.clam.rel_types:
             cnt_src: Counter[str] = Counter()
             cnt_tar: Counter[str] = Counter()
-            for rel_type, src, tar in self.final_relations:
+            for rel_type, src, tar in final.relations:
                 if rel_type == rt.id:
                     cnt_tar[src] += 1
                     cnt_src[tar] += 1
@@ -296,7 +291,8 @@ class _Context:
     def _check_events_per_object(self) -> None:
         if not self.log.events:
             return
-        last = self.log.events[-1]
+        events, positions_of = self.log.events, self.log._positions
+        last = events[-1]
         objects_by_class: dict[str, list[tuple[str, int]]] = {}
         for (obj, cls), index in self.first_seen.items():
             objects_by_class.setdefault(cls, []).append((obj, index))
@@ -305,66 +301,63 @@ class _Context:
             if always.is_universal and eventually.is_universal:
                 continue
             for obj, first in objects_by_class.get(link.cls, ()):
-                positions = self.events_by_obj_act.get(obj, {}).get(link.activity, [])
+                positions = positions_of.get((obj, link.activity), ())
+                total = len(positions)
                 breached = False
                 if not always.is_universal:
-                    base = bisect_right(positions, first)
-                    boundaries = [(first, base)]
-                    boundaries += [
-                        (pos, base + i + 1) for i, pos in enumerate(positions[base:])
-                    ]
+                    # The running count at the object's first appearance, then
+                    # after each later event; a run of breaches is one problem.
+                    index, count = first, bisect_right(positions, first)
                     in_run = False
-                    for index, count in boundaries:
+                    while True:
                         if count in always:
                             in_run = False
                         elif not in_run:
-                            in_run = True
-                            breached = True
-                            event = self.log.events[index]
+                            in_run = breached = True
                             self.by_kind["VII"].append(
                                 Violation(
-                                    kind="VII", event=event.id, seq=event.seq,
+                                    kind="VII", event=events[index].id, seq=events[index].seq,
                                     activity=link.activity, cls=link.cls, obj=obj,
                                     temporal="always", observed=count,
                                     expected=always.render(),
                                 )
                             )
+                        if count == total:
+                            break
+                        index, count = positions[count], count + 1
                 # An eventual-count breach on an object whose running count
                 # already broke the always-cardinality is the same root cause;
                 # report one problem per (link, object).
                 if breached or eventually.is_universal:
                     continue
-                if len(positions) not in eventually:
+                if total not in eventually:
                     self.by_kind["VII"].append(
                         Violation(
                             kind="VII", event=last.id, seq=last.seq,
                             activity=link.activity, cls=link.cls, obj=obj,
-                            temporal="eventually", observed=len(positions),
+                            temporal="eventually", observed=total,
                             expected=eventually.render(),
                         )
                     )
 
     def _check_behavioral(self) -> None:
+        events, by_activity = self.log.events, self.log._by_activity
+        target_positions = _Correlation(self.model, self.log).target_positions
+        found = self.by_kind["IX"]
         for constraint in self.model.bcm.constraints:
-            for ref_index in self.events_by_activity.get(constraint.ref_activity, ()):
-                event = self.log.events[ref_index]
-                lists = self.correlation.target_positions(constraint, event.objects)
-                before, after = _count_around(lists, ref_index)
-                if not constraint.ctype.accepts(before, after):
-                    self.by_kind["IX"].append(
+            via, target = self.model.scope[constraint.id], constraint.target_activity
+            accepts, expected = constraint.ctype.accepts, constraint.ctype.render()
+            for ref_index in by_activity.get(constraint.ref_activity, ()):
+                event = events[ref_index]
+                before, after = _count_around(target_positions(via, target, event.objects), ref_index)
+                if not accepts(before, after):
+                    found.append(
                         Violation(
                             kind="IX", event=event.id, seq=event.seq,
                             constraint=constraint.id, before=before, after=after,
-                            expected=constraint.ctype.render(),
+                            expected=expected,
                         )
                     )
-
-
-def _add_position(positions: dict[str, dict[str, list[int]]], index: int, event: Event) -> None:
-    """Record the log position of `event` under each object it references and
-    its activity; positions are added in log order, so each list ascends."""
-    for obj in event.objects:
-        positions.setdefault(obj, {}).setdefault(event.activity, []).append(index)
 
 
 class _Correlation:
@@ -372,48 +365,30 @@ class _Correlation:
 
     Correlation navigates the final object model: objects of the scope class
     that the reference event references, or partners reached from them over
-    relations of the scope relationship type in either direction.  The
-    neighbour map of a relationship type is built once, on first use.
+    relations of the scope relationship type in either direction.  The log
+    builds the neighbour map of a relationship type once, on first use.
     """
 
-    def __init__(
-        self,
-        model: OcbcModel,
-        class_of: Mapping[str, str],
-        relations: frozenset[Relation],
-        positions: dict[str, dict[str, list[int]]],
-    ):
-        self.model = model
-        self.class_of = class_of
-        self.relations = relations
-        self.positions = positions
-        self._neighbours: dict[str, dict[str, set[str]]] = {}
+    def __init__(self, model: OcbcModel, log: EventLog):
+        self.classes = model.clam.classes
+        self.class_of = log.final_snapshot().class_of
+        self.positions = log._positions
+        self.neighbours_via = log._neighbours_via
 
-    def _neighbours_via(self, rt_id: str) -> dict[str, set[str]]:
-        nbr = self._neighbours.get(rt_id)
-        if nbr is None:
-            nbr = self._neighbours[rt_id] = {}
-            for rel_type, src, tar in self.relations:
-                if rel_type == rt_id:
-                    nbr.setdefault(src, set()).add(tar)
-                    nbr.setdefault(tar, set()).add(src)
-        return nbr
-
-    def target_positions(
-        self, constraint: BehavioralConstraint, objects: Iterable[str]
-    ) -> list[list[int]]:
-        """Positions of the target events correlated with a reference event
-        over `objects`: one ascending list per correlated object.  A target
-        event referencing several correlated objects is in several lists."""
-        via = self.model.scope[constraint.id]
-        if via in self.model.clam.classes:
-            correlated: Iterable[str] = [o for o in objects if self.class_of.get(o) == via]
+    def target_positions(self, via: str, target: str, objects: Iterable[str]) -> list[list[int]]:
+        """Positions of the `target` events correlated over the scope `via`
+        with a reference event over `objects`: one ascending list per
+        correlated object.  A target event referencing several correlated
+        objects is in several lists."""
+        if via in self.classes:
+            class_of = self.class_of
+            correlated: Iterable[str] = [o for o in objects if class_of.get(o) == via]
         else:
-            nbr = self._neighbours_via(via)
+            nbr = self.neighbours_via(via)
             correlated = set().union(*(nbr.get(o, ()) for o in objects))
         lists = []
         for obj in correlated:
-            positions = self.positions.get(obj, {}).get(constraint.target_activity)
+            positions = self.positions.get((obj, target))
             if positions:
                 lists.append(positions)
         return lists
@@ -494,13 +469,9 @@ def resolve_targets(model: OcbcModel, log: EventLog, cid: str, ref_event: str) -
             f"event {ref_event!r} has activity {event.activity!r}, "
             f"expected reference activity {constraint.ref_activity!r}"
         )
-    positions: dict[str, dict[str, list[int]]] = {}
-    for index, candidate in enumerate(log.events):
-        if candidate.activity == constraint.target_activity:
-            _add_position(positions, index, candidate)
-    final = log.final_snapshot()
-    correlation = _Correlation(model, final.class_of, final.relations, positions)
-    lists = correlation.target_positions(constraint, event.objects)
+    lists = _Correlation(model, log).target_positions(
+        model.scope[cid], constraint.target_activity, event.objects
+    )
     return {log.events[i].id for positions in lists for i in positions}
 
 

@@ -11,8 +11,9 @@ instead carry an asserted full snapshot, which replaces the folded state
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 Relation = tuple[str, str, str]  # (relationship type, source object, target object)
 
@@ -59,7 +60,7 @@ class ObjectModel:
 EMPTY_OBJECT_MODEL = ObjectModel(class_of={}, relations=frozenset())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectDelta:
     """Changes applied to the object model by one event.
 
@@ -73,9 +74,10 @@ class ObjectDelta:
     assert_snapshot: ObjectModel | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "new_objects", tuple(sorted(self.new_objects)))
-        object.__setattr__(self, "new_relations", tuple(sorted(self.new_relations)))
-        object.__setattr__(self, "removed_relations", tuple(sorted(self.removed_relations)))
+        for name in ("new_objects", "new_relations", "removed_relations"):
+            items = getattr(self, name)
+            if len(items) > 1 or type(items) is not tuple:
+                object.__setattr__(self, name, tuple(sorted(items)))
 
     @property
     def is_empty(self) -> bool:
@@ -87,18 +89,25 @@ class ObjectDelta:
         )
 
 
-@dataclass(frozen=True)
+EMPTY_DELTA = ObjectDelta()
+EMPTY_ATTRS: Mapping[str, str] = MappingProxyType({})
+
+
+@dataclass(frozen=True, slots=True)
 class Event:
     id: str
     seq: int
     activity: str
     objects: frozenset[str] = frozenset()
-    attrs: Mapping[str, str] = field(default_factory=dict)
-    delta: ObjectDelta = ObjectDelta()
+    attrs: Mapping[str, str] = field(default_factory=lambda: EMPTY_ATTRS)
+    delta: ObjectDelta = EMPTY_DELTA
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "objects", frozenset(self.objects))
-        object.__setattr__(self, "attrs", MappingProxyType(dict(self.attrs)))
+        if type(self.objects) is not frozenset:
+            object.__setattr__(self, "objects", frozenset(self.objects))
+        if self.attrs is not EMPTY_ATTRS:
+            attrs = MappingProxyType(dict(self.attrs)) if self.attrs else EMPTY_ATTRS
+            object.__setattr__(self, "attrs", attrs)
         if not 1 <= self.seq <= MAX_SEQ:
             raise LogError(f"seq {self.seq} outside the 64-bit positive range", event_id=self.id)
 
@@ -138,6 +147,10 @@ class _ReplayState:
         return ObjectModel(class_of=dict(self.class_of), relations=frozenset(self.relations))
 
 
+def _kept():
+    return field(init=False, repr=False, compare=False, default=None)
+
+
 @dataclass(frozen=True)
 class EventLog:
     """Totally ordered events over an evolving object model.
@@ -146,40 +159,56 @@ class EventLog:
     duplicate seqs/ids and failing deltas, and records a warning for every
     event reference to an object that does not exist in the snapshot after
     the event (re-reported by conformance checking as an object-existence
-    problem).
+    problem).  The same fold keeps the indexes the checks and queries read:
+    the positions of each activity's events, the positions of the events of
+    each (object, activity) pair (both ascending), and the final snapshot.
     """
 
     init: ObjectModel = EMPTY_OBJECT_MODEL
     events: tuple[Event, ...] = ()
     warnings: tuple[str, ...] = field(init=False, default=())
-    _index_of: Mapping[str, int] = field(
-        init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
-    )
+    _index_of: Mapping[str, int] = _kept()
+    _by_activity: dict[str, list[int]] = _kept()
+    _positions: dict[tuple[str, str], list[int]] = _kept()
+    _final: ObjectModel = _kept()
+    _neighbours: dict[str, dict[str, set[str]]] = _kept()
 
     def __post_init__(self) -> None:
-        events = tuple(sorted(self.events, key=lambda e: e.seq))
+        events = tuple(sorted(self.events, key=attrgetter("seq")))
         object.__setattr__(self, "events", events)
-        seen_seq: set[int] = set()
         index_of: dict[str, int] = {}
+        previous_seq = None
         for i, event in enumerate(events):
-            if event.seq in seen_seq:
+            if event.seq == previous_seq:  # sorted, so a duplicate follows its twin
                 raise LogError(f"duplicate seq {event.seq}", i, event.id)
-            seen_seq.add(event.seq)
+            previous_seq = event.seq
             if event.id in index_of:
                 raise LogError(f"duplicate event id {event.id!r}", i, event.id)
             index_of[event.id] = i
-        object.__setattr__(self, "_index_of", MappingProxyType(index_of))
 
         warnings: list[str] = []
+        by_activity: dict[str, list[int]] = {}
+        positions: dict[tuple[str, str], list[int]] = {}
         state = _ReplayState(self.init)
         for i, event in enumerate(events):
-            state.apply(event, i)
-            for obj in sorted(o for o in event.objects if o not in state.class_of):
-                warnings.append(
-                    f"event {event.id!r} (seq {event.seq}) references object {obj!r} "
-                    f"that does not exist in its snapshot"
-                )
+            if event.delta is not EMPTY_DELTA:
+                state.apply(event, i)
+            activity = event.activity
+            by_activity.setdefault(activity, []).append(i)
+            for obj in event.objects:
+                positions.setdefault((obj, activity), []).append(i)
+            if not state.class_of.keys() >= event.objects:
+                for obj in sorted(event.objects - state.class_of.keys()):
+                    warnings.append(
+                        f"event {event.id!r} (seq {event.seq}) references object {obj!r} "
+                        f"that does not exist in its snapshot"
+                    )
         object.__setattr__(self, "warnings", tuple(warnings))
+        object.__setattr__(self, "_index_of", MappingProxyType(index_of))
+        object.__setattr__(self, "_by_activity", by_activity)
+        object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_final", state.snapshot() if events else self.init)
+        object.__setattr__(self, "_neighbours", {})
 
     def __len__(self) -> int:
         return len(self.events)
@@ -202,10 +231,21 @@ class EventLog:
         return state.snapshot()
 
     def final_snapshot(self) -> ObjectModel:
-        """Object model after the last event; the initial model for an empty log."""
-        if not self.events:
-            return self.init
-        return self.snapshot_after(self.events[-1].id)
+        """Object model after the last event; the initial model for an empty log.
+        Kept by construction, so O(1)."""
+        return self._final
+
+    def _neighbours_via(self, rel_type: str) -> Mapping[str, set[str]]:
+        """Partners of each object over the `rel_type` relations of the final
+        snapshot, in either direction; built on first use, then kept."""
+        nbr = self._neighbours.get(rel_type)
+        if nbr is None:
+            nbr = self._neighbours[rel_type] = {}
+            for rt, src, tar in self._final.relations:
+                if rt == rel_type:
+                    nbr.setdefault(src, set()).add(tar)
+                    nbr.setdefault(tar, set()).add(src)
+        return nbr
 
     def replay(self) -> Iterator[tuple[Event, Mapping[str, str], frozenset[Relation]]]:
         """Yield (event, class_of, relations) snapshots after each event.
@@ -218,26 +258,4 @@ class EventLog:
             yield event, dict(state.class_of), frozenset(state.relations)
 
     def events_of_activity(self, activity: str) -> list[str]:
-        return [e.id for e in self.events if e.activity == activity]
-
-    def before(self, event_id: str, within: Iterable[str]) -> set[str]:
-        """Events of `within` strictly before the given event."""
-        position = self.index_of(event_id)
-        return {e for e in within if self.index_of(e) < position}
-
-    def after(self, event_id: str, within: Iterable[str]) -> set[str]:
-        """Events of `within` strictly after the given event."""
-        position = self.index_of(event_id)
-        return {e for e in within if self.index_of(e) > position}
-
-    def before_including(self, event_id: str, within: Iterable[str]) -> set[str]:
-        position = self.index_of(event_id)
-        return {e for e in within if self.index_of(e) <= position}
-
-    def after_including(self, event_id: str, within: Iterable[str]) -> set[str]:
-        position = self.index_of(event_id)
-        return {e for e in within if self.index_of(e) >= position}
-
-
-def objects_of_class(om: ObjectModel, cls: str) -> set[str]:
-    return om.objects_of_class(cls)
+        return [self.events[i].id for i in self._by_activity.get(activity, ())]

@@ -24,7 +24,7 @@ from .cardinality import (
     builtin_constraint_type,
     parse_cardinality,
 )
-from .eventlog import MAX_SEQ, Event, EventLog, LogError, ObjectDelta, ObjectModel
+from .eventlog import EMPTY_ATTRS, EMPTY_DELTA, MAX_SEQ, Event, EventLog, LogError, ObjectDelta, ObjectModel
 from .model import (
     ActivityClassLink,
     BcModel,
@@ -44,6 +44,7 @@ class FormatError(ValueError):
 
     def __init__(self, message: str, where: str = ""):
         super().__init__(f"{where}: {message}" if where else message)
+        self.message = message
         self.where = where
 
 
@@ -341,57 +342,69 @@ def _object_model(value: Any, where: str) -> ObjectModel:
         raise FormatError(str(exc), where) from None
 
 
-def _event(entry: dict, where: str) -> Event:
+def _relations(entry: dict, key: str) -> tuple[tuple[str, str, str], ...]:
+    out = []
+    for i, item in enumerate(_take(entry, key, list, "", default=())):
+        if type(item) is list and len(item) == 3 and type(item[0]) is type(item[1]) is type(item[2]) is str:
+            out.append(tuple(item))
+        else:  # raises, with the item's location
+            out.append(_relation(item, f".{key}[{i}]"))
+    return tuple(out)
+
+
+def _delta(entry: dict) -> ObjectDelta:
+    """The delta keys left in `entry`; each is touched only when present, and
+    an item's location is formatted only when the item is bad."""
+    new_objects = []
+    if "new_objects" in entry:
+        for i, item in enumerate(_take(entry, "new_objects", list, "")):
+            if type(item) is dict and len(item) == 2:
+                oid, cls = item.get("id"), item.get("class")
+                if type(oid) is str and type(cls) is str:
+                    new_objects.append((oid, cls))
+                    continue
+            inner = f".new_objects[{i}]"  # raises below, with this location
+            _expect(item, dict, inner)
+            new_objects.append((_take(item, "id", str, inner), _take(item, "class", str, inner)))
+            _no_extras(item, inner)
+    new_relations = _relations(entry, "new_relations")
+    removed = _relations(entry, "removed_relations")
+    snapshot = None
+    if "assert_snapshot" in entry:
+        snapshot = _object_model(_take(entry, "assert_snapshot", dict, ""), ".assert_snapshot")
+    _no_extras(entry, "")
+    return ObjectDelta(
+        new_objects=tuple(new_objects),
+        new_relations=new_relations,
+        removed_relations=removed,
+        assert_snapshot=snapshot,
+    )
+
+
+def _event(entry: dict) -> Event:
     """Decode one event from the fresh dict `load_log` decoded: its keys are
-    popped in place, and optional keys are only touched when present."""
-    eid = _take(entry, "id", str, where)
-    seq = _take(entry, "seq", int, where)
+    popped in place, and optional keys are only touched when present.  Error
+    locations are relative to the line (".seq"); `load_log` prefixes it."""
+    eid = _take(entry, "id", str, "")
+    seq = _take(entry, "seq", int, "")
     if not 1 <= seq <= MAX_SEQ:
-        raise FormatError(f"seq {seq} outside the 64-bit positive range", f"{where}.seq")
-    activity = _take(entry, "activity", str, where)
-    attrs = {}
+        raise FormatError(f"seq {seq} outside the 64-bit positive range", ".seq")
+    activity = _take(entry, "activity", str, "")
+    attrs = EMPTY_ATTRS
     if "attrs" in entry:
         attrs = {
-            key: _expect(val, str, f"{where}.attrs.{key}")
-            for key, val in sorted(_take(entry, "attrs", dict, where).items())
+            key: _expect(val, str, f".attrs.{key}")
+            for key, val in sorted(_take(entry, "attrs", dict, "").items())
         }
     objects = ()
     if "objects" in entry:
-        objects = _string_list(entry.pop("objects"), where, ".objects")
-    if not entry:  # no delta keys and no unknown keys
-        return Event(id=eid, seq=seq, activity=activity, objects=objects, attrs=attrs)
-    new_objects = []
-    for i, item in enumerate(_take(entry, "new_objects", list, where, default=[])):
-        inner = f"{where}.new_objects[{i}]"
-        obj = dict(_expect(item, dict, inner))
-        new_objects.append((_take(obj, "id", str, inner), _take(obj, "class", str, inner)))
-        _no_extras(obj, inner)
-    new_relations = [
-        _relation(item, f"{where}.new_relations[{i}]")
-        for i, item in enumerate(_take(entry, "new_relations", list, where, default=[]))
-    ]
-    removed_relations = [
-        _relation(item, f"{where}.removed_relations[{i}]")
-        for i, item in enumerate(_take(entry, "removed_relations", list, where, default=[]))
-    ]
-    snapshot_raw = _take(entry, "assert_snapshot", dict, where, default=None)
-    snapshot = (
-        _object_model(snapshot_raw, f"{where}.assert_snapshot") if snapshot_raw is not None else None
-    )
-    _no_extras(entry, where)
-    return Event(
-        id=eid,
-        seq=seq,
-        activity=activity,
-        objects=objects,
-        attrs=attrs,
-        delta=ObjectDelta(
-            new_objects=tuple(new_objects),
-            new_relations=tuple(new_relations),
-            removed_relations=tuple(removed_relations),
-            assert_snapshot=snapshot,
-        ),
-    )
+        objects = _string_list(entry.pop("objects"), "", ".objects")
+    delta = _delta(entry) if entry else EMPTY_DELTA  # delta keys or unknown keys left
+    return Event(id=eid, seq=seq, activity=activity, objects=objects, attrs=attrs, delta=delta)
+
+
+# The C scanner that ``json.loads`` ends in, without its Python wrapper.
+_scan_once = json.JSONDecoder().scan_once
 
 
 def load_log(data: bytes | str) -> EventLog:
@@ -404,17 +417,25 @@ def load_log(data: bytes | str) -> EventLog:
         line = raw.strip()
         if not line:
             continue
-        where = f"line {lineno}"
-        value = _parse_json(line, where)
-        _expect(value, dict, where)
+        try:
+            value, end = _scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line) or type(value) is not dict:
+            # Not one whole object: parse again for the decoder's message.
+            where = f"line {lineno}"
+            value = _expect(_parse_json(line, where), dict, where)
         if "init" in value:
+            where = f"line {lineno}"
             if events or init is not None:
                 raise FormatError("init model must be the first line", where)
-            entry = dict(value)
-            init = _object_model(entry.pop("init"), f"{where}.init")
-            _no_extras(entry, where)
+            init = _object_model(value.pop("init"), f"{where}.init")
+            _no_extras(value, where)
             continue
-        event = _event(value, where)
+        try:
+            event = _event(value)
+        except FormatError as exc:
+            raise FormatError(exc.message, f"line {lineno}{exc.where}") from None
         events.append(event)
         line_of[event.id] = lineno
     try:

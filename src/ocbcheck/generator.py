@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 from .cardinality import Cardinality
 from .conformance import check_violations, resolve_targets
-from .eventlog import Event, EventLog, LogError, ObjectDelta, ObjectModel, Relation
+from .eventlog import EMPTY_DELTA, Event, EventLog, LogError, ObjectDelta, ObjectModel, Relation
 from .model import OcbcModel, RelationshipType
 from .violations import Violation
 
@@ -329,7 +329,7 @@ class _Generator:
             self.init_class[oid] = cls
         return self.rng.sample(self.pool[cls], k)
 
-    def _emit(self, activity: str, objects: set[str], delta: ObjectDelta = ObjectDelta()) -> None:
+    def _emit(self, activity: str, objects: set[str], delta: ObjectDelta = EMPTY_DELTA) -> None:
         seq = len(self.events) + 1
         self.events.append(
             Event(id=f"e{seq}", seq=seq, activity=activity, objects=frozenset(objects), delta=delta)

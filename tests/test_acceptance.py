@@ -25,7 +25,6 @@ from ocbcheck import (
     check_type_ii,
     check_type_ix,
     check_violations,
-    constraint_type_accepts,
     evaluate_bc,
     generate_conforming,
     inject_violation,
@@ -162,7 +161,7 @@ def test_criterion_7_trace_semantics_exhaustive_and_randomized():
         ctype = builtin_constraint_type(name)
         for before in range(11):
             for after in range(11):
-                assert constraint_type_accepts(ctype, before, after) == predicate(before, after)
+                assert ctype.accepts(before, after) == predicate(before, after)
 
     from ocbcheck import BcModel
     from scenarios import constraint
@@ -397,6 +396,35 @@ BAD_LOG_DOCS = [
     (
         b'{"id": "e1", "seq": ' + b"9" * 5000 + b', "activity": "a"}',
         re.escape("line 1: invalid JSON: integer longer than 4300 digits"),
+    ),
+    (
+        b'{"id": "e1", "seq": 1, "activity": "a"} {"x": 1}',
+        re.escape("line 1: invalid JSON: Extra data (line 1, column 41)"),
+    ),
+    (
+        b'\xef\xbb\xbf{"id": "e1", "seq": 1, "activity": "a"}',
+        re.escape("line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig) (line 1, column 1)"),
+    ),
+    (b'["id", "e1"]', re.escape("line 1: expected object, got list")),
+    (
+        b'{"id": "e1", "seq": 1, "activity": "a", "new_objects": null}',
+        re.escape("line 1.new_objects: expected array, got NoneType"),
+    ),
+    (
+        b'{"id": "e1", "seq": 1, "activity": "a", "new_objects": ["o"]}',
+        re.escape("line 1.new_objects[0]: expected object, got str"),
+    ),
+    (
+        b'{"id": "e1", "seq": 1, "activity": "a", "new_objects": [{"id": "o"}]}',
+        re.escape("line 1.new_objects[0]: missing required key 'class'"),
+    ),
+    (
+        b'{"id": "e1", "seq": 1, "activity": "a", "new_objects": [{"id": "o", "class": "k", "x": 1}]}',
+        re.escape("line 1.new_objects[0]: unknown key 'x'"),
+    ),
+    (
+        b'{"id": "e1", "seq": 1, "activity": "a", "new_relations": [["r", "x"]]}',
+        re.escape("line 1.new_relations[0]: expected [relType, source, target]"),
     ),
 ]
 

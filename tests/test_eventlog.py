@@ -1,9 +1,26 @@
 from __future__ import annotations
 
+import dataclasses
+import random
+from operator import ge, gt, le, lt
+from pathlib import Path
+
 import pytest
 
-from ocbcheck import EventLog, LogError, ObjectModel, objects_of_class
-from scenarios import event, order_object_model, order_process_log, precedence_log
+from ocbcheck import Event, EventLog, LogError, ObjectDelta, ObjectModel, load_log
+from scenarios import (
+    event,
+    hiring_log,
+    order_object_model,
+    order_process_log,
+    precedence_log,
+    random_case_scenario,
+    random_log,
+    random_model,
+    ticket_log,
+)
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 def test_snapshot_after_single_delta():
@@ -40,15 +57,21 @@ def test_events_of_activity_in_order():
     assert log.events_of_activity("unused") == []
 
 
+def _around(log, pivot, within, keep):
+    """Events of `within` whose log position p satisfies keep(p, pivot's position)."""
+    position = log.index_of(pivot)
+    return {e for e in within if keep(log.index_of(e), position)}
+
+
 def test_before_and_after():
     log = precedence_log()
     a1_events = log.events_of_activity("a1")
-    assert log.before("e3", a1_events) == {"e1"}
-    assert log.before("e1", log.events_of_activity("a2")) == set()
-    assert log.before("e7", a1_events) == {"e1", "e4"}
-    assert log.after("e3", a1_events) == {"e4"}
-    assert log.before_including("e4", a1_events) == {"e1", "e4"}
-    assert log.after_including("e4", a1_events) == {"e4"}
+    assert _around(log, "e3", a1_events, lt) == {"e1"}
+    assert _around(log, "e1", log.events_of_activity("a2"), lt) == set()
+    assert _around(log, "e7", a1_events, lt) == {"e1", "e4"}
+    assert _around(log, "e3", a1_events, gt) == {"e4"}
+    assert _around(log, "e4", a1_events, le) == {"e1", "e4"}
+    assert _around(log, "e4", a1_events, ge) == {"e4"}
 
 
 def test_before_after_partition():
@@ -56,16 +79,16 @@ def test_before_after_partition():
     ids = [e.id for e in log.events]
     for pivot in ("e1", "e8", "e20"):
         others = set(ids) - {pivot}
-        before, after = log.before(pivot, others), log.after(pivot, others)
+        before, after = _around(log, pivot, others, lt), _around(log, pivot, others, gt)
         assert before | after == others
         assert not before & after
 
 
 def test_objects_of_class():
     om, _ = order_object_model()
-    assert objects_of_class(om, "order") == {"o1", "o2", "o3"}
-    assert objects_of_class(om, "delivery") == {"d1", "d2"}
-    assert objects_of_class(ObjectModel({}, frozenset()), "order") == set()
+    assert om.objects_of_class("order") == {"o1", "o2", "o3"}
+    assert om.objects_of_class("delivery") == {"d1", "d2"}
+    assert ObjectModel({}, frozenset()).objects_of_class("order") == set()
 
 
 def test_replay_determinism():
@@ -180,3 +203,57 @@ def test_init_model_precedes_first_event():
     assert log.snapshot_after("e1").objects == {"o0", "o1"}
     assert log.final_snapshot().objects == {"o0", "o1"}
     assert EventLog(init=init).final_snapshot() == init
+
+
+def test_kept_final_snapshot_equals_the_fold_to_the_last_event():
+    logs = {
+        name: load_log((DEMO / f"{name}.oclog.jsonl").read_bytes())
+        for name in ("order-process", "unmatched-precedence")
+    }
+    logs["order process"] = order_process_log()
+    logs["order object model"] = order_object_model()[1]
+    logs["tickets"] = ticket_log()
+    logs["precedence"] = precedence_log()
+    for order in ("conforming", "apply-before-open", "apply-after-close"):
+        logs[f"hiring {order}"] = hiring_log(order)
+    for seed in range(200):
+        rng = random.Random(seed)
+        logs[f"random seed {seed}"] = random_log(rng, random_model(rng))
+        logs[f"case scenario seed {seed}"] = random_case_scenario(random.Random(seed))[1]
+    asserted = 0
+    for name, log in logs.items():
+        if not log.events:
+            assert log.final_snapshot() == log.init, name
+            continue
+        assert log.final_snapshot() == log.snapshot_after(log.events[-1].id), name
+        asserted += any(e.delta.assert_snapshot is not None for e in log.events)
+    assert asserted >= 20
+    init = ObjectModel(class_of={"o0": "k"}, relations=frozenset())
+    assert EventLog(init=init).final_snapshot() is init
+
+
+def test_event_invariants():
+    with pytest.raises(LogError, match="outside the 64-bit positive range"):
+        Event(id="e0", seq=0, activity="a")
+    built = Event(id="e1", seq=1, activity="a", objects=["o2", "o1", "o2"], attrs={"k": "v"})
+    with pytest.raises(LogError, match="outside the 64-bit positive range"):
+        dataclasses.replace(built, seq=2**63)
+    assert built.objects == frozenset({"o1", "o2"})
+    assert type(built.objects) is frozenset
+    with pytest.raises(TypeError):
+        built.attrs["k"] = "w"  # type: ignore[index]
+    with pytest.raises(TypeError):
+        Event(id="e2", seq=2, activity="a").attrs["k"] = "w"  # type: ignore[index]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.seq = 5  # type: ignore[misc]
+    delta = ObjectDelta(
+        new_objects=[("o2", "k"), ("o1", "k")],
+        new_relations=[("r", "o2", "o1"), ("r", "o1", "o2")],
+        removed_relations=[("s", "o2", "o1"), ("r", "o1", "o2")],
+    )
+    assert delta.new_objects == (("o1", "k"), ("o2", "k"))
+    assert delta.new_relations == (("r", "o1", "o2"), ("r", "o2", "o1"))
+    assert delta.removed_relations == (("r", "o1", "o2"), ("s", "o2", "o1"))
+    assert ObjectDelta(new_objects=[("o1", "k")]).new_objects == (("o1", "k"),)
+    as_tuples = ObjectDelta(new_relations=(("r", "o2", "o1"), ("r", "o1", "o2")))
+    assert as_tuples.new_relations == (("r", "o1", "o2"), ("r", "o2", "o1"))
