@@ -24,12 +24,14 @@ def _read(path: str) -> bytes:
 
 
 def _parse_kinds(text: str) -> tuple[str, ...]:
-    kinds = tuple(part.strip() for part in text.split(",") if part.strip())
+    kinds = tuple(dict.fromkeys(part.strip() for part in text.split(",") if part.strip()))
     for kind in kinds:
         if kind not in KINDS:
             raise argparse.ArgumentTypeError(
                 f"unknown problem type {kind!r} (choose from {', '.join(KINDS)})"
             )
+    if not kinds:
+        raise argparse.ArgumentTypeError("no problem type selected")
     return kinds
 
 

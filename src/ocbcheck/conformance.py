@@ -478,10 +478,11 @@ def resolve_targets(model: OcbcModel, log: EventLog, cid: str, ref_event: str) -
 def _collect(
     model: OcbcModel, log: EventLog, kinds: tuple[str, ...] | None, prefix: bool
 ) -> list[Violation]:
-    """All violations of the selected kinds, unsorted."""
+    """All violations of the selected kinds, each kind taken once, unsorted."""
     context = _Context(model, log)
-    selected = kinds if kinds is not None else tuple(context.by_kind)
     out: list[Violation] = []
+    # KINDS.index also refuses an unknown kind.
+    selected = KINDS if kinds is None else sorted(set(kinds), key=KINDS.index)
     for kind in selected:
         out.extend(context.by_kind[kind])
     if prefix:
@@ -498,8 +499,9 @@ def check_violations(
     """All violations of the selected kinds, sorted deterministically.
 
     In prefix mode, violations that future events could still repair
-    (fulfilment, eventual event-count shortfalls, and behavioral violations
-    fixable by more target events) are downgraded to warnings.
+    (fulfilment, eventual event-count shortfalls, behavioral violations
+    fixable by more target events, and every behavioral violation of a
+    relationship-scoped constraint) are downgraded to warnings.
     """
     return sort_violations(_collect(model, log, kinds, prefix))
 
@@ -510,6 +512,10 @@ def _downgrade(model: OcbcModel, violation: Violation) -> Violation:
     if violation.kind == "VII" and violation.temporal == "eventually":
         return violation.downgraded()
     if violation.kind == "IX":
+        # Correlation navigates the final snapshot.  Later events can add or
+        # remove relations of a relationship scope, so neither count is final.
+        if model.scope[violation.constraint] not in model.clam.classes:
+            return violation.downgraded()
         ctype = model.bcm.constraint(violation.constraint).ctype
         if ctype.future_fixable(violation.before or 0, violation.after or 0):
             return violation.downgraded()

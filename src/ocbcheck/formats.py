@@ -480,16 +480,15 @@ def save_log(log: EventLog) -> bytes:
 
 # -- report documents --------------------------------------------------------
 
-_VIOLATION_DEFAULTS = Violation(kind="I").__dict__
-# (field, default) in key order; "kind" is always written.
+# (field, position, default) in key order; "kind" has no default and is always written.
 _VIOLATION_FIELDS = tuple(
-    (key, object() if key == "kind" else default) for key, default in sorted(_VIOLATION_DEFAULTS.items())
+    (key, Violation._fields.index(key), Violation._field_defaults.get(key, object()))
+    for key in sorted(Violation._fields)
 )
 
 
 def _violation_dict(v: Violation) -> dict:
-    fields = v.__dict__
-    return {key: fields[key] for key, default in _VIOLATION_FIELDS if fields[key] != default}
+    return {key: value for key, i, default in _VIOLATION_FIELDS if (value := v[i]) != default}
 
 
 def _violations_json(violations: tuple[Violation, ...]) -> str:
@@ -540,8 +539,8 @@ def load_report(data: bytes | str) -> ConformanceReport:
         if kind not in KINDS:
             raise FormatError(f"unknown problem type {kind!r}", f"{where}.kind")
         fields: dict[str, Any] = {}
-        for key, default in _VIOLATION_DEFAULTS.items():
-            if key != "kind" and key in entry:
+        for key, default in Violation._field_defaults.items():
+            if key in entry:
                 value = entry.pop(key)
                 if value is not None or default is not None:  # observed/before/after may be null
                     _expect(value, int if default is None else type(default), f"{where}.{key}")

@@ -46,27 +46,28 @@ def aggregate(violations: list[Violation], prefix: bool = False) -> ConformanceR
     per_constraint: dict[str, int] = {}
     aoc_always: dict[tuple[str, str], int] = {}
     aoc_eventually: dict[tuple[str, str], int] = {}
-    per_rel_type: dict[str, dict[str, int]] = {}
+    per_rel_bucket: dict[tuple[str, str], int] = {}
     unknown: set[str] = set()
 
-    for v in ordered:
-        summary[v.kind] += 1
-        if v.kind == "IX":
-            per_constraint[v.constraint] = per_constraint.get(v.constraint, 0) + 1
-        elif v.kind == "VII":
-            bucket = aoc_always if v.temporal == "always" else aoc_eventually
-            bucket[(v.activity, v.cls)] = bucket.get((v.activity, v.cls), 0) + 1
-        elif v.kind == "IV":
-            unknown.add(v.activity)
-        elif v.kind in ("I", "II"):
-            buckets = per_rel_type.setdefault(v.rel_type, dict.fromkeys(_REL_TYPE_BUCKETS, 0))
-            if v.temporal:
-                buckets[f"{v.side}_{v.temporal}"] += 1
-            else:
-                buckets["typing"] += 1
+    # One unpack reads every field of a violation; a named read per field costs more.
+    for kind, _, _, constraint, _, activity, cls, rel_type, side, temporal, _, _, _, _, _, _ in ordered:
+        summary[kind] += 1
+        if kind == "IX":
+            per_constraint[constraint] = per_constraint.get(constraint, 0) + 1
+        elif kind == "VII":
+            bucket = aoc_always if temporal == "always" else aoc_eventually
+            bucket[(activity, cls)] = bucket.get((activity, cls), 0) + 1
+        elif kind == "IV":
+            unknown.add(activity)
+        elif kind in ("I", "II"):
+            key = (rel_type, f"{side}_{temporal}" if temporal else "typing")
+            per_rel_bucket[key] = per_rel_bucket.get(key, 0) + 1
 
     edges = sorted(set(aoc_always) | set(aoc_eventually))
     per_aoc_edge = {e: (aoc_always.get(e, 0), aoc_eventually.get(e, 0)) for e in edges}
+    per_rel_type: dict[str, dict[str, int]] = {}
+    for (rel_type, bucket), count in sorted(per_rel_bucket.items()):
+        per_rel_type.setdefault(rel_type, dict.fromkeys(_REL_TYPE_BUCKETS, 0))[bucket] += count
     conforms = not any(v.severity == SEVERITY_ERROR for v in ordered)
     return ConformanceReport(
         conforms=conforms,
@@ -74,7 +75,7 @@ def aggregate(violations: list[Violation], prefix: bool = False) -> ConformanceR
         summary=summary,
         per_constraint=dict(sorted(per_constraint.items())),
         per_aoc_edge=per_aoc_edge,
-        per_rel_type=dict(sorted(per_rel_type.items())),
+        per_rel_type=per_rel_type,
         unknown_activities=tuple(sorted(unknown)),
         prefix_mode=prefix,
     )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 KINDS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX")
 _KIND_ORDER = {kind: i for i, kind in enumerate(KINDS)}
@@ -23,13 +23,13 @@ SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One detected conformance problem.
 
     Only the fields relevant for the kind are populated; the rest keep their
     defaults.  `event`/`seq` name the position where the problem was detected
-    (for eventual checks, the final event).
+    (for eventual checks, the final event).  A violation is an immutable
+    tuple: copy it with `_replace`, read its fields with `_asdict`.
     """
 
     kind: str
@@ -50,22 +50,13 @@ class Violation:
     severity: str = SEVERITY_ERROR
 
     def sort_key(self) -> tuple:
-        return (
-            _KIND_ORDER[self.kind],
-            self.seq,
-            self.constraint,
-            self.rel_type,
-            self.side,
-            self.temporal,
-            self.activity,
-            self.cls,
-            self.obj,
-            -1 if self.observed is None else self.observed,
-            self.detail,
-        )
+        # One unpack reads every field; a named read per field costs more.
+        kind, _, seq, constraint, obj, activity, cls, rel_type, side, temporal, observed, _, _, _, detail, _ = self
+        observed = -1 if observed is None else observed
+        return _KIND_ORDER[kind], seq, constraint, rel_type, side, temporal, activity, cls, obj, observed, detail
 
     def downgraded(self) -> Violation:
-        return replace(self, severity=SEVERITY_WARNING)
+        return self._replace(severity=SEVERITY_WARNING)
 
 
 def sort_violations(violations: list[Violation]) -> list[Violation]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,8 @@ from scenarios import (
     ticket_log,
     ticket_model,
 )
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 @pytest.fixture
@@ -171,6 +174,40 @@ def test_bad_types_flag_rejected(workspace, capsys):
     model, log = paths["order"]
     with pytest.raises(SystemExit):
         main(["check", model, log, "--types", "X"])
+
+
+def test_repeated_types_are_checked_once(capsys):
+    model, log = (str(DEMO / f"unmatched-precedence.{ext}") for ext in ("ocbc.json", "oclog.jsonl"))
+    assert main(["check", model, log, "--types", "IX,IX", "--format", "json"]) == 1
+    assert [v.event for v in load_report(capsys.readouterr().out).violations] == ["e3", "e6"]
+
+
+@pytest.mark.parametrize("selection", [",", " , ,", ""])
+def test_empty_types_selection_rejected(selection, capsys):
+    model, log = (str(DEMO / f"unmatched-precedence.{ext}") for ext in ("ocbc.json", "oclog.jsonl"))
+    with pytest.raises(SystemExit) as exc:
+        main(["check", model, log, "--types", selection])
+    assert exc.value.code == 2
+    assert "no problem type selected" in capsys.readouterr().err
+
+
+def test_prefix_mode_relationship_scoped_ix_is_a_warning(tmp_path, capsys):
+    init = {"init": {"objects": [{"id": "x1", "class": "oca"}, {"id": "y1", "class": "ocb"}]}}
+    events = [
+        {"id": "e1", "seq": 1, "activity": "a1", "objects": ["x1"]},
+        {"id": "e2", "seq": 2, "activity": "a2", "objects": ["y1"]},
+        {"id": "e3", "seq": 3, "activity": "a1", "objects": ["x1"], "new_relations": [["r", "x1", "y1"]]},
+    ]
+    model = str(DEMO / "unmatched-precedence.ocbc.json")
+    prefix, full = tmp_path / "prefix.oclog.jsonl", tmp_path / "full.oclog.jsonl"
+    prefix.write_text("\n".join(json.dumps(line) for line in [init] + events[:2]) + "\n")
+    full.write_text("\n".join(json.dumps(line) for line in [init] + events) + "\n")
+    assert main(["check", model, str(prefix), "--prefix", "--format", "json"]) == 0
+    report = load_report(capsys.readouterr().out)
+    assert [(v.kind, v.event) for v in report.warnings] == [("IX", "e2")] and not report.errors
+    assert main(["check", model, str(prefix)]) == 1
+    assert main(["check", model, str(full), "--prefix"]) == 0
+    assert main(["check", model, str(full)]) == 0
 
 
 def test_generate_is_deterministic_per_seed(workspace, capsys):

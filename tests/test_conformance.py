@@ -468,6 +468,14 @@ def test_kind_filter():
     assert [v.kind for v in only_seven.violations] == ["VII", "VII"]
 
 
+def test_kind_filter_takes_each_kind_once():
+    model, log = ticket_model(), ticket_log()
+    assert check_violations(model, log, kinds=("VII", "VII")) == check_violations(model, log, kinds=("VII",))
+    assert check_violations(model, log, kinds=("VIII", "VII", "VIII")) == check_violations(model, log)
+    with pytest.raises(ValueError):
+        check_violations(model, log, kinds=("VII", "X"))
+
+
 def test_prefix_mode_downgrades_eventual_violations():
     model, log = ticket_model(), ticket_log()
     report = check_all(model, log, prefix=True)

@@ -23,6 +23,7 @@ from ocbcheck import (
     save_report,
 )
 from scenarios import (
+    hiring_log,
     hiring_model,
     order_process_log,
     order_process_model,
@@ -354,13 +355,13 @@ def test_report_violation_fields_are_typed(entry, needle):
 
 def reference_report_bytes(report) -> bytes:
     """The report laid out by one ``json.dumps(indent=2, sort_keys=True)`` call."""
-    defaults = Violation(kind="I").__dict__
+    defaults = Violation(kind="I")._asdict()
     doc = {
         "conforms": report.conforms,
         "prefix_mode": report.prefix_mode,
         "summary": report.summary,
         "violations": [
-            {key: value for key, value in v.__dict__.items() if key == "kind" or value != defaults[key]}
+            {key: value for key, value in v._asdict().items() if key == "kind" or value != defaults[key]}
             for v in report.violations
         ],
         "per_constraint": report.per_constraint,
@@ -476,6 +477,42 @@ def test_dangling_relation_error_stable_across_hash_randomization():
         assert result.returncode == 0, result.stderr.decode(errors="replace")
         outputs.add(result.stdout)
     assert outputs == {b"line 1.init: relation ('r', 'x1', 'y1') references unknown object 'y1'\n"}
+
+
+def shuffled_model_documents(model_data: bytes, rng: random.Random, times: int):
+    """The model document with every declaration list in a seeded random order."""
+    for _ in range(times):
+        doc = json.loads(model_data)
+        for key in ("activities", "classes", "relationships", "aoc", "constraints"):
+            rng.shuffle(doc[key])
+        yield json.dumps(doc).encode()
+
+
+def declaration_order_cases():
+    for name in ("order-process", "unmatched-precedence"):
+        yield name, (DEMO / f"{name}.ocbc.json").read_bytes(), load_log((DEMO / f"{name}.oclog.jsonl").read_bytes())
+    for name, model, log in (
+        ("order", order_process_model(), order_process_log()),
+        ("hiring", hiring_model(), hiring_log()),
+        ("tickets", ticket_model(), ticket_log()),
+        ("precedence", precedence_model(), precedence_log()),
+    ):
+        yield name, save_model(model), log
+    for seed in range(40):
+        rng = random.Random(seed)
+        model = random_model(rng)
+        yield f"random-{seed}", save_model(model), random_log(rng, model)
+
+
+def test_report_bytes_do_not_depend_on_declaration_order():
+    rng = random.Random(23)
+    for name, model_data, log in declaration_order_cases():
+        model = load_model(model_data)
+        for prefix in (False, True):
+            expected = save_report(check_all(model, log, prefix=prefix))
+            for data in shuffled_model_documents(model_data, rng, 5):
+                got = save_report(check_all(load_model(data), log, prefix=prefix))
+                assert got == expected, (name, prefix, data.decode())
 
 
 def test_save_is_deterministic_across_runs():
