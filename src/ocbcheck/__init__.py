@@ -1,7 +1,7 @@
 """Conformance checking of object-centric event logs against object-centric
 behavioral constraint (OCBC) models."""
 
-from .bc import BcVerdict, PairConstraint, bc_model_satisfied, evaluate_bc, expand_shorthand
+from .bc import BcVerdict, PairConstraint, evaluate_bc, expand_shorthand
 from .cardinality import (
     Cardinality,
     CardinalityError,
@@ -83,7 +83,6 @@ __all__ = [
     "RelationshipType",
     "Violation",
     "aggregate",
-    "bc_model_satisfied",
     "builtin_constraint_type",
     "check_all",
     "check_type_i",

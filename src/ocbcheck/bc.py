@@ -66,10 +66,6 @@ def evaluate_bc(bcm: BcModel, events: Iterable[tuple[str, str]]) -> list[BcVerdi
     return [v for _, _, v in verdicts]
 
 
-def bc_model_satisfied(bcm: BcModel, events: Iterable[tuple[str, str]]) -> bool:
-    return all(v.satisfied for v in evaluate_bc(bcm, events))
-
-
 @dataclass(frozen=True)
 class PairConstraint:
     """An edge with reference events at both endpoints: shorthand for the

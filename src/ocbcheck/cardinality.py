@@ -65,10 +65,6 @@ class Cardinality:
         return cls(((n, None),))
 
     @classmethod
-    def between(cls, low: int, high: int) -> Cardinality:
-        return cls(((low, high),))
-
-    @classmethod
     def universal(cls) -> Cardinality:
         return cls(((0, None),))
 

@@ -107,7 +107,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         # A log may hold a lone surrogate escape, which UTF-8 cannot encode.
         payload = render_text(report).encode(errors="backslashreplace")
     if args.out:
-        Path(args.out).write_bytes(payload)
+        try:
+            Path(args.out).write_bytes(payload)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload.decode("utf-8"))
     return 0 if report.conforms else 1

@@ -4,6 +4,10 @@ Eventual ("some point onwards") requirements are evaluated at the last event
 of the finite log, which is equivalent to the suffix-quantified form on a
 total finite order.  Logs are treated as complete; callers checking a running
 process can downgrade eventual violations to warnings (prefix mode).
+
+Each kind is computed only when it is selected.  Types II, IV, VII and IX
+read the indexes that the `EventLog` build kept; types I, III, V, VI and
+VIII share one per-event replay.
 """
 
 from __future__ import annotations
@@ -18,25 +22,19 @@ from .model import ActivityClassLink, OcbcModel, RelationshipType
 from .violations import KINDS, Violation, sort_violations
 
 
-class _Context:
-    """One replay over the log for the per-event checks, reading the indexes
-    that the `EventLog` build kept.
-
-    Behavioral constraints correlate through `_Correlation`, which navigates
-    the final snapshot.  `by_kind` keeps each kind's violations in detection
-    order; the public entry points sort.
-    """
+class _Replay:
+    """One pass over the log with incremental object-model validity state,
+    for the per-event kinds I, III, V, VI and VIII.  `by_kind` keeps each
+    kind's violations in detection order."""
 
     def __init__(self, model: OcbcModel, log: EventLog):
-        self.model = model
-        self.log = log
-        self.by_kind: dict[str, list[Violation]] = {k: [] for k in KINDS}
-        self.first_seen: dict[tuple[str, str], int] = {}  # (object, class) -> event index
+        self._rel_type = {rt.id: rt for rt in model.clam.rel_types}
+        self.by_kind: dict[str, list[Violation]] = {k: [] for k in ("I", "III", "V", "VI", "VIII")}
         # Type VIII checks only the links that bound the objects per event.
-        self._counted_links: dict[str, list[ActivityClassLink]] = {}
+        counted_links: dict[str, list[ActivityClassLink]] = {}
         for link in model.links:
             if not link.card_objects.is_universal:
-                self._counted_links.setdefault(link.activity, []).append(link)
+                counted_links.setdefault(link.activity, []).append(link)
         self._rts_by_src_class: dict[str, list[RelationshipType]] = {}
         self._rts_by_tar_class: dict[str, list[RelationshipType]] = {}
         # The always-cardinality of each (relationship type, side), rendered once for Type I.
@@ -46,12 +44,46 @@ class _Context:
             self._rts_by_tar_class.setdefault(rt.target, []).append(rt)
             for side in ("src", "tar"):
                 self._expected[rt.id, side] = self._keeper(rt, side)[1].render()
-        self._replay()
-        self._check_fulfilment()
-        self._check_events_per_object()
-        self._check_behavioral()
+        self._class_of: dict[str, str] = dict(log.init.class_of)
+        self._relations: set[Relation] = set(log.init.relations)
+        self._rebuild_validity_state()
+        self._last_class: dict[str, str] = {}  # survives disappearance, for re-add checks
+        found_v, found_vi, found_viii = self.by_kind["V"], self.by_kind["VI"], self.by_kind["VIII"]
 
-    # -- replay with incremental object-model validity tracking ---------------
+        for index, event in enumerate(log.events):
+            if event.delta is not EMPTY_DELTA or index == 0:
+                self._apply(index, event)
+            if self._bad_card or self._bad_type or self._unknown_rt:
+                self._report_invalid(event)
+            activity, class_of = event.activity, self._class_of
+
+            # Types V and VI: referenced objects exist and have a linked class.
+            for obj in event.objects:
+                cls = class_of.get(obj)
+                if cls is None:
+                    found_v.append(Violation(kind="V", event=event.id, seq=event.seq, obj=obj))
+                elif not model.has_link(activity, cls):
+                    found_vi.append(
+                        Violation(
+                            kind="VI", event=event.id, seq=event.seq, obj=obj,
+                            activity=activity, cls=cls,
+                        )
+                    )
+
+            # Type VIII: the event references the right number of objects per class.
+            for link in counted_links.get(activity, ()):
+                count = 0
+                for obj in event.objects:
+                    if class_of.get(obj) == link.cls:
+                        count += 1
+                if count not in link.card_objects:
+                    found_viii.append(
+                        Violation(
+                            kind="VIII", event=event.id, seq=event.seq,
+                            activity=link.activity, cls=link.cls,
+                            observed=count, expected=link.card_objects.render(),
+                        )
+                    )
 
     def _keeper(self, rt: RelationshipType, side: str) -> tuple[str, Cardinality]:
         # side "src": count of source objects per target-class object;
@@ -69,7 +101,7 @@ class _Context:
             self._bad_card.discard(key)
 
     def _add_relation(self, rel: Relation) -> None:
-        rt = self.model.clam.rel_type(rel[0]) if self.model.clam.has_rel_type(rel[0]) else None
+        rt = self._rel_type.get(rel[0])
         if rt is None:
             self._unknown_rt.add(rel)
             return
@@ -84,7 +116,7 @@ class _Context:
                 self._bad_type[(rt.id, rel[1], rel[2], side)] = (obj, got or "?", want)
 
     def _remove_relation(self, rel: Relation) -> None:
-        rt = self.model.clam.rel_type(rel[0]) if self.model.clam.has_rel_type(rel[0]) else None
+        rt = self._rel_type.get(rel[0])
         if rt is None:
             self._unknown_rt.discard(rel)
             return
@@ -104,30 +136,22 @@ class _Context:
             self._recheck(rt, "src", obj)
 
     def _rebuild_validity_state(self) -> None:
-        self._cnt = {}
-        self._bad_card = set()
-        self._bad_type = {}
-        self._unknown_rt = set()
+        self._cnt: dict[tuple[str, str, str], int] = {}
+        self._bad_card: set[tuple[str, str, str]] = set()
+        self._bad_type: dict[tuple[str, str, str, str], tuple[str, str, str]] = {}
+        self._unknown_rt: set[Relation] = set()
         for obj in self._class_of:
             self._add_object(obj)
         for rel in self._relations:
             self._add_relation(rel)
 
     def _apply(self, index: int, event: Event) -> None:
-        """Fold the event's delta (and, at the first event, the initial model)
-        into the validity state; record first appearances and Type III."""
+        """Fold the event's delta into the validity state and record Type III.
+        The initial model is no earlier snapshot: nothing disappears at event 0."""
         delta = event.delta
         asserted = delta.assert_snapshot
-        prev_objects = set(self._class_of) if asserted is not None else None
+        prev_objects = set(self._class_of) if asserted is not None and index else set()
 
-        if index == 0:
-            init = self.log.init
-            self._class_of.update(init.class_of)
-            self._relations.update(init.relations)
-            for obj in self._class_of:
-                self._add_object(obj)
-            for rel in init.relations:
-                self._add_relation(rel)
         for obj, cls in delta.new_objects:
             self._class_of[obj] = cls
             self._add_object(obj)
@@ -143,24 +167,16 @@ class _Context:
             self._relations = set(asserted.relations)
             self._rebuild_validity_state()
 
-        # (object, class) pairs present in the snapshot after this event.
-        changed = (
-            self._class_of.items()
-            if asserted is not None or index == 0
-            else [(o, self._class_of[o]) for o, _ in delta.new_objects]
-        )
-        for pair in changed:
-            self.first_seen.setdefault(pair, index)
-
         # Type III: objects must not disappear or change class over time.
-        if asserted is not None:
-            for obj in sorted(prev_objects - self._class_of.keys()):
-                self.by_kind["III"].append(
-                    Violation(
-                        kind="III", event=event.id, seq=event.seq, obj=obj,
-                        detail="object disappeared from the object model",
-                    )
+        for obj in sorted(prev_objects.difference(self._class_of)):
+            self.by_kind["III"].append(
+                Violation(
+                    kind="III", event=event.id, seq=event.seq, obj=obj,
+                    detail="object disappeared from the object model",
                 )
+            )
+        # (object, class) pairs present in the snapshot after this event.
+        changed = self._class_of.items() if asserted is not None or index == 0 else delta.new_objects
         for obj, cls in changed:
             previous = self._last_class.get(obj)
             if previous is not None and previous != cls:
@@ -202,162 +218,140 @@ class _Context:
                 )
             )
 
-    def _replay(self) -> None:
-        model, by_kind = self.model, self.by_kind
-        self._class_of: dict[str, str] = {}
-        self._relations: set[Relation] = set()
-        self._cnt: dict[tuple[str, str, str], int] = {}
-        self._bad_card: set[tuple[str, str, str]] = set()
-        self._bad_type: dict[tuple[str, str, str, str], tuple[str, str, str]] = {}
-        self._unknown_rt: set[Relation] = set()
-        self._last_class: dict[str, str] = {}  # survives disappearance, for re-add checks
-        activities = model.bcm.activities
 
-        for index, event in enumerate(self.log.events):
-            if event.delta is not EMPTY_DELTA or index == 0:
-                self._apply(index, event)
-            if self._bad_card or self._bad_type or self._unknown_rt:
-                self._report_invalid(event)
-            activity, class_of = event.activity, self._class_of
-
-            # Type IV: the event's activity must exist in the behavioral model.
-            if activity not in activities:
-                by_kind["IV"].append(
-                    Violation(kind="IV", event=event.id, seq=event.seq, activity=activity)
-                )
-
-            # Types V and VI: referenced objects exist and have a linked class.
-            for obj in event.objects:
-                cls = class_of.get(obj)
-                if cls is None:
-                    by_kind["V"].append(Violation(kind="V", event=event.id, seq=event.seq, obj=obj))
-                elif not model.has_link(activity, cls):
-                    by_kind["VI"].append(
-                        Violation(
-                            kind="VI", event=event.id, seq=event.seq, obj=obj,
-                            activity=activity, cls=cls,
-                        )
-                    )
-
-            # Type VIII: the event references the right number of objects per class.
-            for link in self._counted_links.get(activity, ()):
-                count = 0
-                for obj in event.objects:
-                    if class_of.get(obj) == link.cls:
-                        count += 1
-                if count not in link.card_objects:
-                    by_kind["VIII"].append(
-                        Violation(
-                            kind="VIII", event=event.id, seq=event.seq,
-                            activity=link.activity, cls=link.cls,
-                            observed=count, expected=link.card_objects.render(),
-                        )
-                    )
-
-    # -- eventual checks over the final snapshot ------------------------------
-
-    def _check_fulfilment(self) -> None:
-        if not self.log.events:
-            return
-        last = self.log.events[-1]
-        final = self.log.final_snapshot()
-        by_class: dict[str, list[str]] = {}
-        for obj, cls in final.class_of.items():
-            by_class.setdefault(cls, []).append(obj)
-        for rt in self.model.clam.rel_types:
-            cnt_src: Counter[str] = Counter()
-            cnt_tar: Counter[str] = Counter()
-            for rel_type, src, tar in final.relations:
-                if rel_type == rt.id:
-                    cnt_tar[src] += 1
-                    cnt_src[tar] += 1
-            for side, keeper_class, counts in (
-                ("src", rt.target, cnt_src),
-                ("tar", rt.source, cnt_tar),
-            ):
-                card = rt.card(side, "eventually")
-                if card.is_universal:
-                    continue
-                for obj in by_class.get(keeper_class, ()):
-                    if counts[obj] not in card:
-                        self.by_kind["II"].append(
-                            Violation(
-                                kind="II", event=last.id, seq=last.seq, rel_type=rt.id,
-                                side=side, obj=obj, temporal="eventually",
-                                observed=counts[obj], expected=card.render(),
-                            )
-                        )
-
-    def _check_events_per_object(self) -> None:
-        if not self.log.events:
-            return
-        events, positions_of = self.log.events, self.log._positions
-        last = events[-1]
-        objects_by_class: dict[str, list[tuple[str, int]]] = {}
-        for (obj, cls), index in self.first_seen.items():
-            objects_by_class.setdefault(cls, []).append((obj, index))
-        for link in self.model.links:
-            always, eventually = link.card_events_always, link.card_events_eventually
-            if always.is_universal and eventually.is_universal:
+def _check_ii(model: OcbcModel, log: EventLog) -> list[Violation]:
+    """Type II: eventual relationship cardinalities, at the final snapshot."""
+    if not log.events:
+        return []
+    last, final = log.events[-1], log.final_snapshot()
+    by_class: dict[str, list[str]] = {}
+    for obj, cls in final.class_of.items():
+        by_class.setdefault(cls, []).append(obj)
+    found = []
+    for rt in model.clam.rel_types:
+        cnt_src: Counter[str] = Counter()
+        cnt_tar: Counter[str] = Counter()
+        for rel_type, src, tar in final.relations:
+            if rel_type == rt.id:
+                cnt_tar[src] += 1
+                cnt_src[tar] += 1
+        for side, keeper_class, counts in (("src", rt.target, cnt_src), ("tar", rt.source, cnt_tar)):
+            card = rt.card(side, "eventually")
+            if card.is_universal:
                 continue
-            for obj, first in objects_by_class.get(link.cls, ()):
-                positions = positions_of.get((obj, link.activity), ())
-                total = len(positions)
-                breached = False
-                if not always.is_universal:
-                    # The running count at the object's first appearance, then
-                    # after each later event; a run of breaches is one problem.
-                    index, count = first, bisect_right(positions, first)
-                    in_run = False
-                    while True:
-                        if count in always:
-                            in_run = False
-                        elif not in_run:
-                            in_run = breached = True
-                            self.by_kind["VII"].append(
-                                Violation(
-                                    kind="VII", event=events[index].id, seq=events[index].seq,
-                                    activity=link.activity, cls=link.cls, obj=obj,
-                                    temporal="always", observed=count,
-                                    expected=always.render(),
-                                )
-                            )
-                        if count == total:
-                            break
-                        index, count = positions[count], count + 1
-                # An eventual-count breach on an object whose running count
-                # already broke the always-cardinality is the same root cause;
-                # report one problem per (link, object).
-                if breached or eventually.is_universal:
-                    continue
-                if total not in eventually:
-                    self.by_kind["VII"].append(
-                        Violation(
-                            kind="VII", event=last.id, seq=last.seq,
-                            activity=link.activity, cls=link.cls, obj=obj,
-                            temporal="eventually", observed=total,
-                            expected=eventually.render(),
-                        )
-                    )
-
-    def _check_behavioral(self) -> None:
-        events, by_activity = self.log.events, self.log._by_activity
-        target_positions = _Correlation(self.model, self.log).target_positions
-        found = self.by_kind["IX"]
-        for constraint in self.model.bcm.constraints:
-            via, target = self.model.scope[constraint.id], constraint.target_activity
-            accepts, expected = constraint.ctype.accepts, constraint.ctype.render()
-            for ref_index in by_activity.get(constraint.ref_activity, ()):
-                event = events[ref_index]
-                before, after = _count_around(target_positions(via, target, event.objects), ref_index)
-                if not accepts(before, after):
+            for obj in by_class.get(keeper_class, ()):
+                if counts[obj] not in card:
                     found.append(
                         Violation(
-                            kind="IX", event=event.id, seq=event.seq,
-                            constraint=constraint.id, before=before, after=after,
-                            expected=expected,
+                            kind="II", event=last.id, seq=last.seq, rel_type=rt.id,
+                            side=side, obj=obj, temporal="eventually",
+                            observed=counts[obj], expected=card.render(),
                         )
                     )
+    return found
+
+
+def _check_iv(model: OcbcModel, log: EventLog) -> list[Violation]:
+    """Type IV: every event's activity is declared in the behavioral model."""
+    declared, events = model.bcm.activities, log.events
+    return [
+        Violation(kind="IV", event=events[i].id, seq=events[i].seq, activity=activity)
+        for activity, positions in log._by_activity.items()
+        if activity not in declared
+        for i in positions
+    ]
+
+
+def _check_vii(model: OcbcModel, log: EventLog) -> list[Violation]:
+    """Type VII: the right number of events per object, always and eventually,
+    counted from the object's first appearance."""
+    events, positions_of = log.events, log._positions
+    if not events:
+        return []
+    # The first appearance of each object per class.  An asserted snapshot is
+    # the whole state after its event, so no fold is needed; the initial
+    # model appears at event 0 unless event 0 asserts a snapshot.
+    first_seen: dict[str, dict[str, int]] = {}
+    for index, event in enumerate(events):
+        delta = event.delta
+        if delta.assert_snapshot is not None:
+            pairs: Iterable[tuple[str, str]] = delta.assert_snapshot.class_of.items()
+        elif index == 0:
+            pairs = [*log.init.class_of.items(), *delta.new_objects]
+        else:
+            pairs = delta.new_objects
+        for obj, cls in pairs:
+            first_seen.setdefault(cls, {}).setdefault(obj, index)
+    last = events[-1]
+    found = []
+    for link in model.links:
+        always, eventually = link.card_events_always, link.card_events_eventually
+        if always.is_universal and eventually.is_universal:
+            continue
+        for obj, first in first_seen.get(link.cls, {}).items():
+            positions = positions_of.get((obj, link.activity), ())
+            total = len(positions)
+            breached = False
+            if not always.is_universal:
+                # The running count at the object's first appearance, then
+                # after each later event; a run of breaches is one problem.
+                index, count = first, bisect_right(positions, first)
+                in_run = False
+                while True:
+                    if count in always:
+                        in_run = False
+                    elif not in_run:
+                        in_run = breached = True
+                        found.append(
+                            Violation(
+                                kind="VII", event=events[index].id, seq=events[index].seq,
+                                activity=link.activity, cls=link.cls, obj=obj,
+                                temporal="always", observed=count,
+                                expected=always.render(),
+                            )
+                        )
+                    if count == total:
+                        break
+                    index, count = positions[count], count + 1
+            # An eventual-count breach on an object whose running count
+            # already broke the always-cardinality is the same root cause;
+            # report one problem per (link, object).
+            if not breached and total not in eventually:
+                found.append(
+                    Violation(
+                        kind="VII", event=last.id, seq=last.seq,
+                        activity=link.activity, cls=link.cls, obj=obj,
+                        temporal="eventually", observed=total,
+                        expected=eventually.render(),
+                    )
+                )
+    return found
+
+
+def _check_ix(model: OcbcModel, log: EventLog) -> list[Violation]:
+    """Type IX: behavioral constraints over object-correlated target events."""
+    events, by_activity = log.events, log._by_activity
+    target_positions = _Correlation(model, log).target_positions
+    found = []
+    for constraint in model.bcm.constraints:
+        via, target = model.scope[constraint.id], constraint.target_activity
+        accepts, expected = constraint.ctype.accepts, constraint.ctype.render()
+        for ref_index in by_activity.get(constraint.ref_activity, ()):
+            event = events[ref_index]
+            before, after = _count_around(target_positions(via, target, event.objects), ref_index)
+            if not accepts(before, after):
+                found.append(
+                    Violation(
+                        kind="IX", event=event.id, seq=event.seq,
+                        constraint=constraint.id, before=before, after=after,
+                        expected=expected,
+                    )
+                )
+    return found
+
+
+# The kinds that read only the kept indexes; the rest share one `_Replay`.
+_CHECKS = {"II": _check_ii, "IV": _check_iv, "VII": _check_vii, "IX": _check_ix}
 
 
 class _Correlation:
@@ -409,47 +403,47 @@ def _count_around(lists: list[list[int]], ref: int) -> tuple[int, int]:
 
 def check_type_i(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Validity of the object model after every event."""
-    return sort_violations(_Context(model, log).by_kind["I"])
+    return check_violations(model, log, ("I",))
 
 
 def check_type_ii(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Fulfilment: eventual relationship cardinalities, at the final snapshot."""
-    return sort_violations(_Context(model, log).by_kind["II"])
+    return check_violations(model, log, ("II",))
 
 
 def check_type_iii(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Monotonicity: objects never disappear or change class."""
-    return sort_violations(_Context(model, log).by_kind["III"])
+    return check_violations(model, log, ("III",))
 
 
 def check_type_iv(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Activity existence: every event's activity is declared."""
-    return sort_violations(_Context(model, log).by_kind["IV"])
+    return check_violations(model, log, ("IV",))
 
 
 def check_type_v(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Object existence: referenced objects exist when the event occurs."""
-    return sort_violations(_Context(model, log).by_kind["V"])
+    return check_violations(model, log, ("V",))
 
 
 def check_type_vi(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Proper classes: events only reference objects of linked classes."""
-    return sort_violations(_Context(model, log).by_kind["VI"])
+    return check_violations(model, log, ("VI",))
 
 
 def check_type_vii(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Right number of events per object, always and eventually."""
-    return sort_violations(_Context(model, log).by_kind["VII"])
+    return check_violations(model, log, ("VII",))
 
 
 def check_type_viii(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Right number of referenced objects per event."""
-    return sort_violations(_Context(model, log).by_kind["VIII"])
+    return check_violations(model, log, ("VIII",))
 
 
 def check_type_ix(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Behavioral constraints over object-correlated target events."""
-    return sort_violations(_Context(model, log).by_kind["IX"])
+    return check_violations(model, log, ("IX",))
 
 
 def resolve_targets(model: OcbcModel, log: EventLog, cid: str, ref_event: str) -> set[str]:
@@ -478,13 +472,18 @@ def resolve_targets(model: OcbcModel, log: EventLog, cid: str, ref_event: str) -
 def _collect(
     model: OcbcModel, log: EventLog, kinds: tuple[str, ...] | None, prefix: bool
 ) -> list[Violation]:
-    """All violations of the selected kinds, each kind taken once, unsorted."""
-    context = _Context(model, log)
-    out: list[Violation] = []
+    """All violations of the selected kinds, each kind taken once, unsorted.
+    The replay runs only when one of its kinds is selected."""
     # KINDS.index also refuses an unknown kind.
     selected = KINDS if kinds is None else sorted(set(kinds), key=KINDS.index)
+    replay = None
+    out: list[Violation] = []
     for kind in selected:
-        out.extend(context.by_kind[kind])
+        if kind in _CHECKS:
+            out.extend(_CHECKS[kind](model, log))
+        else:
+            replay = replay or _Replay(model, log)
+            out.extend(replay.by_kind[kind])
     if prefix:
         out = [_downgrade(model, v) for v in out]
     return out

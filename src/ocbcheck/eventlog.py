@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 Relation = tuple[str, str, str]  # (relationship type, source object, target object)
 
@@ -226,8 +226,8 @@ class EventLog:
         """Object model directly after the given event (fold of all deltas up to it)."""
         position = self.index_of(event_id)
         state = _ReplayState(self.init)
-        for event in self.events[: position + 1]:
-            state.apply(event, self.index_of(event.id))
+        for i, event in enumerate(self.events[: position + 1]):
+            state.apply(event, i)
         return state.snapshot()
 
     def final_snapshot(self) -> ObjectModel:
@@ -246,16 +246,6 @@ class EventLog:
                     nbr.setdefault(src, set()).add(tar)
                     nbr.setdefault(tar, set()).add(src)
         return nbr
-
-    def replay(self) -> Iterator[tuple[Event, Mapping[str, str], frozenset[Relation]]]:
-        """Yield (event, class_of, relations) snapshots after each event.
-
-        The mappings are fresh copies; callers may retain them.
-        """
-        state = _ReplayState(self.init)
-        for i, event in enumerate(self.events):
-            state.apply(event, i)
-            yield event, dict(state.class_of), frozenset(state.relations)
 
     def events_of_activity(self, activity: str) -> list[str]:
         return [self.events[i].id for i in self._by_activity.get(activity, ())]

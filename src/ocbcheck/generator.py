@@ -611,7 +611,7 @@ def _candidates(model: OcbcModel, log: EventLog, kind: str, rng: random.Random):
         for obj in candidates[:12]:
             if obj in last.objects:
                 continue
-            snapshot = _without_object(log.snapshot_after(last.id), obj)
+            snapshot = _without_object(final, obj)
             delta = replace(last.delta, assert_snapshot=snapshot)
             mutated = events[:-1] + [replace(last, delta=delta)]
             yield (

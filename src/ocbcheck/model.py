@@ -121,24 +121,17 @@ class OcbcModel:
     clam: ClassModel
     links: tuple[ActivityClassLink, ...]
     scope: Mapping[str, str]
-    _link_index: Mapping[tuple[str, str], ActivityClassLink] = field(
+    _link_keys: frozenset[tuple[str, str]] = field(
         init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
     )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "links", tuple(sorted(self.links, key=lambda l: (l.activity, l.cls))))
         object.__setattr__(self, "scope", MappingProxyType(dict(sorted(self.scope.items()))))
-        object.__setattr__(
-            self,
-            "_link_index",
-            MappingProxyType({(l.activity, l.cls): l for l in self.links}),
-        )
-
-    def link(self, activity: str, cls: str) -> ActivityClassLink | None:
-        return self._link_index.get((activity, cls))
+        object.__setattr__(self, "_link_keys", frozenset((l.activity, l.cls) for l in self.links))
 
     def has_link(self, activity: str, cls: str) -> bool:
-        return (activity, cls) in self._link_index
+        return (activity, cls) in self._link_keys
 
     def links_of_activity(self, activity: str) -> list[ActivityClassLink]:
         return [l for l in self.links if l.activity == activity]

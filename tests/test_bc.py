@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 
-from ocbcheck import BcModel, PairConstraint, bc_model_satisfied, evaluate_bc, expand_shorthand
+from ocbcheck import BcModel, PairConstraint, evaluate_bc, expand_shorthand
 from ocbcheck.cardinality import builtin_constraint_type
 from scenarios import constraint
 
@@ -34,7 +34,7 @@ def test_ordered_run_satisfies_both():
 def test_lone_step_fails_both():
     verdicts = evaluate_bc(_two_constraint_model(), _trace("step"))
     assert [(v.constraint, v.satisfied) for v in verdicts] == [("c1", False), ("c2", False)]
-    assert not bc_model_satisfied(_two_constraint_model(), _trace("step"))
+    assert not all(v.satisfied for v in verdicts)
 
 
 def test_double_start_breaks_unary_precedence_only():
@@ -160,6 +160,8 @@ def test_expansion_equals_joint_evaluation():
     rng = random.Random(3)
     for _ in range(50):
         trace = _trace(*(rng.choice(["a1", "a2"]) for _ in range(rng.randint(0, 8))))
-        assert bc_model_satisfied(both, trace) == (
-            bc_model_satisfied(only_forward, trace) and bc_model_satisfied(only_backward, trace)
+        whole, forward_only, backward_only = (
+            all(v.satisfied for v in evaluate_bc(bcm, trace))
+            for bcm in (both, only_forward, only_backward)
         )
+        assert whole == (forward_only and backward_only)

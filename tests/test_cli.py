@@ -106,6 +106,17 @@ def test_check_unreadable_input_exits_two(workspace, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_check_unwritable_output_exits_two(workspace, tmp_path, capsys):
+    _, paths = workspace
+    model, log = paths["order"]
+    out = tmp_path / "missing-dir" / "result.report.json"
+    assert main(["check", model, log, "--format", "json", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_check_reports_log_warnings_on_stderr(workspace, tmp_path, capsys):
     _, paths = workspace
     model, _ = paths["tickets"]

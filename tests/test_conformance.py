@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ocbcheck import (
+    KINDS,
     BcModel,
     ClassModel,
     EventLog,
@@ -28,7 +29,10 @@ from ocbcheck import (
     load_model,
     resolve_targets,
 )
+from ocbcheck import conformance
 from ocbcheck.cardinality import MAX_BOUND, Cardinality, ConstraintType
+from ocbcheck.violations import sort_violations
+from oracle import naive_check
 from scenarios import (
     constraint,
     event,
@@ -450,14 +454,87 @@ def test_empty_log_conforms():
     assert check_all(order_process_model(), EventLog()).conforms
 
 
+def _named_and_random_pairs():
+    pairs = [
+        (ticket_model(), ticket_log()),
+        (order_process_model(), order_process_log()),
+        (precedence_model(), precedence_log()),
+        (order_class_snapshot_model(), order_object_model(drop_relation=("r1", "o1", "ol1"))[1]),
+        (order_process_model(), EventLog()),
+    ]
+    pairs += [(hiring_model(), hiring_log(order)) for order in ("conforming", "apply-before-open")]
+    for seed in range(60):
+        rng = random.Random(seed)
+        model = random_model(rng)
+        pairs.append((model, random_log(rng, model)))
+    return pairs
+
+
 def test_check_all_equals_concatenation_of_individual_checkers():
-    model, log = ticket_model(), ticket_log()
+    """Each kind computed alone, by `check_type_*` or by a kind selection,
+    equals that kind's share of the full check, with and without prefix mode."""
     checkers = (
         check_type_i, check_type_ii, check_type_iii, check_type_iv, check_type_v,
         check_type_vi, check_type_vii, check_type_viii, check_type_ix,
     )
-    merged = [v for checker in checkers for v in checker(model, log)]
-    assert sorted(merged, key=lambda v: v.sort_key()) == list(check_all(model, log).violations)
+    rng = random.Random(8)
+    for model, log in _named_and_random_pairs():
+        full = check_violations(model, log)
+        merged = [v for checker in checkers for v in checker(model, log)]
+        assert sorted(merged, key=lambda v: v.sort_key()) == full == list(check_all(model, log).violations)
+        for kind, checker in zip(KINDS, checkers):
+            alone = [v for v in full if v.kind == kind]
+            assert check_violations(model, log, (kind,)) == alone == checker(model, log), kind
+        full_prefix = check_violations(model, log, prefix=True)
+        for _ in range(3):
+            subset = tuple(rng.sample(KINDS, rng.randint(1, len(KINDS))))
+            expected = [v for v in full_prefix if v.kind in subset]
+            assert check_violations(model, log, subset, prefix=True) == expected, subset
+
+
+def test_unselected_kinds_skip_the_replay(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the per-event replay ran for kinds that do not need it")
+
+    monkeypatch.setattr(conformance, "_Replay", refuse)
+    for model, log in _named_and_random_pairs()[:8]:
+        check_violations(model, log, kinds=("II", "IV", "VII", "IX"))
+    with pytest.raises(AssertionError):
+        check_violations(ticket_model(), ticket_log(), kinds=("V",))
+
+
+def _two_class_model():
+    return OcbcModel(
+        bcm=BcModel(activities=frozenset({"pay"}), constraints=()),
+        clam=ClassModel(classes=frozenset({"ticket", "voucher"}), rel_types=()),
+        links=(
+            link("pay", "ticket", always="0..1", eventually="1"),
+            link("pay", "voucher", always="0..1", eventually="1"),
+        ),
+        scope={},
+    )
+
+
+@pytest.mark.parametrize("asserted", [{"t2": "ticket"}, {"t1": "voucher", "t2": "ticket"}])
+def test_snapshot_asserted_at_event_zero_replaces_the_initial_model(asserted):
+    """An initial-model object that event 0's asserted snapshot drops, or
+    gives another class, is never seen under its initial class: it owes no
+    events as such, and the initial model is no snapshot to compare with."""
+    model = _two_class_model()
+    init = ObjectModel(class_of={"t1": "ticket", "t2": "ticket"}, relations=frozenset())
+    log = EventLog(
+        init=init,
+        events=(
+            event("p1", 1, "pay", {"t2"},
+                  assert_snapshot=ObjectModel(class_of=asserted, relations=frozenset())),
+            event("p2", 2, "pay"),
+        ),
+    )
+    oracle = sort_violations(naive_check(model, log))
+    for kind in ("III", "VII"):
+        assert check_violations(model, log, (kind,)) == [v for v in oracle if v.kind == kind], kind
+    assert check_violations(model, log) == oracle
+    assert not [v for v in oracle if v.kind == "III" or v.cls == "ticket" and v.obj == "t1"]
 
 
 def test_kind_filter():

@@ -98,14 +98,6 @@ def test_replay_determinism():
     assert first == second
 
 
-def test_replay_iterator_matches_per_event_snapshots():
-    log = order_process_log()
-    for event, class_of, relations in log.replay():
-        snapshot = log.snapshot_after(event.id)
-        assert class_of == dict(snapshot.class_of)
-        assert relations == snapshot.relations
-
-
 def test_monotone_growth_for_delta_logs():
     log = order_process_log()
     previous: set[str] = set()
