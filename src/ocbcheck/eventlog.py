@@ -144,7 +144,7 @@ class _ReplayState:
             self.relations = set(delta.assert_snapshot.relations)
 
     def snapshot(self) -> ObjectModel:
-        return ObjectModel(class_of=dict(self.class_of), relations=frozenset(self.relations))
+        return ObjectModel(class_of=self.class_of, relations=self.relations)
 
 
 def _kept():

@@ -16,6 +16,7 @@ violations of other kinds are possible and expected for some kinds.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass, field, replace
 
 from .cardinality import Cardinality
@@ -94,7 +95,7 @@ class _ClassPlan:
 
 
 def _analyze(model: OcbcModel) -> dict[str, _ClassPlan]:
-    plans = {cls: _ClassPlan(cls=cls) for cls in model.clam.classes}
+    plans = {cls: _ClassPlan(cls=cls) for cls in sorted(model.clam.classes)}
 
     for link in model.links:
         if 0 in link.card_events_always:
@@ -287,12 +288,9 @@ def _pick_count(rng: random.Random, card: Cardinality, at_most: int | None = Non
 class _LiveObject:
     oid: str
     plan: _ClassPlan
+    rank: int  # orders objects by registration
     next_act: int = 0
     emitted: int = 0
-
-    @property
-    def acts_done(self) -> bool:
-        return self.next_act >= len(self.plan.acts)
 
 
 class _Generator:
@@ -305,9 +303,11 @@ class _Generator:
         self.init_class: dict[str, str] = {}
         self.counter = 0
         self.pool: dict[str, list[str]] = {}
-        self.active: list[_LiveObject] = []  # pruned of finished objects as it is scanned
-        # Outstanding relation demand, keyed by the class whose creation absorbs it.
-        self.pending: dict[str, list[list]] = {}  # [live, need, remaining]
+        # Objects with activity obligations left, in registration order.
+        self.active: list[_LiveObject] = []
+        # Relation demand of objects whose activities are done, keyed by the
+        # class whose creation absorbs it, in registration order of the owners.
+        self.ready: dict[str, list[list]] = {}  # [live, need, remaining]
 
     def _fresh(self, cls: str) -> str:
         self.counter += 1
@@ -336,11 +336,19 @@ class _Generator:
         )
 
     def _register(self, cls: str) -> _LiveObject:
-        live = _LiveObject(oid=self._fresh(cls), plan=self.plans[cls])
-        self.active.append(live)
+        live = _LiveObject(oid=self._fresh(cls), plan=self.plans[cls], rank=self.counter)
         for need in live.plan.eventual:
-            self.pending.setdefault(need.partner_cls, []).append([live, need, need.count])
+            self.ready.setdefault(need.partner_cls, [])
+        if live.plan.acts:
+            self.active.append(live)
+        else:
+            self._release(live)
         return live
+
+    def _release(self, live: _LiveObject) -> None:
+        """Make the relation demand of `live`, whose activities are done, flushable."""
+        for need in live.plan.eventual:
+            insort(self.ready[need.partner_cls], [live, need, need.count], key=lambda e: e[0].rank)
 
     def _materialize(self, live: _LiveObject) -> tuple[list, list]:
         """New objects/relations for creating `live`: itself, its co-created
@@ -372,6 +380,7 @@ class _Generator:
 
     def _start_cluster(self, cls: str) -> None:
         plan = self.plans[cls]
+        slot = len(self.active)  # the root's index in `active` if it has acts
         root = self._register(cls)
         new_objects, new_relations = self._materialize(root)
         delta = ObjectDelta(new_objects=tuple(new_objects), new_relations=tuple(new_relations))
@@ -379,33 +388,28 @@ class _Generator:
             self._emit(plan.creator_activity, {root.oid}, delta)
         elif plan.acts:
             # No creating activity: the object enters with its first obligation event.
-            activity, count = plan.acts[0]
-            self._emit(activity, {root.oid}, delta)
-            root.emitted = 1
-            if root.emitted >= count:
-                root.next_act, root.emitted = 1, 0
+            if self._act(root, delta):
+                del self.active[slot]
         else:
             self.init_class[root.oid] = cls
 
-    def _discharge_act(self, live: _LiveObject) -> None:
+    def _act(self, live: _LiveObject, delta: ObjectDelta = EMPTY_DELTA) -> bool:
+        """Emit the next obligation event of `live`; True if it was the last one."""
         activity, count = live.plan.acts[live.next_act]
-        self._emit(activity, {live.oid})
+        self._emit(activity, {live.oid}, delta)
         live.emitted += 1
         if live.emitted >= count:
             live.next_act += 1
             live.emitted = 0
+            if live.next_act == len(live.plan.acts):
+                self._release(live)
+                return True
+        return False
 
-    def _flushable(self, cls: str) -> list[list]:
-        return [entry for entry in self.pending.get(cls, []) if entry[0].acts_done]
-
-    def _flush(self, cls: str, drain: bool) -> bool:
-        """Create one `cls` object, absorbing pending demand for it."""
-        ready = self._flushable(cls)
-        if not ready:
-            return False
+    def _flush(self, cls: str, drain: bool) -> None:
+        """Create one `cls` object, absorbing ready demand for it."""
+        ready = self.ready[cls]
         plan = self.plans[cls]
-        if plan.creator_activity is None or plan.flush_rt is None:
-            raise GenerationError(f"class {cls!r} has pending demand but no absorbing creation")
         rt = self.model.clam.rel_type(plan.flush_rt)
         my_side = "src" if rt.source == cls else "tar"
         always, eventually = _partner_cards(rt, my_side)
@@ -419,24 +423,24 @@ class _Generator:
                     f"cannot create a {cls!r}: needs {smallest} pending partner(s), "
                     f"only {len(ready)} are ready"
                 )
-            return False
+            return
         m = _pick_count(self.rng, admissible, at_most=len(ready)) if not drain else smallest
-        chosen = self.rng.sample(ready, m) if not drain else ready[:m]
+        chosen = self.rng.sample(range(len(ready)), m) if not drain else range(m)
         partner = self._register(cls)
         new_objects, new_relations = self._materialize(partner)
-        for entry in chosen:
-            live, need, remaining = entry
+        # Descending, so each deletion leaves the positions still to visit in place.
+        for i in sorted(chosen, reverse=True):
+            live, need, remaining = entry = ready[i]
             new_relations.append(need.relation(live.oid, partner.oid))
             if remaining > 1:
                 entry[2] = remaining - 1
             else:
-                self.pending[cls].remove(entry)
+                del ready[i]
         self._emit(
             plan.creator_activity,
             {partner.oid},
             ObjectDelta(new_objects=tuple(new_objects), new_relations=tuple(new_relations)),
         )
-        return True
 
     def run(self) -> EventLog:
         children = {need.partner_cls for plan in self.plans.values() for need in plan.children}
@@ -455,34 +459,31 @@ class _Generator:
             if len(self.events) >= budget:
                 raise GenerationError(f"generation budget ({budget} events) exceeded")
             choices: list[str] = ["start"]
-            dischargeable = self.active = [o for o in self.active if not o.acts_done]
-            if dischargeable:
+            if self.active:
                 choices += ["act", "act"]
-            flushables = [cls for cls in self.pending if self._flushable(cls)]
+            flushables = [cls for cls, entries in self.ready.items() if entries]
             if flushables:
                 choices.append("flush")
             action = self.rng.choice(choices)
             if action == "start":
                 self._start_cluster(self.rng.choice(roots))
             elif action == "act":
-                self._discharge_act(self.rng.choice(dischargeable))
+                i = self.rng.randrange(len(self.active))
+                if self._act(self.active[i]):
+                    del self.active[i]
             else:
                 self._flush(self.rng.choice(flushables), drain=False)
+        # Drain: once no object has activities left, all demand is ready.
         while True:
             if len(self.events) > budget + self.target:
                 raise GenerationError("generation budget exceeded while draining obligations")
-            dischargeable = self.active = [o for o in self.active if not o.acts_done]
-            if dischargeable:
-                self._discharge_act(dischargeable[0])
-                continue
-            flushables = [cls for cls in sorted(self.pending) if self._flushable(cls)]
-            if flushables:
-                self._flush(flushables[0], drain=True)
-                continue
-            if any(self.pending.values()):
-                stuck = {cls: len(v) for cls, v in self.pending.items() if v}
-                raise GenerationError(f"undischargeable relation obligations remain: {stuck}")
-            break
+            if self.active:
+                if self._act(self.active[0]):
+                    del self.active[0]
+            elif any(self.ready.values()):
+                self._flush(min(cls for cls, entries in self.ready.items() if entries), drain=True)
+            else:
+                break
         init = ObjectModel(class_of=self.init_class, relations=frozenset())
         return EventLog(init=init, events=tuple(self.events))
 
@@ -736,8 +737,6 @@ def inject_violation(
     """
     rng = random.Random(seed)
     for mutated, hints, description in _candidates(model, log, kind, rng):
-        if mutated is None:
-            continue
         try:
             found = check_violations(model, mutated, kinds=(kind,))
         except LogError:

@@ -253,6 +253,26 @@ def test_criterion_9_throughput_and_scaling():
     )
 
 
+def median_pair_ratio(time_small, time_large) -> float:
+    """Median of time_large() / time_small() over nine pairs of timings.
+
+    The speed of a shared machine drifts by up to 1.8x over seconds, so each
+    ratio comes from two adjacent timings, in alternating order, each
+    covering about as many events; the median is taken over a fixed nine
+    such pairs.
+    """
+    ratios = []
+    for pair in range(9):
+        if pair % 2:
+            t_large = time_large()
+            t_small = time_small()
+        else:
+            t_small = time_small()
+            t_large = time_large()
+        ratios.append(t_large / t_small)
+    return statistics.median(ratios)
+
+
 def test_criterion_9_relationship_scoped_scaling():
     """The order process correlates IX through relationships and folds
     many-to-many deltas; building its log and checking it stay linear."""
@@ -271,20 +291,7 @@ def test_criterion_9_relationship_scoped_scaling():
         return (time.perf_counter() - started) / (repeats * len(log.events))
 
     def per_event_ratio(run):
-        # The speed of a shared machine drifts by up to 1.8x over seconds, so
-        # each ratio comes from two adjacent timings, in alternating order,
-        # each covering about as many events; the median is taken over a
-        # fixed nine such pairs.
-        ratios = []
-        for pair in range(9):
-            if pair % 2:
-                t_large = per_event(run, large)
-                t_small = per_event(run, small)
-            else:
-                t_small = per_event(run, small)
-                t_large = per_event(run, large)
-            ratios.append(t_large / t_small)
-        return statistics.median(ratios)
+        return median_pair_ratio(lambda: per_event(run, small), lambda: per_event(run, large))
 
     build = per_event_ratio(lambda log: EventLog(init=log.init, events=log.events))
     check = per_event_ratio(lambda log: check_all(model, log))
@@ -293,6 +300,25 @@ def test_criterion_9_relationship_scoped_scaling():
     record_acceptance(
         9, f"order process {len(small.events)} -> {len(large.events)} events: per-event "
            f"build {build:.2f}x, check {check:.2f}x",
+    )
+
+
+def test_criterion_9_generator_scaling_on_order_process():
+    """Order lines wait for their delivery, so the generator's ready demand
+    grows with the log; drawing from it must still cost the same per event."""
+    model = order_process_model()
+    target = 2000
+
+    def per_event(events, repeats):
+        gc.collect()
+        started = time.perf_counter()
+        emitted = sum(len(generate_conforming(model, events, seed=1).events) for _ in range(repeats))
+        return (time.perf_counter() - started) / emitted
+
+    ratio = median_pair_ratio(lambda: per_event(target, 2), lambda: per_event(2 * target, 1))
+    assert ratio <= 1.5, f"doubling the target scaled per-event generation time by {ratio:.2f}x"
+    record_acceptance(
+        9, f"order process generator {target} -> {2 * target} target events: per-event {ratio:.2f}x"
     )
 
 

@@ -584,6 +584,37 @@ def test_truncation_of_conforming_log_adds_only_eventual_violations():
             assert ctype.future_fixable(v.before, v.after), (cut, v)
 
 
+def test_prefix_mode_errors_are_reported_on_the_full_log():
+    """At every cut k, each prefix-mode error on log[:k] is also reported on
+    the full log (the counts it carries may grow).
+
+    Logs with an asserted snapshot are excluded: correlation reads the final
+    snapshot, so a later assertion that deletes a referenced object or
+    changes its class removes the full log's correlation and with it an
+    error the prefix reported (random seeds 176, 491 and 499).
+    """
+    same = ("kind", "event", "constraint", "obj", "activity", "cls", "rel_type", "side", "temporal", "detail")
+
+    def key(v):
+        return tuple(getattr(v, field) for field in same)
+
+    checked = 0
+    for seed in range(500):
+        rng = random.Random(seed)
+        model = random_model(rng)
+        log = random_log(rng, model)
+        if any(e.delta.assert_snapshot is not None for e in log.events):
+            continue
+        full = {key(v) for v in check_violations(model, log)}
+        for cut in range(len(log.events) + 1):
+            prefix = EventLog(init=log.init, events=log.events[:cut])
+            for v in check_violations(model, prefix, prefix=True):
+                if v.severity == "error":
+                    assert key(v) in full, (seed, cut, v)
+        checked += 1
+    assert checked == 287
+
+
 def test_determinism_of_violation_order():
     model, log = ticket_model(), ticket_log()
     first = check_all(model, log).violations

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +18,7 @@ from ocbcheck import (
     generate_conforming,
     inject_violation,
     parse_cardinality,
+    save_log,
     validate_model,
 )
 from ocbcheck.violations import KINDS
@@ -46,6 +52,31 @@ def test_generation_is_deterministic_per_seed():
     assert first != other
 
 
+# sha256 of save_log(generate_conforming(model, events, seed)).  Generated
+# logs serve as fixtures, so a scheduler change must keep their bytes.
+PINNED_LOG_SHA256 = {
+    ("order_process", 1, 200): "78969f4d5e5274b4ab535bcc68a90c94c74a594e4b8e157377e0db1dbd815a9e",
+    ("order_process", 1, 3000): "35c91e2081cf076857f6b4829e3a4af0a6f7c28fea6ba560503481d1862c0b30",
+    ("order_process", 2, 200): "53d9087fc3066514e95a20394bce93a880687fe25fb98176a0a5f472034cd39f",
+    ("order_process", 2, 3000): "52418dd358dda0078c168f52ff2265325eda3ecba6600a493398adaa6b006f54",
+    ("order_process", 3, 200): "556ae4c69478e7ccfe8d32838fc8ad33983ddf5c8923f3a5b3a3293f4e736566",
+    ("order_process", 3, 3000): "bbfe53c66ecfb07f7e422e58782e28252e3370216dd9f35a0a00b74aa542080a",
+    ("throughput", 1, 200): "4aad29bf3cd111b0db093fcaba28c0b8a0069d5220b7216a77c7f561b3048d5b",
+    ("throughput", 1, 3000): "2298c022b46e4529c65b7918b494eda5c5570443d991a4ebe012c333aad9b4c3",
+    ("throughput", 2, 200): "6dedf8359558e43aca05e69d7d8b7516b06291f7db08cdffca74347cc57bbb01",
+    ("throughput", 2, 3000): "33e7f3b792f381bd0be36d2c49dc974ace074e50ceb644c3c44118a4ce59b260",
+    ("throughput", 3, 200): "2f2fe6345b2f21096bf36cadd93087ba6576664a3866dff1fff7fa2ea05e702c",
+    ("throughput", 3, 3000): "d59c833c7db4fadbe4d507f1e9eda8ab7f8e93f3cd2baac5f3f4fe2310bde6bc",
+}
+
+
+def test_generated_log_bytes_are_pinned():
+    models = {"order_process": order_process_model(), "throughput": throughput_model()}
+    for (name, seed, events), digest in PINNED_LOG_SHA256.items():
+        data = save_log(generate_conforming(models[name], events=events, seed=seed))
+        assert hashlib.sha256(data).hexdigest() == digest, (name, seed, events)
+
+
 def test_zero_events_requested_gives_empty_conforming_log():
     model = order_process_model()
     log = generate_conforming(model, events=0, seed=1)
@@ -66,6 +97,33 @@ def test_unsatisfiable_link_is_rejected():
     assert validate_model(broken) == []
     with pytest.raises(GenerationError, match="passes through 1"):
         generate_conforming(broken, events=10, seed=0)
+
+
+def test_generation_error_stable_across_hash_randomization(tmp_path):
+    # Both links are outside the generated family; the error must name the
+    # same one whatever order the class set iterates in.
+    entry = {"card_act_always": "0,2", "card_act_eventually": "2"}
+    doc = {
+        "activities": ["x", "y"],
+        "classes": ["a", "b"],
+        "aoc": [{"activity": "x", "class": "a", **entry}, {"activity": "y", "class": "b", **entry}],
+    }
+    path = tmp_path / "two-defects.ocbc.json"
+    path.write_text(json.dumps(doc))
+    outputs = set()
+    for hash_seed in ("0", "1", "2", "3", "4", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        result = subprocess.run(
+            [sys.executable, "-m", "ocbcheck.cli", "generate", str(path), "--events", "5"],
+            env=env,
+            capture_output=True,
+        )
+        assert result.returncode == 2, result.stderr.decode(errors="replace")
+        outputs.add(result.stderr)
+    assert outputs == {
+        b"error: link (x, a): reaching eventual count 2 passes through 1, "
+        b"which the always-cardinality 0,2 forbids\n"
+    }
 
 
 def test_generated_case_traces_satisfy_the_constraints_per_object():
