@@ -34,13 +34,6 @@ from .formats import (
     save_model,
     save_report,
 )
-from .generator import (
-    GenerationError,
-    InjectionError,
-    InjectionOutcome,
-    generate_conforming,
-    inject_violation,
-)
 from .model import (
     ActivityClassLink,
     BcModel,
@@ -55,6 +48,19 @@ from .report import ConformanceReport, aggregate, render_text
 from .violations import KINDS, Violation
 
 __version__ = "0.1.0"
+
+# The generator loads on first use, so `ocbcheck check` never imports it.
+_GENERATOR_NAMES = frozenset(
+    ("GenerationError", "InjectionError", "InjectionOutcome", "generate_conforming", "inject_violation")
+)
+
+
+def __getattr__(name: str):
+    if name in _GENERATOR_NAMES:
+        from . import generator
+
+        return getattr(generator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ActivityClassLink",

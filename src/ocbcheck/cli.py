@@ -12,7 +12,6 @@ from pathlib import Path
 
 from .conformance import check_all
 from .formats import FormatError, ModelDefectsError, load_log, load_model, save_log, save_report
-from .generator import GenerationError, InjectionError, generate_conforming, inject_violation
 from .report import render_text
 from .violations import KINDS
 
@@ -141,6 +140,8 @@ def _cmd_validate_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .generator import GenerationError, InjectionError, generate_conforming, inject_violation
+
     try:
         model = load_model(_read(args.model))
     except (FormatError, OSError) as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Mapping
+from typing import Collection, Iterable, Mapping
 
 Relation = tuple[str, str, str]  # (relationship type, source object, target object)
 
@@ -60,7 +60,7 @@ class ObjectModel:
 EMPTY_OBJECT_MODEL = ObjectModel(class_of={}, relations=frozenset())
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ObjectDelta:
     """Changes applied to the object model by one event.
 
@@ -73,11 +73,17 @@ class ObjectDelta:
     removed_relations: tuple[Relation, ...] = ()
     assert_snapshot: ObjectModel | None = None
 
-    def __post_init__(self) -> None:
-        for name in ("new_objects", "new_relations", "removed_relations"):
-            items = getattr(self, name)
-            if len(items) > 1 or type(items) is not tuple:
-                object.__setattr__(self, name, tuple(sorted(items)))
+    def __init__(
+        self,
+        new_objects: Collection[tuple[str, str]] = (),
+        new_relations: Collection[Relation] = (),
+        removed_relations: Collection[Relation] = (),
+        assert_snapshot: ObjectModel | None = None,
+    ) -> None:
+        _set_new_objects(self, _sorted_tuple(new_objects))
+        _set_new_relations(self, _sorted_tuple(new_relations))
+        _set_removed_relations(self, _sorted_tuple(removed_relations))
+        _set_assert_snapshot(self, assert_snapshot)
 
     @property
     def is_empty(self) -> bool:
@@ -89,11 +95,20 @@ class ObjectDelta:
         )
 
 
+def _sorted_tuple(items: Collection) -> tuple:
+    return items if len(items) < 2 and type(items) is tuple else tuple(sorted(items))
+
+
+# The frozen classes refuse __setattr__, so their __init__ stores each field
+# through its slot descriptor, as object.__setattr__ would after a lookup.
+_set_new_objects, _set_new_relations, _set_removed_relations, _set_assert_snapshot = (
+    getattr(ObjectDelta, name).__set__ for name in ObjectDelta.__slots__
+)
 EMPTY_DELTA = ObjectDelta()
 EMPTY_ATTRS: Mapping[str, str] = MappingProxyType({})
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Event:
     id: str
     seq: int
@@ -102,14 +117,32 @@ class Event:
     attrs: Mapping[str, str] = field(default_factory=lambda: EMPTY_ATTRS)
     delta: ObjectDelta = EMPTY_DELTA
 
-    def __post_init__(self) -> None:
-        if type(self.objects) is not frozenset:
-            object.__setattr__(self, "objects", frozenset(self.objects))
-        if self.attrs is not EMPTY_ATTRS:
-            attrs = MappingProxyType(dict(self.attrs)) if self.attrs else EMPTY_ATTRS
-            object.__setattr__(self, "attrs", attrs)
-        if not 1 <= self.seq <= MAX_SEQ:
-            raise LogError(f"seq {self.seq} outside the 64-bit positive range", event_id=self.id)
+    def __init__(
+        self,
+        id: str,
+        seq: int,
+        activity: str,
+        objects: Iterable[str] = frozenset(),
+        attrs: Mapping[str, str] = EMPTY_ATTRS,
+        delta: ObjectDelta = EMPTY_DELTA,
+    ) -> None:
+        if type(objects) is not frozenset:
+            objects = frozenset(objects)
+        if attrs is not EMPTY_ATTRS:
+            attrs = MappingProxyType(dict(attrs)) if attrs else EMPTY_ATTRS
+        if not 1 <= seq <= MAX_SEQ:
+            raise LogError(f"seq {seq} outside the 64-bit positive range", event_id=id)
+        _set_id(self, id)
+        _set_seq(self, seq)
+        _set_activity(self, activity)
+        _set_objects(self, objects)
+        _set_attrs(self, attrs)
+        _set_delta(self, delta)
+
+
+_set_id, _set_seq, _set_activity, _set_objects, _set_attrs, _set_delta = (
+    getattr(Event, name).__set__ for name in Event.__slots__
+)
 
 
 class _ReplayState:

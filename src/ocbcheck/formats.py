@@ -77,9 +77,9 @@ def _expect(value: Any, kind: type, where: str) -> Any:
     return value
 
 
-# `_take` and `_string_list` run for every field of every event.  A value
-# whose type is exactly `kind` is one `_expect` accepts, so they return it
-# before formatting a location that only an error message would use.
+# A value whose type is exactly `kind` is one `_expect` accepts, so `_take`
+# and `_string_list` return it before formatting a location that only an
+# error message would use.
 
 
 def _take(obj: dict, key: str, kind: type, where: str, default: Any = ...) -> Any:
@@ -342,9 +342,23 @@ def _object_model(value: Any, where: str) -> ObjectModel:
         raise FormatError(str(exc), where) from None
 
 
+_MISSING = object()
+
+
+def _required(value: Any, key: str, kind: type) -> Any:
+    """The check `_take(entry, key, kind, "")` makes, for an event field that
+    `_event` popped (`_MISSING` when absent) and found not exactly `kind`."""
+    if value is _MISSING:
+        raise FormatError(f"missing required key {key!r}", "")
+    return _expect(value, kind, f".{key}")
+
+
 def _relations(entry: dict, key: str) -> tuple[tuple[str, str, str], ...]:
+    items = entry.pop(key)
+    if type(items) is not list:
+        items = _required(items, key, list)
     out = []
-    for i, item in enumerate(_take(entry, key, list, "", default=())):
+    for i, item in enumerate(items):
         if type(item) is list and len(item) == 3 and type(item[0]) is type(item[1]) is type(item[2]) is str:
             out.append(tuple(item))
         else:  # raises, with the item's location
@@ -357,7 +371,10 @@ def _delta(entry: dict) -> ObjectDelta:
     an item's location is formatted only when the item is bad."""
     new_objects = []
     if "new_objects" in entry:
-        for i, item in enumerate(_take(entry, "new_objects", list, "")):
+        items = entry.pop("new_objects")
+        if type(items) is not list:
+            items = _required(items, "new_objects", list)
+        for i, item in enumerate(items):
             if type(item) is dict and len(item) == 2:
                 oid, cls = item.get("id"), item.get("class")
                 if type(oid) is str and type(cls) is str:
@@ -367,40 +384,55 @@ def _delta(entry: dict) -> ObjectDelta:
             _expect(item, dict, inner)
             new_objects.append((_take(item, "id", str, inner), _take(item, "class", str, inner)))
             _no_extras(item, inner)
-    new_relations = _relations(entry, "new_relations")
-    removed = _relations(entry, "removed_relations")
+    new_relations = _relations(entry, "new_relations") if "new_relations" in entry else ()
+    removed = _relations(entry, "removed_relations") if "removed_relations" in entry else ()
     snapshot = None
     if "assert_snapshot" in entry:
-        snapshot = _object_model(_take(entry, "assert_snapshot", dict, ""), ".assert_snapshot")
-    _no_extras(entry, "")
-    return ObjectDelta(
-        new_objects=tuple(new_objects),
-        new_relations=new_relations,
-        removed_relations=removed,
-        assert_snapshot=snapshot,
-    )
+        snapshot = _object_model(entry.pop("assert_snapshot"), ".assert_snapshot")
+    if entry:
+        _no_extras(entry, "")
+    return ObjectDelta(tuple(new_objects), new_relations, removed, snapshot)
 
 
 def _event(entry: dict) -> Event:
     """Decode one event from the fresh dict `load_log` decoded: its keys are
     popped in place, and optional keys are only touched when present.  Error
     locations are relative to the line (".seq"); `load_log` prefixes it."""
-    eid = _take(entry, "id", str, "")
-    seq = _take(entry, "seq", int, "")
-    if not 1 <= seq <= MAX_SEQ:
-        raise FormatError(f"seq {seq} outside the 64-bit positive range", ".seq")
-    activity = _take(entry, "activity", str, "")
-    attrs = EMPTY_ATTRS
-    if "attrs" in entry:
-        attrs = {
-            key: _expect(val, str, f".attrs.{key}")
-            for key, val in sorted(_take(entry, "attrs", dict, "").items())
-        }
-    objects = ()
-    if "objects" in entry:
-        objects = _string_list(entry.pop("objects"), "", ".objects")
-    delta = _delta(entry) if entry else EMPTY_DELTA  # delta keys or unknown keys left
-    return Event(id=eid, seq=seq, activity=activity, objects=objects, attrs=attrs, delta=delta)
+    eid = entry.pop("id", _MISSING)
+    if type(eid) is not str:
+        eid = _required(eid, "id", str)
+    seq = entry.pop("seq", _MISSING)
+    if type(seq) is not int:
+        seq = _required(seq, "seq", int)
+    try:
+        activity = entry.pop("activity", _MISSING)
+        if type(activity) is not str:
+            activity = _required(activity, "activity", str)
+        attrs = EMPTY_ATTRS
+        if "attrs" in entry:
+            attrs = entry.pop("attrs")
+            if type(attrs) is not dict:
+                attrs = _required(attrs, "attrs", dict)
+            attrs = dict(sorted(attrs.items()))
+            for key, val in attrs.items():
+                if type(val) is not str:
+                    _expect(val, str, f".attrs.{key}")
+        objects = ()
+        if "objects" in entry:
+            objects = entry.pop("objects")
+            if type(objects) is not list:
+                objects = _required(objects, "objects", list)
+            for item in objects:
+                if type(item) is not str:
+                    _string_list(objects, "", ".objects")  # raises, with the item's index
+        delta = _delta(entry) if entry else EMPTY_DELTA  # delta keys or unknown keys left
+        return Event(eid, seq, activity, objects, attrs, delta)
+    except (FormatError, LogError):
+        # Event checks the seq range, once.  The line reports it before any
+        # fault in a later field, in the order the fields are read.
+        if not 1 <= seq <= MAX_SEQ:
+            raise FormatError(f"seq {seq} outside the 64-bit positive range", ".seq") from None
+        raise
 
 
 # The C scanner that ``json.loads`` ends in, without its Python wrapper.
@@ -491,18 +523,32 @@ def _violation_dict(v: Violation) -> dict:
     return {key: value for key, i, default in _VIOLATION_FIELDS if (value := v[i]) != default}
 
 
-def _violations_json(violations: tuple[Violation, ...]) -> str:
-    r"""The violation list exactly as ``json.dumps(indent=2, sort_keys=True)``
-    lays it out one level down, but encoded in one C-encoder call.
+# Violations encoded per C-encoder call: bounds the dicts and text alive at once.
+_BATCH = 1000
+_BETWEEN = "\n    },\n    {\n      "
+
+
+def _violations_json(violations: tuple[Violation, ...]) -> list[bytes]:
+    r"""The UTF-8 pieces of the violation list exactly as
+    ``json.dumps(indent=2, sort_keys=True)`` lays it out one level down, each
+    batch encoded in one C-encoder call.
 
     Every field is a string or an integer, and an encoded string holds no raw
     newline, so "},\n      {" occurs only between two violations.
     """
     if not violations:
-        return "[]"
-    flat = json.dumps([_violation_dict(v) for v in violations], separators=(",\n      ", ": "))
-    body = flat[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-    return "[\n    {\n      " + body + "\n    }\n  ]"
+        return [b"[]"]
+    pieces = [b"[\n    {\n      "]
+    for start in range(0, len(violations), _BATCH):
+        if start:
+            pieces.append(_BETWEEN.encode())
+        flat = json.dumps(
+            [_violation_dict(v) for v in violations[start : start + _BATCH]],
+            separators=(",\n      ", ": "),
+        )
+        pieces.append(flat[2:-2].replace("},\n      {", _BETWEEN).encode())
+    pieces.append(b"\n    }\n  ]")
+    return pieces
 
 
 def save_report(report: ConformanceReport) -> bytes:
@@ -525,7 +571,8 @@ def save_report(report: ConformanceReport) -> bytes:
     }
     frame = json.dumps(doc, indent=2, sort_keys=True)
     # "violations" sorts last, so the frame ends with its empty list: '[]\n}'.
-    return (frame[:-4] + _violations_json(report.violations) + "\n}\n").encode("utf-8")
+    # Joining the pieces makes the one whole copy of the text.
+    return b"".join([frame[:-4].encode(), *_violations_json(report.violations), b"\n}\n"])
 
 
 def load_report(data: bytes | str) -> ConformanceReport:

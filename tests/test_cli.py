@@ -246,3 +246,31 @@ def test_check_text_escapes_lone_surrogate(tmp_path):
     assert b"Traceback" not in result.stderr, result.stderr.decode(errors="replace")
     assert result.returncode == 1
     assert b"\\ud800" in result.stdout
+
+
+def test_check_does_not_import_the_generator():
+    import subprocess
+    import sys
+
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ocbcheck.cli", "check",
+         str(DEMO / "order-process.ocbc.json"), str(DEMO / "order-process.oclog.jsonl")],
+        capture_output=True,
+    )
+    assert result.returncode == 0, result.stderr.decode(errors="replace")
+    imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.decode().splitlines()]
+    assert "ocbcheck.formats" in imported
+    assert "ocbcheck.generator" not in imported
+
+
+def test_generator_names_load_on_first_use():
+    import ocbcheck
+    from ocbcheck import generator
+
+    assert ocbcheck.generate_conforming is generator.generate_conforming
+    assert ocbcheck.InjectionOutcome is generator.InjectionOutcome
+    namespace: dict = {}
+    exec("from ocbcheck import *", namespace)
+    assert set(ocbcheck.__all__) <= namespace.keys()
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        ocbcheck.nope  # noqa: B018

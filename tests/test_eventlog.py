@@ -249,3 +249,49 @@ def test_event_invariants():
     assert ObjectDelta(new_objects=[("o1", "k")]).new_objects == (("o1", "k"),)
     as_tuples = ObjectDelta(new_relations=(("r", "o2", "o1"), ("r", "o1", "o2")))
     assert as_tuples.new_relations == (("r", "o1", "o2"), ("r", "o2", "o1"))
+    replaced = dataclasses.replace(delta, new_relations=[("r", "o2", "o1"), ("q", "o1", "o2")])
+    assert replaced.new_relations == (("q", "o1", "o2"), ("r", "o2", "o1"))
+    assert replaced.new_objects == delta.new_objects
+    assert replaced.removed_relations == delta.removed_relations
+    for instance in (built, delta):
+        for f in dataclasses.fields(instance):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(instance, f.name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(instance, f.name)
+
+
+def test_event_messages_fields_and_hashing():
+    with pytest.raises(LogError) as caught:
+        Event(id="e0", seq=0, activity="a")
+    assert str(caught.value) == "seq 0 outside the 64-bit positive range"
+    assert caught.value.event_id == "e0"
+    built = Event("e1", 1, "a", ["o1"], {"k": "v"})
+    with pytest.raises(LogError) as caught:
+        dataclasses.replace(built, seq=2**63)
+    assert str(caught.value) == "seq 9223372036854775808 outside the 64-bit positive range"
+    assert dataclasses.replace(built, activity="b") == Event("e1", 1, "b", {"o1"}, {"k": "v"})
+    assert repr(Event("e2", 2, "a")) == (
+        "Event(id='e2', seq=2, activity='a', objects=frozenset(), attrs=mappingproxy({}), "
+        "delta=ObjectDelta(new_objects=(), new_relations=(), removed_relations=(), "
+        "assert_snapshot=None))"
+    )
+    fields = [(f.name, f.type, f.default, f.init, f.repr, f.compare) for f in dataclasses.fields(Event)]
+    assert fields == [
+        ("id", "str", dataclasses.MISSING, True, True, True),
+        ("seq", "int", dataclasses.MISSING, True, True, True),
+        ("activity", "str", dataclasses.MISSING, True, True, True),
+        ("objects", "frozenset[str]", frozenset(), True, True, True),
+        ("attrs", "Mapping[str, str]", dataclasses.MISSING, True, True, True),
+        ("delta", "ObjectDelta", ObjectDelta(), True, True, True),
+    ]
+    assert dataclasses.fields(Event)[4].default_factory() == {}
+    assert [f.name for f in dataclasses.fields(ObjectDelta)] == [
+        "new_objects", "new_relations", "removed_relations", "assert_snapshot"
+    ]
+    assert Event.__slots__ == tuple(f.name for f in dataclasses.fields(Event))
+    # attrs (and an ObjectModel's class_of) are read-only mapping views, which do not hash.
+    with pytest.raises(TypeError):
+        hash(built)
+    with pytest.raises(TypeError):
+        hash(ObjectModel(class_of={}, relations=frozenset()))

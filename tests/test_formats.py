@@ -286,6 +286,162 @@ def test_log_non_string_attr():
         load_log(line)
 
 
+# Each row is one bad event line and the exact message `load_log` raises for
+# it, location included.  A line with several faults pins which is reported:
+# id, seq (type, then range), activity, attrs, objects, new_objects,
+# new_relations, removed_relations, assert_snapshot, then unknown keys.
+BAD_EVENT_LINES = [
+    # id, seq and activity
+    ('{"seq": 1, "activity": "a"}',
+     "line 1: missing required key 'id'"),
+    ('{"id": 7, "seq": 1, "activity": "a"}',
+     'line 1.id: expected string, got int'),
+    ('{"id": null, "seq": 1, "activity": "a"}',
+     'line 1.id: expected string, got NoneType'),
+    ('{"id": "e1", "activity": "a"}',
+     "line 1: missing required key 'seq'"),
+    ('{"id": "e1", "seq": true, "activity": "a"}',
+     'line 1.seq: expected integer, got boolean'),
+    ('{"id": "e1", "seq": "1", "activity": "a"}',
+     'line 1.seq: expected integer, got str'),
+    ('{"id": "e1", "seq": 1.0, "activity": "a"}',
+     'line 1.seq: expected integer, got float'),
+    ('{"id": "e1", "seq": 0, "activity": "a"}',
+     'line 1.seq: seq 0 outside the 64-bit positive range'),
+    ('{"id": "e1", "seq": -3, "activity": "a"}',
+     'line 1.seq: seq -3 outside the 64-bit positive range'),
+    ('{"id": "e1", "seq": 9223372036854775808, "activity": "a"}',
+     'line 1.seq: seq 9223372036854775808 outside the 64-bit positive range'),
+    ('{"id": "e1", "seq": 1}',
+     "line 1: missing required key 'activity'"),
+    ('{"id": "e1", "seq": 1, "activity": ["a"]}',
+     'line 1.activity: expected string, got list'),
+    # attrs and objects
+    ('{"id": "e1", "seq": 1, "activity": "a", "attrs": ["k", "v"]}',
+     'line 1.attrs: expected object, got list'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "attrs": {"k": 1}}',
+     'line 1.attrs.k: expected string, got int'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "attrs": {"z": 1, "b": "v", "a": null}}',
+     'line 1.attrs.a: expected string, got NoneType'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "objects": "o1"}',
+     'line 1.objects: expected array, got str'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "objects": {"o1": 1}}',
+     'line 1.objects: expected array, got dict'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "objects": ["o1", 2, 3]}',
+     'line 1.objects[1]: expected string, got int'),
+    # new_objects
+    ('{"id": "e1", "seq": 1, "activity": "a", "new_objects": {"id": "o1", "class": "k"}}',
+     'line 1.new_objects: expected array, got dict'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "new_objects": ["o1"]}',
+     'line 1.new_objects[0]: expected object, got str'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "new_objects": [["o1", "k"]]}',
+     'line 1.new_objects[0]: expected object, got list'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "new_objects": [{"id": "o1"}]}',
+     "line 1.new_objects[0]: missing required key 'class'"),
+    ('{"id": "e1", "seq": 1, "activity": "a", "new_objects": [{"class": "k"}]}',
+     "line 1.new_objects[0]: missing required key 'id'"),
+    ('{"id": "e1", "seq": 1, "activity": "a", "new_objects": [{}]}',
+     "line 1.new_objects[0]: missing required key 'id'"),
+    ('{"id": "e1", "seq": 1, "activity": "a", "new_objects": [{"id": 1, "class": "k"}]}',
+     'line 1.new_objects[0].id: expected string, got int'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "new_objects": [{"id": "o1", "class": 2}]}',
+     'line 1.new_objects[0].class: expected string, got int'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "new_objects": [{"id": "o1", "kind": "k"}]}',
+     "line 1.new_objects[0]: missing required key 'class'"),
+    ('{"id": "e1", "seq": 1, "activity": "a", "new_objects": [{"id": "o1", "class": "k", "x": 1}]}',
+     "line 1.new_objects[0]: unknown key 'x'"),
+    ('{"id": "e1", "seq": 1, "activity": "a", "new_objects": [{"id": "o1", "class": "k"}, {"id": "o2", "class": "k", "b": 1, "a": 2}]}',
+     "line 1.new_objects[1]: unknown key 'a'"),
+    # new_relations and removed_relations
+    ('{"id": "e1", "seq": 1, "activity": "a", "new_relations": "r"}',
+     'line 1.new_relations: expected array, got str'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "new_relations": [{"r": 1}]}',
+     'line 1.new_relations[0]: expected array, got dict'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "new_relations": [["r", "o1"]]}',
+     'line 1.new_relations[0]: expected [relType, source, target]'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "new_relations": [["r", "o1", "o2", "o3"]]}',
+     'line 1.new_relations[0]: expected [relType, source, target]'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "new_relations": [["r", "o1", "o2"], ["r", 1, "o2"]]}',
+     'line 1.new_relations[1][1]: expected string, got int'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "new_relations": [[1, 2]]}',
+     'line 1.new_relations[0]: expected [relType, source, target]'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "removed_relations": null}',
+     'line 1.removed_relations: expected array, got NoneType'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "removed_relations": [[]]}',
+     'line 1.removed_relations[0]: expected [relType, source, target]'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "removed_relations": [["r", "o1", null]]}',
+     'line 1.removed_relations[0][2]: expected string, got NoneType'),
+    # assert_snapshot
+    ('{"id": "e1", "seq": 1, "activity": "a", "assert_snapshot": []}',
+     'line 1.assert_snapshot: expected object, got list'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "assert_snapshot": {"objects": "o1"}}',
+     'line 1.assert_snapshot.objects: expected array, got str'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "assert_snapshot": {"objects": [{"id": "o1"}]}}',
+     "line 1.assert_snapshot.objects[0]: missing required key 'class'"),
+    ('{"id": "e1", "seq": 1, "activity": "a", "assert_snapshot": {"objects": [{"id": "o1", "class": "k"}, {"id": "o1", "class": "k"}]}}',
+     "line 1.assert_snapshot.objects[1]: duplicate object id 'o1'"),
+    ('{"id": "e1", "seq": 1, "activity": "a", "assert_snapshot": {"relations": [["r", "o1", "o2"]]}}',
+     "line 1.assert_snapshot: relation ('r', 'o1', 'o2') references unknown object 'o1'"),
+    ('{"id": "e1", "seq": 1, "activity": "a", "assert_snapshot": {"relations": [["r", "o1"]]}}',
+     'line 1.assert_snapshot.relations[0]: expected [relType, source, target]'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "assert_snapshot": {"color": 1}}',
+     "line 1.assert_snapshot: unknown key 'color'"),
+    # unknown keys and whole-line shapes
+    ('{"id": "e1", "seq": 1, "activity": "a", "color": "red"}',
+     "line 1: unknown key 'color'"),
+    ('{"id": "e1", "seq": 1, "activity": "a", "zeta": 1, "beta": 2}',
+     "line 1: unknown key 'beta'"),
+    ('{"id": "e1", "seq": 1, "activity": "a", "init": {}}',
+     "line 1: unknown key 'activity'"),
+    ('["e1", 1, "a"]',
+     'line 1: expected object, got list'),
+    ('"e1"',
+     'line 1: expected object, got str'),
+    ('{"id": "e1", "seq": 1, "activity": "a"} {}',
+     'line 1: invalid JSON: Extra data (line 1, column 41)'),
+    ('{"id": "e1", "seq": 1, "activity": "a",}',
+     'line 1: invalid JSON: Expecting property name enclosed in double quotes (line 1, column 40)'),
+    # several faults: the first in decoding order is reported
+    ('{"id": 1, "activity": 2}',
+     'line 1.id: expected string, got int'),
+    ('{"seq": 0, "activity": 2}',
+     "line 1: missing required key 'id'"),
+    ('{"id": "e1", "seq": 0}',
+     'line 1.seq: seq 0 outside the 64-bit positive range'),
+    ('{"id": "e1", "seq": 0, "activity": 2, "attrs": 3}',
+     'line 1.seq: seq 0 outside the 64-bit positive range'),
+    ('{"id": "e1", "seq": true, "activity": 2}',
+     'line 1.seq: expected integer, got boolean'),
+    ('{"id": "e1", "seq": 1, "attrs": 3, "objects": 4}',
+     "line 1: missing required key 'activity'"),
+    ('{"id": "e1", "seq": 1, "activity": "a", "attrs": 3, "objects": 4}',
+     'line 1.attrs: expected object, got int'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "objects": 4, "new_objects": 5}',
+     'line 1.objects: expected array, got int'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "new_objects": 5, "new_relations": 6}',
+     'line 1.new_objects: expected array, got int'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "new_relations": 6, "removed_relations": 7}',
+     'line 1.new_relations: expected array, got int'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "removed_relations": 7, "assert_snapshot": 8}',
+     'line 1.removed_relations: expected array, got int'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "assert_snapshot": 8, "color": 9}',
+     'line 1.assert_snapshot: expected object, got int'),
+    ('{"id": "e1", "seq": 1, "activity": "a", "color": 9, "attrs": {"k": 1}}',
+     'line 1.attrs.k: expected string, got int'),
+    ('{"id": "e1", "seq": 0, "activity": "a", "color": 9}',
+     'line 1.seq: seq 0 outside the 64-bit positive range'),
+    ('{"id": "e1", "seq": 0, "activity": "a", "new_relations": [["r", "x", "y"]]}',
+     'line 1.seq: seq 0 outside the 64-bit positive range'),
+]
+
+
+@pytest.mark.parametrize(("line", "message"), BAD_EVENT_LINES)
+def test_log_event_error_messages(line, message):
+    with pytest.raises(FormatError) as caught:
+        load_log(line)
+    assert str(caught.value) == message
+
+
 def test_log_dangling_reference_warns():
     line = json.dumps({"id": "e1", "seq": 1, "activity": "a", "objects": ["nobody"]})
     log = load_log(line)
@@ -394,8 +550,36 @@ def test_report_bytes_are_indent_2_sorted_json():
         ]
         + [Violation(kind="IV", event=f"e{i}", seq=i, activity=text) for i, text in enumerate(ODD_TEXTS)]
     )
-    for report in (aggregate([]), every_kind, with_warnings, odd):
+    # Long enough that the writer encodes it in several batches.
+    many = aggregate(
+        [Violation(kind="IX", event=f"e{i}", seq=i, constraint="c", before=i % 3, after=0,
+                   detail=ODD_TEXTS[i % len(ODD_TEXTS)]) for i in range(2501)]
+    )
+    for report in (aggregate([]), every_kind, with_warnings, odd, many):
         assert save_report(report) == reference_report_bytes(report)
+
+
+def many_violations_report(count: int):
+    return aggregate(
+        [
+            Violation(kind="IX", event=f"e{i}", seq=i, constraint=f"c{i % 7}", obj=f"o{i}",
+                      activity="pay", expected="1..*", before=i % 3, after=0, detail="no target")
+            for i in range(count)
+        ]
+    )
+
+
+def test_save_report_holds_few_copies_of_the_text():
+    import tracemalloc
+
+    report = many_violations_report(30_000)
+    tracemalloc.start()
+    try:
+        data = save_report(report)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(data), f"peak {peak} bytes for a {len(data)}-byte report"
 
 
 def mutants(data: bytes, rng: random.Random):
