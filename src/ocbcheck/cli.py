@@ -41,10 +41,10 @@ def _parse_injection(text: str) -> tuple[str, int]:
         raise argparse.ArgumentTypeError(
             f"unknown problem type {kind!r} (choose from {', '.join(KINDS)})"
         )
-    count = int(times) if times else 1
-    if count < 1:
-        raise argparse.ArgumentTypeError("injection count must be positive")
-    return kind, count
+    count = times.strip() or "1"
+    if not count.isdecimal() or int(count) < 1:
+        raise argparse.ArgumentTypeError(f"injection count {times!r} is not a positive integer")
+    return kind, int(count)
 
 
 def build_parser() -> argparse.ArgumentParser:

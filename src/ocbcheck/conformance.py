@@ -17,17 +17,19 @@ from collections import Counter
 from typing import Iterable
 
 from .cardinality import Cardinality
-from .eventlog import EMPTY_DELTA, Event, EventLog, LogError, Relation
+from .eventlog import EMPTY_DELTA, Event, EventLog, LogError, Relation, _ReplayState
 from .model import ActivityClassLink, OcbcModel, RelationshipType
 from .violations import KINDS, Violation, sort_violations
 
 
-class _Replay:
-    """One pass over the log with incremental object-model validity state,
-    for the per-event kinds I, III, V, VI and VIII.  `by_kind` keeps each
-    kind's violations in detection order."""
+class _Replay(_ReplayState):
+    """One pass of the log's delta fold, whose hooks keep incremental validity
+    state, for the per-event kinds I, III, V, VI and VIII.  `by_kind` keeps
+    each kind's violations in detection order."""
 
     def __init__(self, model: OcbcModel, log: EventLog):
+        super().__init__(log.init)
+        self._log = log
         self._rel_type = {rt.id: rt for rt in model.clam.rel_types}
         self.by_kind: dict[str, list[Violation]] = {k: [] for k in ("I", "III", "V", "VI", "VIII")}
         # Type VIII checks only the links that bound the objects per event.
@@ -44,18 +46,16 @@ class _Replay:
             self._rts_by_tar_class.setdefault(rt.target, []).append(rt)
             for side in ("src", "tar"):
                 self._expected[rt.id, side] = self._keeper(rt, side)[1].render()
-        self._class_of: dict[str, str] = dict(log.init.class_of)
-        self._relations: set[Relation] = set(log.init.relations)
-        self._rebuild_validity_state()
+        self.replaced()
         self._last_class: dict[str, str] = {}  # survives disappearance, for re-add checks
         found_v, found_vi, found_viii = self.by_kind["V"], self.by_kind["VI"], self.by_kind["VIII"]
 
         for index, event in enumerate(log.events):
             if event.delta is not EMPTY_DELTA or index == 0:
-                self._apply(index, event)
+                self.apply(event, index)
             if self._bad_card or self._bad_type or self._unknown_rt:
                 self._report_invalid(event)
-            activity, class_of = event.activity, self._class_of
+            activity, class_of = event.activity, self.class_of
 
             # Types V and VI: referenced objects exist and have a linked class.
             for obj in event.objects:
@@ -95,12 +95,12 @@ class _Replay:
     def _recheck(self, rt: RelationshipType, side: str, obj: str) -> None:
         keeper_class, card = self._keeper(rt, side)
         key = (rt.id, side, obj)
-        if self._class_of.get(obj) == keeper_class and self._cnt.get(key, 0) not in card:
+        if self.class_of.get(obj) == keeper_class and self._cnt.get(key, 0) not in card:
             self._bad_card.add(key)
         else:
             self._bad_card.discard(key)
 
-    def _add_relation(self, rel: Relation) -> None:
+    def added_relation(self, rel: Relation) -> None:
         rt = self._rel_type.get(rel[0])
         if rt is None:
             self._unknown_rt.add(rel)
@@ -111,11 +111,11 @@ class _Replay:
             self._cnt[key] = self._cnt.get(key, 0) + 1
             self._recheck(rt, side, obj)
         for side, obj, want in (("src", src, rt.source), ("tar", tar, rt.target)):
-            got = self._class_of.get(obj)
+            got = self.class_of.get(obj)
             if got != want:
                 self._bad_type[(rt.id, rel[1], rel[2], side)] = (obj, got or "?", want)
 
-    def _remove_relation(self, rel: Relation) -> None:
+    def removed_relation(self, rel: Relation) -> None:
         rt = self._rel_type.get(rel[0])
         if rt is None:
             self._unknown_rt.discard(rel)
@@ -128,56 +128,40 @@ class _Replay:
         self._bad_type.pop((rt.id, src, tar, "src"), None)
         self._bad_type.pop((rt.id, src, tar, "tar"), None)
 
-    def _add_object(self, obj: str) -> None:
-        cls = self._class_of[obj]
+    def added_object(self, obj: str) -> None:
+        cls = self.class_of[obj]
         for rt in self._rts_by_src_class.get(cls, ()):
             self._recheck(rt, "tar", obj)
         for rt in self._rts_by_tar_class.get(cls, ()):
             self._recheck(rt, "src", obj)
 
-    def _rebuild_validity_state(self) -> None:
+    def replaced(self) -> None:
         self._cnt: dict[tuple[str, str, str], int] = {}
         self._bad_card: set[tuple[str, str, str]] = set()
         self._bad_type: dict[tuple[str, str, str, str], tuple[str, str, str]] = {}
         self._unknown_rt: set[Relation] = set()
-        for obj in self._class_of:
-            self._add_object(obj)
-        for rel in self._relations:
-            self._add_relation(rel)
+        for obj in self.class_of:
+            self.added_object(obj)
+        for rel in self.relations:
+            self.added_relation(rel)
 
-    def _apply(self, index: int, event: Event) -> None:
-        """Fold the event's delta into the validity state and record Type III.
-        The initial model is no earlier snapshot: nothing disappears at event 0."""
-        delta = event.delta
-        asserted = delta.assert_snapshot
-        prev_objects = set(self._class_of) if asserted is not None and index else set()
-
-        for obj, cls in delta.new_objects:
-            self._class_of[obj] = cls
-            self._add_object(obj)
-        for rel in delta.new_relations:
-            if rel not in self._relations:
-                self._relations.add(rel)
-                self._add_relation(rel)
-        for rel in delta.removed_relations:
-            self._relations.discard(rel)
-            self._remove_relation(rel)
-        if asserted is not None:
-            self._class_of = dict(asserted.class_of)
-            self._relations = set(asserted.relations)
-            self._rebuild_validity_state()
+    def apply(self, event: Event, index: int) -> None:
+        """Fold the event's delta and record Type III.  The initial model is
+        no earlier snapshot: nothing disappears at event 0."""
+        # The fold adds new objects in place before an assertion replaces
+        # the state, so take the objects before the event first.
+        before = set(self.class_of) if event.delta.assert_snapshot is not None and index else set()
+        super().apply(event, index)
 
         # Type III: objects must not disappear or change class over time.
-        for obj in sorted(prev_objects.difference(self._class_of)):
+        for obj in sorted(before.difference(self.class_of)):
             self.by_kind["III"].append(
                 Violation(
                     kind="III", event=event.id, seq=event.seq, obj=obj,
                     detail="object disappeared from the object model",
                 )
             )
-        # (object, class) pairs present in the snapshot after this event.
-        changed = self._class_of.items() if asserted is not None or index == 0 else delta.new_objects
-        for obj, cls in changed:
+        for obj, cls in self._log.introduced(index):
             previous = self._last_class.get(obj)
             if previous is not None and previous != cls:
                 self.by_kind["III"].append(
@@ -268,19 +252,10 @@ def _check_vii(model: OcbcModel, log: EventLog) -> list[Violation]:
     events, positions_of = log.events, log._positions
     if not events:
         return []
-    # The first appearance of each object per class.  An asserted snapshot is
-    # the whole state after its event, so no fold is needed; the initial
-    # model appears at event 0 unless event 0 asserts a snapshot.
+    # The first appearance of each object per class.
     first_seen: dict[str, dict[str, int]] = {}
-    for index, event in enumerate(events):
-        delta = event.delta
-        if delta.assert_snapshot is not None:
-            pairs: Iterable[tuple[str, str]] = delta.assert_snapshot.class_of.items()
-        elif index == 0:
-            pairs = [*log.init.class_of.items(), *delta.new_objects]
-        else:
-            pairs = delta.new_objects
-        for obj, cls in pairs:
+    for index in range(len(events)):
+        for obj, cls in log.introduced(index):
             first_seen.setdefault(cls, {}).setdefault(obj, index)
     last = events[-1]
     found = []

@@ -1,11 +1,12 @@
 """Object-centric event logs: ordered events with object references and
-object-model deltas, plus snapshot reconstruction.
+object-model deltas, and the one fold that applies the deltas.
 
 The object model attached to an event is the state *after* the event took
 place.  Deltas can add objects and add/remove relations; objects are never
 removed, so delta-built logs are monotone by construction.  An event may
 instead carry an asserted full snapshot, which replaces the folded state
-(the only way a log can exhibit monotonicity violations).
+(the only way a log can exhibit monotonicity violations).  One fold serves
+the build, `snapshot_after`, the conformance replay and the generator.
 """
 
 from __future__ import annotations
@@ -146,7 +147,10 @@ _set_id, _set_seq, _set_activity, _set_objects, _set_attrs, _set_delta = (
 
 
 class _ReplayState:
-    """Mutable working state while folding deltas; internal to this module."""
+    """The delta fold: the object model while replaying events, validating
+    each delta against it.  A subclass observes the fold through hooks called
+    after each change: `added_object`, `added_relation` and `removed_relation`
+    (only when the relation set changes), and `replaced` (by an assertion)."""
 
     __slots__ = ("class_of", "relations")
 
@@ -156,25 +160,36 @@ class _ReplayState:
 
     def apply(self, event: Event, index: int) -> None:
         delta = event.delta
+        class_of, relations = self.class_of, self.relations
         for obj, cls in delta.new_objects:
-            if obj in self.class_of:
+            if obj in class_of:
                 raise LogError(f"object {obj!r} already exists", index, event.id)
-            self.class_of[obj] = cls
+            class_of[obj] = cls
+            self.added_object(obj)
         for rel in delta.new_relations:
-            for endpoint in rel[1:]:
-                if endpoint not in self.class_of:
-                    raise LogError(
-                        f"relation {rel} references unknown object {endpoint!r}", index, event.id
-                    )
+            if rel[1] not in class_of or rel[2] not in class_of:
+                endpoint = rel[1] if rel[1] not in class_of else rel[2]
+                raise LogError(
+                    f"relation {rel} references unknown object {endpoint!r}", index, event.id
+                )
             # Re-adding a present relation is idempotent (relations form a set).
-            self.relations.add(rel)
+            if rel not in relations:
+                relations.add(rel)
+                self.added_relation(rel)
         for rel in delta.removed_relations:
-            if rel not in self.relations:
+            if rel not in relations:
                 raise LogError(f"cannot remove absent relation {rel}", index, event.id)
-            self.relations.discard(rel)
+            relations.remove(rel)
+            self.removed_relation(rel)
         if delta.assert_snapshot is not None:
             self.class_of = dict(delta.assert_snapshot.class_of)
             self.relations = set(delta.assert_snapshot.relations)
+            self.replaced()
+
+    def _ignore(self, *change) -> None:
+        """The hooks of a plain fold do nothing."""
+
+    added_object = added_relation = removed_relation = replaced = _ignore
 
     def snapshot(self) -> ObjectModel:
         return ObjectModel(class_of=self.class_of, relations=self.relations)
@@ -262,6 +277,17 @@ class EventLog:
         for i, event in enumerate(self.events[: position + 1]):
             state.apply(event, i)
         return state.snapshot()
+
+    def introduced(self, index: int) -> Iterable[tuple[str, str]]:
+        """The (object, class) pairs that the event at `index` brings into the
+        object model: an asserted snapshot is the whole state after its event,
+        and event 0 also brings in the initial model."""
+        delta = self.events[index].delta
+        if delta.assert_snapshot is not None:
+            return delta.assert_snapshot.class_of.items()
+        if index == 0:
+            return [*self.init.class_of.items(), *delta.new_objects]
+        return delta.new_objects
 
     def final_snapshot(self) -> ObjectModel:
         """Object model after the last event; the initial model for an empty log.

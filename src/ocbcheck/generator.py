@@ -492,6 +492,8 @@ def generate_conforming(model: OcbcModel, events: int, seed: int = 0) -> EventLo
     """Generate a log that passes every conformance check, with at least
     `events` events (obligations opened near the end are still discharged,
     so the log may run slightly longer)."""
+    if events < 0:
+        raise GenerationError(f"target event count {events} is negative")
     return _Generator(model, events, seed).run()
 
 
@@ -535,27 +537,22 @@ def _delete_event(log: EventLog, index: int) -> EventLog | None:
     victim = events.pop(index)
     init = log.init
     delta = victim.delta
-    if not delta.is_empty:
-        if delta.assert_snapshot is not None:
+    if delta.assert_snapshot is not None or index == 0 and delta.removed_relations:
+        return None
+    if index == 0:
+        init = EventLog(init=init, events=(victim,)).final_snapshot()  # the log's own fold
+    elif not delta.is_empty:
+        host = events[index - 1]
+        if host.delta.assert_snapshot is not None:
             return None
-        if index == 0:
-            if delta.removed_relations:
-                return None
-            class_of = dict(init.class_of)
-            class_of.update(dict(delta.new_objects))
-            init = ObjectModel(class_of=class_of, relations=init.relations | set(delta.new_relations))
-        else:
-            host = events[index - 1]
-            if host.delta.assert_snapshot is not None:
-                return None
-            events[index - 1] = replace(
-                host,
-                delta=ObjectDelta(
-                    new_objects=host.delta.new_objects + delta.new_objects,
-                    new_relations=host.delta.new_relations + delta.new_relations,
-                    removed_relations=host.delta.removed_relations + delta.removed_relations,
-                ),
-            )
+        events[index - 1] = replace(
+            host,
+            delta=ObjectDelta(
+                new_objects=host.delta.new_objects + delta.new_objects,
+                new_relations=host.delta.new_relations + delta.new_relations,
+                removed_relations=host.delta.removed_relations + delta.removed_relations,
+            ),
+        )
     return _rebuild(init, events)
 
 

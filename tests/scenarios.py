@@ -564,3 +564,20 @@ def random_case_scenario(rng: random.Random) -> tuple[OcbcModel, EventLog, dict[
         events.append(event(eid, seq, rng.choice(activities), {case}))
         by_case[case].append(eid)
     return model, EventLog(init=init, events=tuple(events)), by_case
+
+
+def named_and_random_pairs() -> list[tuple[OcbcModel, EventLog]]:
+    """The worked scenarios, the empty log and 60 seeded random pairs."""
+    pairs = [
+        (ticket_model(), ticket_log()),
+        (order_process_model(), order_process_log()),
+        (precedence_model(), precedence_log()),
+        (order_class_snapshot_model(), order_object_model(drop_relation=("r1", "o1", "ol1"))[1]),
+        (order_process_model(), EventLog()),
+    ]
+    pairs += [(hiring_model(), hiring_log(order)) for order in ("conforming", "apply-before-open")]
+    for seed in range(60):
+        rng = random.Random(seed)
+        model = random_model(rng)
+        pairs.append((model, random_log(rng, model)))
+    return pairs

@@ -180,6 +180,23 @@ def test_generate_with_repeated_injection(workspace, capsys):
     assert capsys.readouterr().err.count("injected IV") == 2
 
 
+@pytest.mark.parametrize("count", ["abc", "0", "-2", "2.5"])
+def test_injection_count_must_be_a_positive_integer(count, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", str(DEMO / "order-process.ocbc.json"), "--inject", f"IXx{count}"])
+    assert exc.value.code == 2
+    assert f"argument --inject: injection count {count!r} is not a positive integer" in capsys.readouterr().err
+
+
+def test_generate_refuses_a_negative_event_count(capsys):
+    model = str(DEMO / "order-process.ocbc.json")
+    assert main(["generate", model, "--events", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: target event count -5 is negative\n")
+    assert main(["generate", model, "--events", "0"]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def test_bad_types_flag_rejected(workspace, capsys):
     _, paths = workspace
     model, log = paths["order"]

@@ -1,0 +1,114 @@
+"""Metamorphic properties of the checker: transformations of the input whose
+effect on the report is known without an oracle.
+
+Each runs over the worked scenarios and the seeded random pairs, in full
+and in prefix mode.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+import re
+
+import pytest
+
+from ocbcheck import BcModel, EventLog, ObjectDelta, ObjectModel, OcbcModel, check_all, check_violations
+from ocbcheck.eventlog import MAX_SEQ
+from ocbcheck.report import aggregate
+from scenarios import named_and_random_pairs
+
+# The type I detail names a relation as "relation (type,source,target)".
+_RELATION = re.compile(r"^relation \(([^,]*),([^,]*),([^)]*)\)")
+
+
+def _object_ids(log: EventLog) -> set[str]:
+    models = [log.init] + [e.delta.assert_snapshot for e in log.events if e.delta.assert_snapshot]
+    ids = {o for om in models for o in om.class_of}
+    for event in log.events:
+        ids |= event.objects
+        ids.update(o for o, _ in event.delta.new_objects)
+        for rel in event.delta.new_relations + event.delta.removed_relations:
+            ids.update(rel[1:])
+    return ids
+
+
+def _bijection(names, prefix: str, rng: random.Random) -> dict[str, str]:
+    """Fresh names in a shuffled order, so that sorting by them reorders."""
+    old = sorted(names)
+    new = [f"{prefix}{i}" for i in range(len(old))]
+    rng.shuffle(new)
+    return dict(zip(old, new))
+
+
+def _renamed(log: EventLog, obj: dict[str, str], ev: dict[str, str]) -> EventLog:
+    def rel(r):
+        return (r[0], obj[r[1]], obj[r[2]])
+
+    def model(om):
+        return ObjectModel(
+            class_of={obj[o]: c for o, c in om.class_of.items()},
+            relations=frozenset(rel(r) for r in om.relations),
+        )
+
+    events = []
+    for event in log.events:
+        delta = event.delta
+        renamed_delta = ObjectDelta(
+            new_objects=[(obj[o], c) for o, c in delta.new_objects],
+            new_relations=[rel(r) for r in delta.new_relations],
+            removed_relations=[rel(r) for r in delta.removed_relations],
+            assert_snapshot=None if delta.assert_snapshot is None else model(delta.assert_snapshot),
+        )
+        events.append(
+            dataclasses.replace(
+                event, id=ev[event.id], objects={obj[o] for o in event.objects}, delta=renamed_delta
+            )
+        )
+    return EventLog(init=model(log.init), events=tuple(events))
+
+
+@pytest.mark.parametrize("prefix", [False, True])
+def test_renaming_objects_and_events_renames_the_report(prefix):
+    rng = random.Random(11)
+    for n, (model, log) in enumerate(named_and_random_pairs()):
+        obj = _bijection(_object_ids(log), "x", rng)
+        ev = _bijection([e.id for e in log.events], "v", rng)
+
+        def rename(v):
+            detail = _RELATION.sub(lambda m: f"relation ({m[1]},{obj[m[2]]},{obj[m[3]]})", v.detail)
+            return v._replace(event=ev[v.event], obj=obj[v.obj] if v.obj else "", detail=detail)
+
+        report = check_all(model, log, prefix=prefix)
+        expected = aggregate([rename(v) for v in report.violations], prefix=prefix)
+        assert check_all(model, _renamed(log, obj, ev), prefix=prefix) == expected, n
+
+
+@pytest.mark.parametrize("prefix", [False, True])
+def test_shifting_every_seq_changes_only_the_seqs(prefix):
+    for n, (model, log) in enumerate(named_and_random_pairs()):
+        top = max((e.seq for e in log.events), default=0)
+        for shift in (7, MAX_SEQ - top):
+            shifted = EventLog(
+                init=log.init,
+                events=tuple(dataclasses.replace(e, seq=e.seq + shift) for e in log.events),
+            )
+            report = check_all(model, log, prefix=prefix)
+            moved = check_all(model, shifted, prefix=prefix)
+            assert list(moved.violations) == [v._replace(seq=v.seq + shift) for v in report.violations], n
+            assert dataclasses.replace(moved, violations=report.violations) == report, n
+
+
+@pytest.mark.parametrize("prefix", [False, True])
+def test_each_constraint_alone_keeps_its_ix_violations(prefix):
+    for n, (model, log) in enumerate(named_and_random_pairs()):
+        found = check_violations(model, log, ("IX",), prefix=prefix)
+        for c in model.bcm.constraints:
+            alone = OcbcModel(
+                bcm=BcModel(activities=model.bcm.activities, constraints=(c,)),
+                clam=model.clam,
+                links=model.links,
+                scope={c.id: model.scope[c.id]},
+            )
+            mine = [v for v in found if v.constraint == c.id]
+            assert check_violations(alone, log, ("IX",), prefix=prefix) == mine, (n, c.id)
