@@ -7,6 +7,7 @@ Exit codes: 0 success/conforming (warnings allowed in --prefix mode),
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -168,7 +169,15 @@ def main(argv: list[str] | None = None) -> int:
         "validate-model": _cmd_validate_model,
         "generate": _cmd_generate,
     }
-    return handlers[args.command](args)
+    # A command's objects form no reference cycles: reference counting frees
+    # them when the handler returns, so the cyclic collector would only rescan them.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return handlers[args.command](args)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

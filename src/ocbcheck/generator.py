@@ -545,12 +545,16 @@ def _delete_event(log: EventLog, index: int) -> EventLog | None:
         host = events[index - 1]
         if host.delta.assert_snapshot is not None:
             return None
+        # The fold adds before it removes, so a relation the host removes and
+        # the victim re-adds must not stay among the merged removals.
+        readded = set(delta.new_relations)
+        removed = tuple(rel for rel in host.delta.removed_relations if rel not in readded)
         events[index - 1] = replace(
             host,
             delta=ObjectDelta(
                 new_objects=host.delta.new_objects + delta.new_objects,
                 new_relations=host.delta.new_relations + delta.new_relations,
-                removed_relations=host.delta.removed_relations + delta.removed_relations,
+                removed_relations=removed + delta.removed_relations,
             ),
         )
     return _rebuild(init, events)

@@ -1,13 +1,31 @@
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from ocbcheck import load_log, load_report, save_log, save_model
+from ocbcheck import (
+    GenerationError,
+    InjectionError,
+    check_all,
+    generate_conforming,
+    inject_violation,
+    load_log,
+    load_model,
+    load_report,
+    render_text,
+    save_log,
+    save_model,
+    save_report,
+)
+from ocbcheck import cli
 from ocbcheck.cli import main
+from ocbcheck.violations import KINDS
 from scenarios import (
+    named_and_random_pairs,
     order_process_log,
     order_process_model,
     precedence_log,
@@ -291,3 +309,136 @@ def test_generator_names_load_on_first_use():
     assert set(ocbcheck.__all__) <= namespace.keys()
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):
         ocbcheck.nope  # noqa: B018
+
+
+@contextmanager
+def _collections():
+    """Record the generation of each cyclic collection that starts inside the block."""
+    runs = []
+
+    def record(phase, info):
+        if phase == "start":
+            runs.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        yield runs
+    finally:
+        gc.callbacks.remove(record)
+
+
+def test_commands_run_no_cyclic_collection(tmp_path, capsys):
+    assert gc.isenabled()
+    model = str(DEMO / "order-process.ocbc.json")
+    log = tmp_path / "generated.oclog.jsonl"
+    out = str(tmp_path / "result.report.json")
+    check = ["check", model, str(log), "--format", "json", "--out", out]
+    # A warm-up run makes the first-use imports. Their module objects would
+    # otherwise fill the young generation, which the collector then scans
+    # once as soon as `main` turns it back on.
+    assert main(["generate", model, "--events", "20"]) == 0
+    log.write_text(capsys.readouterr().out)
+    assert main(check) == 0
+    gc.collect()
+    with _collections() as generate_runs:
+        assert main(["generate", model, "--events", "2000", "--seed", "3"]) == 0
+    generated = capsys.readouterr().out
+    assert generated.count("\n") > 2000
+    log.write_text(generated)
+    gc.collect()
+    with _collections() as check_runs:
+        assert main(check) == 0
+    assert (generate_runs, check_runs) == ([], [])
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled_before", [True, False])
+def test_collector_state_is_restored_after_a_command(
+    workspace, tmp_path, monkeypatch, capsys, enabled_before
+):
+    _, paths = workspace
+    model, log = paths["order"]
+    bad = tmp_path / "bad.oclog.jsonl"
+    bad.write_text("{\n")
+    runs = [
+        (["check", model, log], 0),
+        (["check", *paths["tickets"]], 1),
+        (["check", model, str(bad)], 2),
+        (["check", model, log, "--out", str(tmp_path / "missing-dir" / "r.json")], 2),
+        (["generate", model, "--events", "20"], 0),
+    ]
+    seen = []
+
+    def fail(*args, **kwargs):
+        seen.append(gc.isenabled())
+        raise RuntimeError("handler failed")
+
+    if not enabled_before:
+        gc.disable()
+    try:
+        for argv, code in runs:
+            assert main(argv) == code, argv
+            assert gc.isenabled() is enabled_before, argv
+        monkeypatch.setattr(cli, "check_all", fail)
+        with pytest.raises(RuntimeError, match="handler failed"):
+            main(["check", model, log])
+        assert seen == [False]
+        assert gc.isenabled() is enabled_before
+    finally:
+        gc.enable()
+
+
+def _cyclic_garbage(work) -> int:
+    """Run `work` once to warm up (first-use imports), then again with the
+    collector paused, and count the unreachable objects it left."""
+    work()
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_check_and_generate_leave_no_cyclic_garbage():
+    """`main` pauses the cyclic collector on the premise that a command's
+    objects form no reference cycles, so reference counting frees them.
+    The one exception is `save_report`'s `json.dumps(..., indent=2)`: the
+    json module's pure-Python encoder closures refer to each other, a fixed
+    number of objects per call whatever the report holds."""
+    pairs = named_and_random_pairs()
+    documents = [(save_model(model), save_log(log)) for model, log in pairs]
+    reports = []
+
+    def check():
+        reports.clear()
+        for model_data, log_data in documents:
+            model = load_model(model_data)
+            for prefix in (False, True):
+                report = check_all(model, load_log(log_data), prefix=prefix)
+                render_text(report)
+                reports.append(report)
+
+    assert _cyclic_garbage(check) == 0
+    per_call = _cyclic_garbage(lambda: save_report(check_all(*pairs[0])))
+    assert per_call < 100
+    assert _cyclic_garbage(lambda: [save_report(r) for r in reports]) == len(reports) * per_call
+
+    models = [load_model((DEMO / f"{name}.ocbc.json").read_bytes())
+              for name in ("order-process", "unmatched-precedence")]
+
+    def generate():
+        for model in models:
+            try:
+                log = generate_conforming(model, events=60, seed=1)
+            except GenerationError:
+                continue
+            save_log(log)
+            for kind in KINDS:
+                try:
+                    save_log(inject_violation(model, log, kind, seed=1)[0])
+                except InjectionError:
+                    pass
+
+    assert _cyclic_garbage(generate) == 0

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -21,8 +22,15 @@ from ocbcheck import (
     save_log,
     validate_model,
 )
+from ocbcheck import generator
 from ocbcheck.violations import KINDS
-from scenarios import order_process_log, order_process_model, throughput_model
+from scenarios import (
+    order_process_log,
+    order_process_model,
+    random_log,
+    random_model,
+    throughput_model,
+)
 
 
 def test_generated_order_process_logs_conform_across_seeds():
@@ -75,6 +83,27 @@ def test_generated_log_bytes_are_pinned():
     for (name, seed, events), digest in PINNED_LOG_SHA256.items():
         data = save_log(generate_conforming(models[name], events=events, seed=seed))
         assert hashlib.sha256(data).hexdigest() == digest, (name, seed, events)
+
+
+# sha256 over inject_violation's results (log bytes and outcome, or the
+# InjectionError text) for every kind on generated logs, the logs the
+# command line injects into.
+PINNED_INJECTION_SHA256 = "c889b2407548b35d577221febc173a0888e82dfe0c573392ed7a2086208d2be4"
+
+
+def test_injected_log_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for model in (order_process_model(), throughput_model()):
+        for seed in (1, 2, 3):
+            log = generate_conforming(model, events=60, seed=seed)
+            for kind in KINDS:
+                try:
+                    mutated, outcome = inject_violation(model, log, kind, seed=seed)
+                except InjectionError as exc:
+                    digest.update(f"{exc}\n".encode())
+                else:
+                    digest.update(save_log(mutated) + f"{outcome}\n".encode())
+    assert digest.hexdigest() == PINNED_INJECTION_SHA256
 
 
 def test_zero_events_requested_gives_empty_conforming_log():
@@ -194,3 +223,34 @@ def test_injection_is_deterministic():
     a = inject_violation(model, log, "IX", seed=3)
     b = inject_violation(model, log, "IX", seed=3)
     assert a == b
+
+
+def test_injection_survives_a_relation_the_host_removes_and_the_deleted_event_readds():
+    # Seed 6: deleting e5 moves its re-add of ('r0', 'o1', 'o1') into e4,
+    # which removes that relation; e8 removes it again later.
+    rng = random.Random(6)
+    model = random_model(rng)
+    log = random_log(rng, model)
+    mutated, outcome = inject_violation(model, log, "VII")
+    assert outcome.description == "deleted event e5"
+    assert any(outcome.matches(v) for v in check_all(model, mutated).violations)
+
+
+def test_deleting_an_event_keeps_the_state_after_it():
+    """Wherever `_delete_event` deletes an event, the state after the event
+    that took over its delta (or the initial model) is the state after the
+    deleted event, and the final state is unchanged."""
+    merged = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        model = random_model(rng)
+        log = random_log(rng, model)
+        for index, victim in enumerate(log.events):
+            mutated = generator._delete_event(log, index)
+            if mutated is None:
+                continue
+            host = mutated.init if index == 0 else mutated.snapshot_after(mutated.events[index - 1].id)
+            assert host == log.snapshot_after(victim.id), (seed, index)
+            assert mutated.final_snapshot() == log.final_snapshot(), (seed, index)
+            merged += 1
+    assert merged > 2500
