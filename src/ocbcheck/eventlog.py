@@ -192,7 +192,12 @@ class _ReplayState:
     added_object = added_relation = removed_relation = replaced = _ignore
 
     def snapshot(self) -> ObjectModel:
-        return ObjectModel(class_of=self.class_of, relations=self.relations)
+        """A copy of the state, as the fold may go on.  The fold validated
+        every change, so the copy skips `ObjectModel`'s dangling-relation scan."""
+        model = object.__new__(ObjectModel)
+        object.__setattr__(model, "class_of", MappingProxyType(dict(self.class_of)))
+        object.__setattr__(model, "relations", frozenset(self.relations))
+        return model
 
 
 def _kept():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
+from array import array
 from typing import Any
 
 from .bc import PairConstraint, expand_shorthand
@@ -343,6 +344,7 @@ def _object_model(value: Any, where: str) -> ObjectModel:
 
 
 _MISSING = object()
+_NO_OBJECTS: frozenset[str] = frozenset()
 
 
 def _required(value: Any, key: str, kind: type) -> Any:
@@ -366,9 +368,10 @@ def _relations(entry: dict, key: str) -> tuple[tuple[str, str, str], ...]:
     return tuple(out)
 
 
-def _delta(entry: dict) -> ObjectDelta:
+def _delta(entry: dict, memo: dict) -> ObjectDelta:
     """The delta keys left in `entry`; each is touched only when present, and
-    an item's location is formatted only when the item is bad."""
+    an item's location is formatted only when the item is bad.  New object
+    ids and classes come from `memo`, as in `_event`."""
     new_objects = []
     if "new_objects" in entry:
         items = entry.pop("new_objects")
@@ -378,7 +381,7 @@ def _delta(entry: dict) -> ObjectDelta:
             if type(item) is dict and len(item) == 2:
                 oid, cls = item.get("id"), item.get("class")
                 if type(oid) is str and type(cls) is str:
-                    new_objects.append((oid, cls))
+                    new_objects.append((memo.setdefault(oid, oid), memo.setdefault(cls, cls)))
                     continue
             inner = f".new_objects[{i}]"  # raises below, with this location
             _expect(item, dict, inner)
@@ -394,10 +397,14 @@ def _delta(entry: dict) -> ObjectDelta:
     return ObjectDelta(tuple(new_objects), new_relations, removed, snapshot)
 
 
-def _event(entry: dict) -> Event:
-    """Decode one event from the fresh dict `load_log` decoded: its keys are
-    popped in place, and optional keys are only touched when present.  Error
-    locations are relative to the line (".seq"); `load_log` prefixes it."""
+def _event(entry: dict, memo: dict) -> Event:
+    """Decode one event from the fresh dict `_decode_lines` decoded: its keys
+    are popped in place, and optional keys are only touched when present.
+    Error locations are relative to the line (".seq"); `_decode_lines`
+    prefixes it.
+
+    `memo` maps each activity, object id, class and `objects` set decoded so
+    far in this log to its first copy, so equal values share one object."""
     eid = entry.pop("id", _MISSING)
     if type(eid) is not str:
         eid = _required(eid, "id", str)
@@ -408,6 +415,7 @@ def _event(entry: dict) -> Event:
         activity = entry.pop("activity", _MISSING)
         if type(activity) is not str:
             activity = _required(activity, "activity", str)
+        activity = memo.setdefault(activity, activity)
         attrs = EMPTY_ATTRS
         if "attrs" in entry:
             attrs = entry.pop("attrs")
@@ -417,15 +425,19 @@ def _event(entry: dict) -> Event:
             for key, val in attrs.items():
                 if type(val) is not str:
                     _expect(val, str, f".attrs.{key}")
-        objects = ()
+        objects = _NO_OBJECTS
         if "objects" in entry:
-            objects = entry.pop("objects")
-            if type(objects) is not list:
-                objects = _required(objects, "objects", list)
-            for item in objects:
+            items = entry.pop("objects")
+            if type(items) is not list:
+                items = _required(items, "objects", list)
+            for item in items:
                 if type(item) is not str:
-                    _string_list(objects, "", ".objects")  # raises, with the item's index
-        delta = _delta(entry) if entry else EMPTY_DELTA  # delta keys or unknown keys left
+                    _string_list(items, "", ".objects")  # raises, with the item's index
+            objects = memo.get(frozenset(items))
+            if objects is None:
+                objects = frozenset(map(memo.setdefault, items, items))
+                memo[objects] = objects
+        delta = _delta(entry, memo) if entry else EMPTY_DELTA  # delta keys or unknown keys left
         return Event(eid, seq, activity, objects, attrs, delta)
     except (FormatError, LogError):
         # Event checks the seq range, once.  The line reports it before any
@@ -439,13 +451,13 @@ def _event(entry: dict) -> Event:
 _scan_once = json.JSONDecoder().scan_once
 
 
-def load_log(data: bytes | str) -> EventLog:
-    """Parse a line-delimited log; replay failures carry the offending line."""
-    text = _decode(data)
+def _decode_lines(lines: list[str]) -> tuple[ObjectModel | None, list[Event], array]:
+    """The init model, the events in file order and the line number of each."""
+    memo: dict = {}
     init = None
     events: list[Event] = []
-    line_of: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    line_numbers = array("q")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -465,16 +477,29 @@ def load_log(data: bytes | str) -> EventLog:
             _no_extras(value, where)
             continue
         try:
-            event = _event(value)
+            events.append(_event(value, memo))
         except FormatError as exc:
             raise FormatError(exc.message, f"line {lineno}{exc.where}") from None
-        events.append(event)
-        line_of[event.id] = lineno
+        line_numbers.append(lineno)
+    return init, events, line_numbers
+
+
+def load_log(data: bytes | str) -> EventLog:
+    """Parse a line-delimited log; replay failures carry the offending line.
+
+    Equal strings and equal `objects` sets of one log share one object.  The
+    input is released before the build: rebinding `data` frees the caller's
+    bytes (unless it keeps a reference) and then the text, and the lines go
+    once decoded."""
+    data = _decode(data).splitlines()
+    init, events, line_numbers = _decode_lines(data)
+    del data
     try:
         return EventLog(init=init if init is not None else ObjectModel({}, frozenset()), events=tuple(events))
     except LogError as exc:
-        where = f"line {line_of[exc.event_id]}" if exc.event_id in line_of else "document"
-        raise FormatError(str(exc), where) from None
+        # The last line holding the offending event's id.
+        lines = [n for event, n in zip(events, line_numbers) if event.id == exc.event_id]
+        raise FormatError(str(exc), f"line {lines[-1]}" if lines else "document") from None
 
 
 def save_log(log: EventLog) -> bytes:

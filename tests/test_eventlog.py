@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 from operator import ge, gt, le, lt
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
-from ocbcheck import Event, EventLog, LogError, ObjectDelta, ObjectModel, load_log
+from ocbcheck import Event, EventLog, FormatError, LogError, ObjectDelta, ObjectModel, load_log
+from ocbcheck.eventlog import _ReplayState
 from scenarios import (
     event,
     hiring_log,
@@ -137,6 +140,40 @@ def test_duplicate_object_rejected():
 def test_dangling_relation_endpoint_rejected():
     with pytest.raises(LogError, match="unknown object"):
         EventLog(events=(event("e1", 1, "a", new_relations=[("r", "o1", "o2")]),))
+
+
+def test_object_models_from_input_reject_dangling_relations():
+    with pytest.raises(LogError, match=r"relation \('r', 'o1', 'o2'\) references unknown object 'o2'"):
+        ObjectModel(class_of={"o1": "k"}, relations=frozenset({("r", "o1", "o2")}))
+    init = {"init": {"objects": [{"id": "o1", "class": "k"}], "relations": [["r", "o1", "o2"]]}}
+    with pytest.raises(FormatError, match="line 1.init: relation .* unknown object 'o2'"):
+        load_log(json.dumps(init))
+    asserted = {"id": "e1", "seq": 1, "activity": "a",
+                "assert_snapshot": {"objects": [{"id": "o1", "class": "k"}], "relations": [["r", "o2", "o1"]]}}
+    with pytest.raises(FormatError, match="line 1.assert_snapshot: relation .* unknown object 'o2'"):
+        load_log(json.dumps(asserted))
+
+
+def test_fold_snapshots_skip_the_dangling_relation_scan(monkeypatch):
+    log = order_process_log()
+    middle = len(log.events) // 2
+    expected = [log.snapshot_after(e.id) for e in (log.events[middle], log.events[-1])]
+
+    def scan(self):
+        raise AssertionError("re-checked a snapshot the fold made")
+
+    monkeypatch.setattr(ObjectModel, "__post_init__", scan)
+    state = _ReplayState(log.init)
+    for i, e in enumerate(log.events[: middle + 1]):
+        state.apply(e, i)
+    halfway = state.snapshot()
+    for i, e in enumerate(log.events[middle + 1 :], start=middle + 1):
+        state.apply(e, i)
+    # The snapshot is a copy: the fold went on without changing it.
+    assert [halfway, state.snapshot()] == expected
+    assert log.snapshot_after(log.events[-1].id) == expected[1]
+    assert EventLog(init=log.init, events=log.events).final_snapshot() == expected[1]
+    assert type(halfway.class_of) is MappingProxyType and type(halfway.relations) is frozenset
 
 
 def test_removing_absent_relation_rejected():
