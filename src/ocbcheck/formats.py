@@ -78,19 +78,25 @@ def _expect(value: Any, kind: type, where: str) -> Any:
     return value
 
 
-# A value whose type is exactly `kind` is one `_expect` accepts, so `_take`
-# and `_string_list` return it before formatting a location that only an
-# error message would use.
+_MISSING = object()
 
 
-def _take(obj: dict, key: str, kind: type, where: str, default: Any = ...) -> Any:
-    if key not in obj:
-        if default is ...:
-            raise FormatError(f"missing required key {key!r}", where)
-        return default
-    value = obj.pop(key)
+# A value whose type is exactly `kind` is one `_expect` accepts, so `_take`,
+# `_string_list` and the event decoder return it before formatting a location
+# that only an error message would use.
+def _take(obj: dict, key: str, kind: type, where: str, default: Any = _MISSING) -> Any:
+    value = obj.pop(key, _MISSING)
     if type(value) is kind:
         return value
+    return _field(value, key, kind, where, default)
+
+
+def _field(value: Any, key: str, kind: type, where: str, default: Any = _MISSING) -> Any:
+    """`_take`'s check of a `value` popped from `key` that is `_MISSING` or not exactly `kind`."""
+    if value is _MISSING:
+        if default is _MISSING:
+            raise FormatError(f"missing required key {key!r}", where)
+        return default
     return _expect(value, kind, f"{where}.{key}")
 
 
@@ -100,7 +106,7 @@ def _no_extras(obj: dict, where: str) -> None:
         raise FormatError(f"unknown key {name!r}", where)
 
 
-def _card(obj: dict, key: str, where: str, default: Cardinality = ANY) -> Cardinality:
+def _card(obj: dict, key: str, where: str, default: Cardinality | None = ANY) -> Cardinality | None:
     text = _take(obj, key, str, where, default=None)
     if text is None:
         return default
@@ -110,13 +116,12 @@ def _card(obj: dict, key: str, where: str, default: Cardinality = ANY) -> Cardin
         raise FormatError(f"bad cardinality {text!r}: {exc}", f"{where}.{key}") from None
 
 
-def _string_list(value: Any, where: str, key: str = "") -> list[str]:
-    """`value` as a list of strings; the location is `where` followed by `key`."""
+def _string_list(value: Any, where: str) -> list[str]:
     if type(value) is not list:
-        _expect(value, list, where + key)
+        _expect(value, list, where)
     for i, item in enumerate(value):
         if type(item) is not str:
-            _expect(item, str, f"{where}{key}[{i}]")
+            _expect(item, str, f"{where}[{i}]")
     return value
 
 
@@ -152,34 +157,25 @@ def _constraint_type(value: Any, where: str) -> ConstraintType:
             )
         return builtin_constraint_type(value)
     _expect(value, dict, where)
-    fields = dict(value)
-    atoms = {}
-    for key in ("before", "after", "sum"):
-        if key in fields:
-            text = _expect(fields.pop(key), str, f"{where}.{key}")
-            try:
-                atoms[key] = parse_cardinality(text)
-            except CardinalityError as exc:
-                raise FormatError(f"bad cardinality {text!r}: {exc}", f"{where}.{key}") from None
-    _no_extras(fields, where)
-    if not atoms:
+    before = _card(value, "before", where, default=None)
+    after = _card(value, "after", where, default=None)
+    total = _card(value, "sum", where, default=None)
+    _no_extras(value, where)
+    if before is None and after is None and total is None:
         raise FormatError("constraint type needs at least one of before/after/sum", where)
-    return ConstraintType(
-        before=atoms.get("before"), after=atoms.get("after"), total=atoms.get("sum")
-    )
+    return ConstraintType(before=before, after=after, total=total)
 
 
 def load_model(data: bytes | str) -> OcbcModel:
     """Parse and validate a model document; well-formedness defects are fatal."""
-    root = _expect(_parse_json(data), dict, "document")
-    doc = dict(root)
+    doc = _expect(_parse_json(data), dict, "document")
     activities = _string_list(_take(doc, "activities", list, "document"), "activities")
     classes = _string_list(_take(doc, "classes", list, "document"), "classes")
 
     rel_types = []
     for i, item in enumerate(_take(doc, "relationships", list, "document", default=[])):
         where = f"relationships[{i}]"
-        entry = dict(_expect(item, dict, where))
+        entry = _expect(item, dict, where)
         rid = _take(entry, "id", str, where)
         source = _take(entry, "source", str, where)
         target = _take(entry, "target", str, where)
@@ -201,7 +197,7 @@ def load_model(data: bytes | str) -> OcbcModel:
     links = []
     for i, item in enumerate(_take(doc, "aoc", list, "document", default=[])):
         where = f"aoc[{i}]"
-        entry = dict(_expect(item, dict, where))
+        entry = _expect(item, dict, where)
         activity = _take(entry, "activity", str, where)
         cls = _take(entry, "class", str, where)
         always = _card(entry, "card_act_always", where)
@@ -220,7 +216,7 @@ def load_model(data: bytes | str) -> OcbcModel:
     scope: dict[str, str] = {}
     for i, item in enumerate(_take(doc, "constraints", list, "document", default=[])):
         where = f"constraints[{i}]"
-        entry = dict(_expect(item, dict, where))
+        entry = _expect(item, dict, where)
         cid = _take(entry, "id", str, where)
         ctype = _constraint_type(_take(entry, "type", object, where), f"{where}.type")
         ref = _take(entry, "ref", str, where)
@@ -270,14 +266,8 @@ def _ctype_dict(ctype: ConstraintType) -> dict | str:
     for name, template in TEMPLATES.items():
         if template == ctype:
             return name
-    out: dict[str, str] = {}
-    if ctype.before is not None:
-        out["before"] = ctype.before.render()
-    if ctype.after is not None:
-        out["after"] = ctype.after.render()
-    if ctype.total is not None:
-        out["sum"] = ctype.total.render()
-    return out
+    atoms = {"before": ctype.before, "after": ctype.after, "sum": ctype.total}
+    return {key: card.render() for key, card in atoms.items() if card is not None}
 
 
 def save_model(model: OcbcModel) -> bytes:
@@ -321,15 +311,20 @@ def save_model(model: OcbcModel) -> bytes:
 # -- log documents -----------------------------------------------------------
 
 
+def _object_entry(item: Any, where: str) -> tuple[str, str]:
+    """An `{"id": ..., "class": ...}` item of `objects` or `new_objects`."""
+    _expect(item, dict, where)
+    oid, cls = _take(item, "id", str, where), _take(item, "class", str, where)
+    _no_extras(item, where)
+    return oid, cls
+
+
 def _object_model(value: Any, where: str) -> ObjectModel:
-    entry = dict(_expect(value, dict, where))
+    entry = _expect(value, dict, where)
     class_of: dict[str, str] = {}
     for i, item in enumerate(_take(entry, "objects", list, where, default=[])):
         inner = f"{where}.objects[{i}]"
-        obj = dict(_expect(item, dict, inner))
-        oid = _take(obj, "id", str, inner)
-        cls = _take(obj, "class", str, inner)
-        _no_extras(obj, inner)
+        oid, cls = _object_entry(item, inner)
         if oid in class_of:
             raise FormatError(f"duplicate object id {oid!r}", inner)
         class_of[oid] = cls
@@ -343,22 +338,13 @@ def _object_model(value: Any, where: str) -> ObjectModel:
         raise FormatError(str(exc), where) from None
 
 
-_MISSING = object()
 _NO_OBJECTS: frozenset[str] = frozenset()
-
-
-def _required(value: Any, key: str, kind: type) -> Any:
-    """The check `_take(entry, key, kind, "")` makes, for an event field that
-    `_event` popped (`_MISSING` when absent) and found not exactly `kind`."""
-    if value is _MISSING:
-        raise FormatError(f"missing required key {key!r}", "")
-    return _expect(value, kind, f".{key}")
 
 
 def _relations(entry: dict, key: str) -> tuple[tuple[str, str, str], ...]:
     items = entry.pop(key)
     if type(items) is not list:
-        items = _required(items, key, list)
+        items = _field(items, key, list, "")
     out = []
     for i, item in enumerate(items):
         if type(item) is list and len(item) == 3 and type(item[0]) is type(item[1]) is type(item[2]) is str:
@@ -376,17 +362,14 @@ def _delta(entry: dict, memo: dict) -> ObjectDelta:
     if "new_objects" in entry:
         items = entry.pop("new_objects")
         if type(items) is not list:
-            items = _required(items, "new_objects", list)
+            items = _field(items, "new_objects", list, "")
         for i, item in enumerate(items):
             if type(item) is dict and len(item) == 2:
                 oid, cls = item.get("id"), item.get("class")
                 if type(oid) is str and type(cls) is str:
                     new_objects.append((memo.setdefault(oid, oid), memo.setdefault(cls, cls)))
                     continue
-            inner = f".new_objects[{i}]"  # raises below, with this location
-            _expect(item, dict, inner)
-            new_objects.append((_take(item, "id", str, inner), _take(item, "class", str, inner)))
-            _no_extras(item, inner)
+            _object_entry(item, f".new_objects[{i}]")  # raises, with the item's location
     new_relations = _relations(entry, "new_relations") if "new_relations" in entry else ()
     removed = _relations(entry, "removed_relations") if "removed_relations" in entry else ()
     snapshot = None
@@ -407,44 +390,39 @@ def _event(entry: dict, memo: dict) -> Event:
     far in this log to its first copy, so equal values share one object."""
     eid = entry.pop("id", _MISSING)
     if type(eid) is not str:
-        eid = _required(eid, "id", str)
+        eid = _field(eid, "id", str, "")
     seq = entry.pop("seq", _MISSING)
     if type(seq) is not int:
-        seq = _required(seq, "seq", int)
-    try:
-        activity = entry.pop("activity", _MISSING)
-        if type(activity) is not str:
-            activity = _required(activity, "activity", str)
-        activity = memo.setdefault(activity, activity)
-        attrs = EMPTY_ATTRS
-        if "attrs" in entry:
-            attrs = entry.pop("attrs")
-            if type(attrs) is not dict:
-                attrs = _required(attrs, "attrs", dict)
-            attrs = dict(sorted(attrs.items()))
-            for key, val in attrs.items():
-                if type(val) is not str:
-                    _expect(val, str, f".attrs.{key}")
-        objects = _NO_OBJECTS
-        if "objects" in entry:
-            items = entry.pop("objects")
-            if type(items) is not list:
-                items = _required(items, "objects", list)
-            for item in items:
-                if type(item) is not str:
-                    _string_list(items, "", ".objects")  # raises, with the item's index
-            objects = memo.get(frozenset(items))
-            if objects is None:
-                objects = frozenset(map(memo.setdefault, items, items))
-                memo[objects] = objects
-        delta = _delta(entry, memo) if entry else EMPTY_DELTA  # delta keys or unknown keys left
-        return Event(eid, seq, activity, objects, attrs, delta)
-    except (FormatError, LogError):
-        # Event checks the seq range, once.  The line reports it before any
-        # fault in a later field, in the order the fields are read.
-        if not 1 <= seq <= MAX_SEQ:
-            raise FormatError(f"seq {seq} outside the 64-bit positive range", ".seq") from None
-        raise
+        seq = _field(seq, "seq", int, "")
+    if not 1 <= seq <= MAX_SEQ:  # before any later field; `Event` checks again for library callers
+        raise FormatError(f"seq {seq} outside the 64-bit positive range", ".seq")
+    activity = entry.pop("activity", _MISSING)
+    if type(activity) is not str:
+        activity = _field(activity, "activity", str, "")
+    activity = memo.setdefault(activity, activity)
+    attrs = EMPTY_ATTRS
+    if "attrs" in entry:
+        attrs = entry.pop("attrs")
+        if type(attrs) is not dict:
+            attrs = _field(attrs, "attrs", dict, "")
+        attrs = dict(sorted(attrs.items()))
+        for key, val in attrs.items():
+            if type(val) is not str:
+                _expect(val, str, f".attrs.{key}")
+    objects = _NO_OBJECTS
+    if "objects" in entry:
+        items = entry.pop("objects")
+        if type(items) is not list:
+            items = _field(items, "objects", list, "")
+        for item in items:
+            if type(item) is not str:
+                _string_list(items, ".objects")  # raises, with the item's index
+        objects = memo.get(frozenset(items))
+        if objects is None:
+            objects = frozenset(map(memo.setdefault, items, items))
+            memo[objects] = objects
+    delta = _delta(entry, memo) if entry else EMPTY_DELTA  # delta keys or unknown keys left
+    return Event(eid, seq, activity, objects, attrs, delta)
 
 
 # The C scanner that ``json.loads`` ends in, without its Python wrapper.
@@ -497,9 +475,10 @@ def load_log(data: bytes | str) -> EventLog:
     try:
         return EventLog(init=init if init is not None else ObjectModel({}, frozenset()), events=tuple(events))
     except LogError as exc:
-        # The last line holding the offending event's id.
-        lines = [n for event, n in zip(events, line_numbers) if event.id == exc.event_id]
-        raise FormatError(str(exc), f"line {lines[-1]}" if lines else "document") from None
+        # Every build error names an event index.  The build sorts by seq,
+        # stably, so sorting the file positions the same way maps it to a line.
+        order = sorted(range(len(events)), key=[event.seq for event in events].__getitem__)
+        raise FormatError(str(exc), f"line {line_numbers[order[exc.event_index]]}") from None
 
 
 def save_log(log: EventLog) -> bytes:
@@ -601,12 +580,11 @@ def save_report(report: ConformanceReport) -> bytes:
 
 
 def load_report(data: bytes | str) -> ConformanceReport:
-    root = _expect(_parse_json(data), dict, "document")
-    doc = dict(root)
+    doc = _expect(_parse_json(data), dict, "document")
     violations = []
     for i, item in enumerate(_take(doc, "violations", list, "document", default=[])):
         where = f"violations[{i}]"
-        entry = dict(_expect(item, dict, where))
+        entry = _expect(item, dict, where)
         kind = _take(entry, "kind", str, where)
         if kind not in KINDS:
             raise FormatError(f"unknown problem type {kind!r}", f"{where}.kind")

@@ -185,6 +185,55 @@ def test_omitted_eventual_cardinality_defaults_to_always():
     assert rt.card_tar_eventually == rt.card_tar_always
 
 
+def _constraint(**fields):
+    return [{"id": "c", "type": "unary-precedence", "ref": "a2", "target": "a1", "via": "r", **fields}]
+
+
+# Each row edits FIG_MODEL and pins the exact message `load_model` raises,
+# location included.
+BAD_MODELS = [
+    (dict(constraints=_constraint(type={"before": 1})),
+     "constraints[0].type.before: expected string, got int"),
+    (dict(constraints=_constraint(type={"after": None})),
+     "constraints[0].type.after: expected string, got NoneType"),
+    (dict(constraints=_constraint(type={"sum": "1..x"})),
+     "constraints[0].type.sum: bad cardinality '1..x': expected cardinality term, got '1..x' (at position 0)"),
+    (dict(constraints=_constraint(type={"after": 1, "before": "two"})),
+     "constraints[0].type.before: bad cardinality 'two': expected cardinality term, got 'two' (at position 0)"),
+    (dict(constraints=_constraint(type={"before": "0..1", "color": "1"})),
+     "constraints[0].type: unknown key 'color'"),
+    (dict(constraints=_constraint(type={})),
+     "constraints[0].type: constraint type needs at least one of before/after/sum"),
+    (dict(constraints=_constraint(type=3)),
+     "constraints[0].type: expected object, got int"),
+    (dict(constraints=_constraint(pair="alternate")),
+     "constraints[0].pair: unknown constraint template 'alternate' (expected one of co-existence, "
+     "non-co-existence, non-precedence, non-response, precedence, response, unary-precedence, "
+     "unary-response)"),
+    (dict(constraints=_constraint(pair=3)),
+     "constraints[0].pair: expected string, got int"),
+    (dict(relationships=["r"]),
+     "relationships[0]: expected object, got str"),
+    (dict(relationships=[{"id": "r", "source": "oca", "target": "ocb", "card_tar_always": "x"}]),
+     "relationships[0].card_tar_always: bad cardinality 'x': expected cardinality term, got 'x' (at position 0)"),
+    (dict(aoc=[["a1", "oca"]]),
+     "aoc[0]: expected object, got list"),
+    (dict(constraints=[None]),
+     "constraints[0]: expected object, got NoneType"),
+    (dict(activities=["a1", 2]),
+     "activities[1]: expected string, got int"),
+    (dict(activities="a1"),
+     "document.activities: expected array, got str"),
+]
+
+
+@pytest.mark.parametrize(("edits", "message"), BAD_MODELS)
+def test_model_error_messages(edits, message):
+    with pytest.raises(FormatError) as caught:
+        load_model(as_bytes(edited(FIG_MODEL, **edits)))
+    assert str(caught.value) == message
+
+
 # -- log documents ---------------------------------------------------------------
 
 
@@ -254,6 +303,30 @@ def test_log_build_error_names_its_own_line_in_file_order():
     lines[1], lines[3] = lines[3], lines[1]
     with pytest.raises(FormatError, match="line 4: cannot remove absent relation"):
         load_log("\n".join(lines))
+
+
+def test_log_duplicate_event_id_names_the_line_at_its_index():
+    # By seq the line-3 event comes first, so index 1 is the event on line 1.
+    lines = [
+        json.dumps({"id": "e1", "seq": 2, "activity": "a"}),
+        "",
+        json.dumps({"id": "e1", "seq": 1, "activity": "a"}),
+    ]
+    with pytest.raises(FormatError) as caught:
+        load_log("\n".join(lines))
+    assert str(caught.value) == "line 1: duplicate event id 'e1' (event 'e1', index 1)"
+
+
+def test_log_duplicate_seq_out_of_file_order_names_the_later_line():
+    # Equal seqs keep their file order, so the second of the two is reported.
+    lines = [
+        json.dumps({"id": "e3", "seq": 5, "activity": "a"}),
+        json.dumps({"id": "e1", "seq": 1, "activity": "a"}),
+        json.dumps({"id": "e2", "seq": 5, "activity": "a"}),
+    ]
+    with pytest.raises(FormatError) as caught:
+        load_log("\n".join(lines))
+    assert str(caught.value) == "line 3: duplicate seq 5 (event 'e2', index 2)"
 
 
 def test_log_removing_absent_relation_delta_error():
@@ -404,6 +477,21 @@ BAD_EVENT_LINES = [
      'line 1.assert_snapshot.relations[0]: expected [relType, source, target]'),
     ('{"id": "e1", "seq": 1, "activity": "a", "assert_snapshot": {"color": 1}}',
      "line 1.assert_snapshot: unknown key 'color'"),
+    # init line
+    ('{"init": []}',
+     'line 1.init: expected object, got list'),
+    ('{"init": {"objects": ["o1"]}}',
+     'line 1.init.objects[0]: expected object, got str'),
+    ('{"init": {"objects": [{"id": "o1"}]}}',
+     "line 1.init.objects[0]: missing required key 'class'"),
+    ('{"init": {"objects": [{"class": 3}]}}',
+     "line 1.init.objects[0]: missing required key 'id'"),
+    ('{"init": {"objects": [{"id": "o1", "class": "k", "b": 1, "a": 2}]}}',
+     "line 1.init.objects[0]: unknown key 'a'"),
+    ('{"init": {"objects": [{"id": "o1", "class": "k"}, {"id": "o1", "class": "k"}]}}',
+     "line 1.init.objects[1]: duplicate object id 'o1'"),
+    ('{"init": {}, "color": 1}',
+     "line 1: unknown key 'color'"),
     # unknown keys and whole-line shapes
     ('{"id": "e1", "seq": 1, "activity": "a", "color": "red"}',
      "line 1: unknown key 'color'"),
