@@ -177,13 +177,12 @@ class _Replay(_ReplayState):
         found = self.by_kind["I"]
         for key in self._bad_card:
             rt_id, side, obj = key
-            found.append(
-                Violation(
-                    kind="I", event=event.id, seq=event.seq, rel_type=rt_id,
-                    side=side, obj=obj, temporal="always",
-                    observed=self._cnt.get(key, 0), expected=self._expected[rt_id, side],
-                )
-            )
+            # Positional: a persistent breach repeats at every event, and keywords
+            # are the slow part of the tuple's __new__.
+            found.append(Violation(
+                "I", event.id, event.seq, "", obj, "", "", rt_id, side, "always",
+                self._cnt.get(key, 0), self._expected[rt_id, side],
+            ))
         for (rt_id, src, tar, side), (obj, got, want) in self._bad_type.items():
             found.append(
                 Violation(

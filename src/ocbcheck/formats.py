@@ -13,6 +13,9 @@ from __future__ import annotations
 import json
 import sys
 from array import array
+from json.encoder import encode_basestring_ascii
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Any
 
 from .bc import PairConstraint, expand_shorthand
@@ -527,18 +530,60 @@ def _violation_dict(v: Violation) -> dict:
     return {key: value for key, i, default in _VIOLATION_FIELDS if (value := v[i]) != default}
 
 
-# Violations encoded per C-encoder call: bounds the dicts and text alive at once.
+# Violations written per batch: bounds the dicts and text alive at once.
 _BATCH = 1000
+_SEPARATORS = (",\n      ", ": ")
 _BETWEEN = "\n    },\n    {\n      "
+# Every field but event and seq: the violations that share these share one layout.
+_SHAPE = itemgetter(0, *range(3, len(Violation._fields)))
+_EVENT, _SEQ = itemgetter(1), itemgetter(2)
+# The first violations of a batch decide its path: layouts pay off only
+# when at most a quarter of them have a shape of their own.
+_SAMPLE = 64
+
+
+def _layout(v: Violation) -> tuple[str, ...]:
+    """The JSON fields of `v` cut around its event id and its seq; a NUL marks
+    each cut, as an encoded value is printable ASCII."""
+    text = _SEPARATORS[0].join(
+        f'"{key}": ' + ("\0" if key in ("event", "seq") else json.dumps(value))
+        for key, i, default in _VIOLATION_FIELDS
+        if (value := v[i]) != default
+    )
+    return tuple(text.split("\0"))
+
+
+def _batch_json(batch: tuple[Violation, ...]) -> str:
+    """The fields of each violation in `batch` as indent=2 lays them out one
+    level down, joined by `_BETWEEN`.
+
+    A batch whose shapes repeat lays out each shape once, and each violation
+    is its shape's layout joined with its encoded event id and seq. Any other
+    batch, or one holding a violation without an event or a seq (whose field
+    is left out), is encoded in one C-encoder call.
+    """
+    sample = batch[:_SAMPLE]
+    if 4 * len(set(map(_SHAPE, sample))) <= len(sample):
+        events, seqs = list(map(_EVENT, batch)), list(map(_SEQ, batch))
+        if "" not in events and -1 not in seqs:
+            shapes = list(map(_SHAPE, batch))
+            layouts = {shape: _layout(v) for shape, v in dict(zip(shapes, batch)).items()}
+            befores, betweens, afters = zip(*map(layouts.__getitem__, shapes))
+            joints = chain(("",), repeat(_BETWEEN))
+            encoded = map(encode_basestring_ascii, events)
+            pieces = zip(joints, befores, encoded, betweens, map(str, seqs), afters)
+            return "".join(chain.from_iterable(pieces))
+    flat = json.dumps([_violation_dict(v) for v in batch], separators=_SEPARATORS)
+    return flat[2:-2].replace("},\n      {", _BETWEEN)
 
 
 def _violations_json(violations: tuple[Violation, ...]) -> list[bytes]:
     r"""The UTF-8 pieces of the violation list exactly as
-    ``json.dumps(indent=2, sort_keys=True)`` lays it out one level down, each
-    batch encoded in one C-encoder call.
+    ``json.dumps(indent=2, sort_keys=True)`` lays it out one level down, one
+    piece per batch.
 
-    Every field is a string or an integer, and an encoded string holds no raw
-    newline, so "},\n      {" occurs only between two violations.
+    Every field is a string or an integer (not a bool), and an encoded string
+    holds no raw newline, so "},\n      {" occurs only between two violations.
     """
     if not violations:
         return [b"[]"]
@@ -546,13 +591,25 @@ def _violations_json(violations: tuple[Violation, ...]) -> list[bytes]:
     for start in range(0, len(violations), _BATCH):
         if start:
             pieces.append(_BETWEEN.encode())
-        flat = json.dumps(
-            [_violation_dict(v) for v in violations[start : start + _BATCH]],
-            separators=(",\n      ", ": "),
-        )
-        pieces.append(flat[2:-2].replace("},\n      {", _BETWEEN).encode())
+        pieces.append(_batch_json(violations[start : start + _BATCH]).encode())
     pieces.append(b"\n    }\n  ]")
     return pieces
+
+
+def _indented(value: Any, newline: str = "\n") -> str:
+    """`value` as ``json.dumps(indent=2, sort_keys=True)`` lays it out after
+    `newline` and its indent, each scalar and key encoded by the C encoder.
+
+    ``json.dumps`` with an indent runs the pure-Python encoder, whose
+    closures refer to each other and so leave cyclic garbage on every call.
+    """
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{json.dumps(key)}: {_indented(item, inner)}" for key, item in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[" + inner + ("," + inner).join(_indented(item, inner) for item in value) + newline + "]"
+    return json.dumps(value)
 
 
 def save_report(report: ConformanceReport) -> bytes:
@@ -573,7 +630,7 @@ def save_report(report: ConformanceReport) -> bytes:
         "per_rel_type": report.per_rel_type,
         "unknown_activities": list(report.unknown_activities),
     }
-    frame = json.dumps(doc, indent=2, sort_keys=True)
+    frame = _indented(doc)
     # "violations" sorts last, so the frame ends with its empty list: '[]\n}'.
     # Joining the pieces makes the one whole copy of the text.
     return b"".join([frame[:-4].encode(), *_violations_json(report.violations), b"\n}\n"])

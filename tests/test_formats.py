@@ -683,8 +683,9 @@ def reference_report_bytes(report) -> bytes:
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
-# Texts that need escaping, or that look like the writer's own joints.
-ODD_TEXTS = ['"', "\\", "\n", "\t", "\u00e9", "\U0001f600", "},\n      {", '"violations": []']
+# Texts that need escaping, or that look like the writer's own joints, cut marks or format slots.
+ODD_TEXTS = ['"', "\\", "\n", "\t", "\u00e9", "\U0001f600", "},\n      {", '"violations": []',
+             "%", "%s", "%%d", "%(event)s", "\0"]
 
 
 def test_report_bytes_are_indent_2_sorted_json():
@@ -707,7 +708,22 @@ def test_report_bytes_are_indent_2_sorted_json():
         [Violation(kind="IX", event=f"e{i}", seq=i, constraint="c", before=i % 3, after=0,
                    detail=ODD_TEXTS[i % len(ODD_TEXTS)]) for i in range(2501)]
     )
-    for report in (aggregate([]), every_kind, with_warnings, odd, many):
+    # A persistent type I breach: each object's shape repeats at every event,
+    # over more than one batch, so the writer fills one layout per shape.
+    persistent = aggregate(
+        [Violation(kind="I", event=f"e{seq}{ODD_TEXTS[seq % len(ODD_TEXTS)]}", seq=seq, obj=text, rel_type="at",
+                   side="tar", temporal="always", observed=0, expected="1", detail=text)
+         for seq in range(1201) for text in ODD_TEXTS[-5:]]
+    )
+    # Library-built violations without a seq or an event leave that field out.
+    # The first batch holds the two seq -1 violations (they sort first), the
+    # second the two empty events; the third holds neither and is laid out.
+    unplaced = aggregate(
+        [Violation(kind="VII", event="" if i in (1207, 1707) else f"e{i}", seq=-1 if i in (9, 909) else i,
+                   obj="t1", activity="pay", cls="ticket", temporal="always", observed=2, expected="1")
+         for i in range(2500)]
+    )
+    for report in (aggregate([]), every_kind, with_warnings, odd, many, persistent, unplaced):
         assert save_report(report) == reference_report_bytes(report)
 
 

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import random
+
 from ocbcheck import aggregate, check_all, check_violations, render_text
+from ocbcheck.violations import KINDS, SEVERITY_ERROR
 from scenarios import (
     order_object_model,
     order_class_snapshot_model,
     precedence_log,
     precedence_model,
+    random_log,
+    random_model,
     ticket_log,
     ticket_model,
 )
@@ -56,6 +61,51 @@ def test_counts_match_violation_list():
     for kind, count in report.summary.items():
         assert count == sum(1 for v in report.violations if v.kind == kind)
     assert (not report.violations) == report.conforms
+
+
+def naive_tables(violations) -> dict:
+    """Each aggregate field, recounted one violation at a time."""
+    summary = dict.fromkeys(KINDS, 0)
+    per_constraint: dict[str, int] = {}
+    edges: dict[tuple[str, str], list[int]] = {}
+    buckets: dict[str, dict[str, int]] = {}
+    for v in violations:
+        summary[v.kind] += 1
+        if v.kind == "IX":
+            per_constraint[v.constraint] = per_constraint.get(v.constraint, 0) + 1
+        elif v.kind == "VII":
+            edges.setdefault((v.activity, v.cls), [0, 0])[v.temporal != "always"] += 1
+        elif v.kind in ("I", "II"):
+            bucket = f"{v.side}_{v.temporal}" if v.temporal else "typing"
+            counts = buckets.setdefault(
+                v.rel_type, dict.fromkeys(("src_always", "src_eventually", "tar_always", "tar_eventually", "typing"), 0)
+            )
+            counts[bucket] += 1
+    return {
+        "summary": summary,
+        "per_constraint": dict(sorted(per_constraint.items())),
+        "per_aoc_edge": {edge: tuple(counts) for edge, counts in sorted(edges.items())},
+        "per_rel_type": dict(sorted(buckets.items())),
+        "unknown_activities": tuple(sorted({v.activity for v in violations if v.kind == "IV"})),
+        "conforms": all(v.severity != SEVERITY_ERROR for v in violations),
+    }
+
+
+def test_aggregate_equals_a_per_violation_recount():
+    for seed in range(40):
+        rng = random.Random(seed)
+        model = random_model(rng)
+        log = random_log(rng, model, max_events=25)
+        for prefix in (False, True):
+            violations = check_violations(model, log, prefix=prefix)
+            rng.shuffle(violations)
+            for part in (violations, violations[:1]):
+                report = aggregate(part, prefix=prefix)
+                expected = naive_tables(part)
+                fields = {name: getattr(report, name) for name in expected}
+                assert fields == expected, (seed, prefix)
+                assert repr(fields) == repr(expected), "tables in another order"
+                assert report.prefix_mode is prefix
 
 
 def test_render_conforming():
