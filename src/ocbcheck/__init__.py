@@ -1,7 +1,7 @@
 """Conformance checking of object-centric event logs against object-centric
 behavioral constraint (OCBC) models."""
 
-from .bc import BcVerdict, PairConstraint, evaluate_bc, expand_shorthand
+from .bc import BcVerdict, evaluate_bc
 from .cardinality import (
     Cardinality,
     CardinalityError,
@@ -85,7 +85,6 @@ __all__ = [
     "ObjectDelta",
     "ObjectModel",
     "OcbcModel",
-    "PairConstraint",
     "RelationshipType",
     "Violation",
     "aggregate",
@@ -102,7 +101,6 @@ __all__ = [
     "check_type_ix",
     "check_violations",
     "evaluate_bc",
-    "expand_shorthand",
     "generate_conforming",
     "inject_violation",
     "load_log",

@@ -4,7 +4,7 @@ No object correlation here: every event of the target activity counts.  This
 is the trace-level semantics of behavioral constraints, directly usable for
 single-instance (case-based) traces.  The IX conformance check does not call
 `evaluate_bc`: it applies the same `ConstraintType.accepts` to counts of
-object-correlated target events.  Model loading uses `expand_shorthand`.
+object-correlated target events.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cardinality import ConstraintType
 from .model import BcModel, BehavioralConstraint
 
 
@@ -65,31 +64,3 @@ def evaluate_bc(bcm: BcModel, events: Iterable[tuple[str, str]]) -> list[BcVerdi
     verdicts.sort(key=lambda item: (item[0], item[1]))
     return [v for _, _, v in verdicts]
 
-
-@dataclass(frozen=True)
-class PairConstraint:
-    """An edge with reference events at both endpoints: shorthand for the
-    conjunction of two directed constraints."""
-
-    id: str
-    left_activity: str
-    right_activity: str
-    left_to_right: ConstraintType
-    right_to_left: ConstraintType
-
-
-def expand_shorthand(pair: PairConstraint) -> tuple[BehavioralConstraint, BehavioralConstraint]:
-    """Expand a two-dot edge into the two ordinary constraints it abbreviates."""
-    forward = BehavioralConstraint(
-        id=f"{pair.id}#1",
-        ref_activity=pair.left_activity,
-        target_activity=pair.right_activity,
-        ctype=pair.left_to_right,
-    )
-    backward = BehavioralConstraint(
-        id=f"{pair.id}#2",
-        ref_activity=pair.right_activity,
-        target_activity=pair.left_activity,
-        ctype=pair.right_to_left,
-    )
-    return forward, backward

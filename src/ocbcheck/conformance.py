@@ -5,15 +5,17 @@ of the finite log, which is equivalent to the suffix-quantified form on a
 total finite order.  Logs are treated as complete; callers checking a running
 process can downgrade eventual violations to warnings (prefix mode).
 
-Each kind is computed only when it is selected.  Types II, IV, VII and IX
-read the indexes that the `EventLog` build kept; types I, III, V, VI and
-VIII share one per-event replay.
+Each kind is computed only when it is selected.  Types II, IV, V, VII and
+IX read the indexes that the `EventLog` build kept (type V reads the missing
+references the build found, which it also renders as load warnings); types
+I, III, VI and VIII share one per-event replay.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from operator import itemgetter
 from typing import Iterable
 
 from .cardinality import Cardinality
@@ -22,33 +24,40 @@ from .model import ActivityClassLink, OcbcModel, RelationshipType
 from .violations import KINDS, Violation, sort_violations
 
 
+def _keeper(rt: RelationshipType, side: str) -> str:
+    """The class whose objects keep the count of a side of `rt`: side "src"
+    counts the source objects per target-class object, side "tar" the target
+    objects per source-class object."""
+    return rt.target if side == "src" else rt.source
+
+
 class _Replay(_ReplayState):
     """One pass of the log's delta fold, whose hooks keep incremental validity
-    state, for the per-event kinds I, III, V, VI and VIII.  `by_kind` keeps
+    state, for the per-event kinds I, III, VI and VIII.  `by_kind` keeps
     each kind's violations in detection order."""
 
     def __init__(self, model: OcbcModel, log: EventLog):
         super().__init__(log.init)
         self._log = log
         self._rel_type = {rt.id: rt for rt in model.clam.rel_types}
-        self.by_kind: dict[str, list[Violation]] = {k: [] for k in ("I", "III", "V", "VI", "VIII")}
+        self.by_kind: dict[str, list[Violation]] = {k: [] for k in ("I", "III", "VI", "VIII")}
         # Type VIII checks only the links that bound the objects per event.
         counted_links: dict[str, list[ActivityClassLink]] = {}
         for link in model.links:
             if not link.card_objects.is_universal:
                 counted_links.setdefault(link.activity, []).append(link)
-        self._rts_by_src_class: dict[str, list[RelationshipType]] = {}
-        self._rts_by_tar_class: dict[str, list[RelationshipType]] = {}
-        # The always-cardinality of each (relationship type, side), rendered once for Type I.
-        self._expected: dict[tuple[str, str], str] = {}
+        # Type I's rule per (relationship type, side): the keeper class, the
+        # always-cardinality and its rendering; and the sides each class keeps.
+        self._rule: dict[tuple[str, str], tuple[str, Cardinality, str]] = {}
+        self._sides_kept_by: dict[str, list[tuple[str, str]]] = {}
         for rt in model.clam.rel_types:
-            self._rts_by_src_class.setdefault(rt.source, []).append(rt)
-            self._rts_by_tar_class.setdefault(rt.target, []).append(rt)
             for side in ("src", "tar"):
-                self._expected[rt.id, side] = self._keeper(rt, side)[1].render()
+                keeper, card = _keeper(rt, side), rt.card(side, "always")
+                self._rule[rt.id, side] = (keeper, card, card.render())
+                self._sides_kept_by.setdefault(keeper, []).append((rt.id, side))
         self.replaced()
         self._last_class: dict[str, str] = {}  # survives disappearance, for re-add checks
-        found_v, found_vi, found_viii = self.by_kind["V"], self.by_kind["VI"], self.by_kind["VIII"]
+        found_vi, found_viii = self.by_kind["VI"], self.by_kind["VIII"]
 
         for index, event in enumerate(log.events):
             if event.delta is not EMPTY_DELTA or index == 0:
@@ -57,12 +66,10 @@ class _Replay(_ReplayState):
                 self._report_invalid(event)
             activity, class_of = event.activity, self.class_of
 
-            # Types V and VI: referenced objects exist and have a linked class.
+            # Type VI: referenced objects that exist have a linked class.
             for obj in event.objects:
                 cls = class_of.get(obj)
-                if cls is None:
-                    found_v.append(Violation(kind="V", event=event.id, seq=event.seq, obj=obj))
-                elif not model.has_link(activity, cls):
+                if cls is not None and not model.has_link(activity, cls):
                     found_vi.append(
                         Violation(
                             kind="VI", event=event.id, seq=event.seq, obj=obj,
@@ -85,16 +92,9 @@ class _Replay(_ReplayState):
                         )
                     )
 
-    def _keeper(self, rt: RelationshipType, side: str) -> tuple[str, Cardinality]:
-        # side "src": count of source objects per target-class object;
-        # side "tar": count of target objects per source-class object.
-        if side == "src":
-            return rt.target, rt.card_src_always
-        return rt.source, rt.card_tar_always
-
-    def _recheck(self, rt: RelationshipType, side: str, obj: str) -> None:
-        keeper_class, card = self._keeper(rt, side)
-        key = (rt.id, side, obj)
+    def _recheck(self, key: tuple[str, str, str]) -> None:
+        rt_id, side, obj = key
+        keeper_class, card, _ = self._rule[rt_id, side]
         if self.class_of.get(obj) == keeper_class and self._cnt.get(key, 0) not in card:
             self._bad_card.add(key)
         else:
@@ -109,7 +109,7 @@ class _Replay(_ReplayState):
         for side, obj in (("tar", src), ("src", tar)):
             key = (rt.id, side, obj)
             self._cnt[key] = self._cnt.get(key, 0) + 1
-            self._recheck(rt, side, obj)
+            self._recheck(key)
         for side, obj, want in (("src", src, rt.source), ("tar", tar, rt.target)):
             got = self.class_of.get(obj)
             if got != want:
@@ -124,16 +124,13 @@ class _Replay(_ReplayState):
         for side, obj in (("tar", src), ("src", tar)):
             key = (rt.id, side, obj)
             self._cnt[key] = self._cnt.get(key, 0) - 1
-            self._recheck(rt, side, obj)
+            self._recheck(key)
         self._bad_type.pop((rt.id, src, tar, "src"), None)
         self._bad_type.pop((rt.id, src, tar, "tar"), None)
 
     def added_object(self, obj: str) -> None:
-        cls = self.class_of[obj]
-        for rt in self._rts_by_src_class.get(cls, ()):
-            self._recheck(rt, "tar", obj)
-        for rt in self._rts_by_tar_class.get(cls, ()):
-            self._recheck(rt, "src", obj)
+        for rt_id, side in self._sides_kept_by.get(self.class_of[obj], ()):
+            self._recheck((rt_id, side, obj))
 
     def replaced(self) -> None:
         self._cnt: dict[tuple[str, str, str], int] = {}
@@ -181,7 +178,7 @@ class _Replay(_ReplayState):
             # are the slow part of the tuple's __new__.
             found.append(Violation(
                 "I", event.id, event.seq, "", obj, "", "", rt_id, side, "always",
-                self._cnt.get(key, 0), self._expected[rt_id, side],
+                self._cnt.get(key, 0), self._rule[rt_id, side][2],
             ))
         for (rt_id, src, tar, side), (obj, got, want) in self._bad_type.items():
             found.append(
@@ -210,25 +207,25 @@ def _check_ii(model: OcbcModel, log: EventLog) -> list[Violation]:
     by_class: dict[str, list[str]] = {}
     for obj, cls in final.class_of.items():
         by_class.setdefault(cls, []).append(obj)
+    # The partners per (relationship type, object) on each side, counted at C speed.
+    counts = {
+        "src": Counter(map(itemgetter(0, 2), final.relations)),
+        "tar": Counter(map(itemgetter(0, 1), final.relations)),
+    }
     found = []
     for rt in model.clam.rel_types:
-        cnt_src: Counter[str] = Counter()
-        cnt_tar: Counter[str] = Counter()
-        for rel_type, src, tar in final.relations:
-            if rel_type == rt.id:
-                cnt_tar[src] += 1
-                cnt_src[tar] += 1
-        for side, keeper_class, counts in (("src", rt.target, cnt_src), ("tar", rt.source, cnt_tar)):
+        for side in ("src", "tar"):
             card = rt.card(side, "eventually")
             if card.is_universal:
                 continue
-            for obj in by_class.get(keeper_class, ()):
-                if counts[obj] not in card:
+            for obj in by_class.get(_keeper(rt, side), ()):
+                count = counts[side].get((rt.id, obj), 0)
+                if count not in card:
                     found.append(
                         Violation(
                             kind="II", event=last.id, seq=last.seq, rel_type=rt.id,
                             side=side, obj=obj, temporal="eventually",
-                            observed=counts[obj], expected=card.render(),
+                            observed=count, expected=card.render(),
                         )
                     )
     return found
@@ -242,6 +239,16 @@ def _check_iv(model: OcbcModel, log: EventLog) -> list[Violation]:
         for activity, positions in log._by_activity.items()
         if activity not in declared
         for i in positions
+    ]
+
+
+def _check_v(model: OcbcModel, log: EventLog) -> list[Violation]:
+    """Type V: referenced objects exist when the event occurs, as the log
+    build found them missing."""
+    events = log.events
+    return [
+        Violation(kind="V", event=events[i].id, seq=events[i].seq, obj=obj)
+        for i, obj in log._missing
     ]
 
 
@@ -325,7 +332,7 @@ def _check_ix(model: OcbcModel, log: EventLog) -> list[Violation]:
 
 
 # The kinds that read only the kept indexes; the rest share one `_Replay`.
-_CHECKS = {"II": _check_ii, "IV": _check_iv, "VII": _check_vii, "IX": _check_ix}
+_CHECKS = {"II": _check_ii, "IV": _check_iv, "V": _check_v, "VII": _check_vii, "IX": _check_ix}
 
 
 class _Correlation:

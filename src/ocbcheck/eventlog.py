@@ -6,7 +6,9 @@ place.  Deltas can add objects and add/remove relations; objects are never
 removed, so delta-built logs are monotone by construction.  An event may
 instead carry an asserted full snapshot, which replaces the folded state
 (the only way a log can exhibit monotonicity violations).  One fold serves
-the build, `snapshot_after`, the conformance replay and the generator.
+the build, `snapshot_after`, the conformance replay and the generator.  The
+build alone decides whether a referenced object exists at its event: the
+load warnings and type V read the missing references it keeps.
 """
 
 from __future__ import annotations
@@ -209,17 +211,19 @@ class EventLog:
     """Totally ordered events over an evolving object model.
 
     Construction replays all deltas once: it sorts events by seq, rejects
-    duplicate seqs/ids and failing deltas, and records a warning for every
-    event reference to an object that does not exist in the snapshot after
-    the event (re-reported by conformance checking as an object-existence
-    problem).  The same fold keeps the indexes the checks and queries read:
-    the positions of each activity's events, the positions of the events of
-    each (object, activity) pair (both ascending), and the final snapshot.
+    duplicate seqs/ids and failing deltas, and keeps the (position, object)
+    pair of every event reference to an object that does not exist in the
+    snapshot after the event.  Those pairs are the only record of a missing
+    reference: `warnings` renders them, and conformance checking reports
+    them as object-existence problems (type V).  The same fold keeps the
+    indexes the checks and queries read: the positions of each activity's
+    events, the positions of the events of each (object, activity) pair
+    (both ascending), and the final snapshot.
     """
 
     init: ObjectModel = EMPTY_OBJECT_MODEL
     events: tuple[Event, ...] = ()
-    warnings: tuple[str, ...] = field(init=False, default=())
+    _missing: tuple[tuple[int, str], ...] = _kept()
     _index_of: Mapping[str, int] = _kept()
     _by_activity: dict[str, list[int]] = _kept()
     _positions: dict[tuple[str, str], list[int]] = _kept()
@@ -239,7 +243,7 @@ class EventLog:
                 raise LogError(f"duplicate event id {event.id!r}", i, event.id)
             index_of[event.id] = i
 
-        warnings: list[str] = []
+        missing: list[tuple[int, str]] = []
         by_activity: dict[str, list[int]] = {}
         positions: dict[tuple[str, str], list[int]] = {}
         state = _ReplayState(self.init)
@@ -251,17 +255,24 @@ class EventLog:
             for obj in event.objects:
                 positions.setdefault((obj, activity), []).append(i)
             if not state.class_of.keys() >= event.objects:
-                for obj in sorted(event.objects - state.class_of.keys()):
-                    warnings.append(
-                        f"event {event.id!r} (seq {event.seq}) references object {obj!r} "
-                        f"that does not exist in its snapshot"
-                    )
-        object.__setattr__(self, "warnings", tuple(warnings))
+                missing.extend((i, obj) for obj in sorted(event.objects - state.class_of.keys()))
+        object.__setattr__(self, "_missing", tuple(missing))
         object.__setattr__(self, "_index_of", MappingProxyType(index_of))
         object.__setattr__(self, "_by_activity", by_activity)
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_final", state.snapshot() if events else self.init)
         object.__setattr__(self, "_neighbours", {})
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """One line per reference to an object missing from its event's
+        snapshot, in log order, the objects of one event sorted."""
+        events = self.events
+        return tuple(
+            f"event {events[i].id!r} (seq {events[i].seq}) references object {obj!r} "
+            f"that does not exist in its snapshot"
+            for i, obj in self._missing
+        )
 
     def __len__(self) -> int:
         return len(self.events)

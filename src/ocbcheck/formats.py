@@ -18,7 +18,6 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import Any
 
-from .bc import PairConstraint, expand_shorthand
 from .cardinality import (
     ANY,
     Cardinality,
@@ -228,24 +227,18 @@ def load_model(data: bytes | str) -> OcbcModel:
         pair_name = _take(entry, "pair", str, where, default=None)
         _no_extras(entry, where)
         if pair_name is None:
-            constraints.append(
-                BehavioralConstraint(id=cid, ref_activity=ref, target_activity=target, ctype=ctype)
-            )
-            scope[cid] = via
+            directed = [BehavioralConstraint(cid, ref, target, ctype)]
         else:
-            backward = _constraint_type(pair_name, f"{where}.pair")
-            forward_c, backward_c = expand_shorthand(
-                PairConstraint(
-                    id=cid,
-                    left_activity=ref,
-                    right_activity=target,
-                    left_to_right=ctype,
-                    right_to_left=backward,
-                )
-            )
-            constraints.extend([forward_c, backward_c])
-            scope[forward_c.id] = via
-            scope[backward_c.id] = via
+            # A pair is shorthand for two directed constraints: cid#1 from ref
+            # to target, and cid#2 back from target to ref with the pair's type.
+            back = _constraint_type(pair_name, f"{where}.pair")
+            directed = [
+                BehavioralConstraint(f"{cid}#1", ref, target, ctype),
+                BehavioralConstraint(f"{cid}#2", target, ref, back),
+            ]
+        for c in directed:
+            constraints.append(c)
+            scope[c.id] = via
     _no_extras(doc, "document")
 
     model = OcbcModel(

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
+import json
 import random
 
-from ocbcheck import BcModel, PairConstraint, evaluate_bc, expand_shorthand
+from ocbcheck import BcModel, evaluate_bc, load_model
 from ocbcheck.cardinality import builtin_constraint_type
 from scenarios import constraint
 
@@ -130,30 +131,33 @@ def test_non_response_violations_are_monotone_under_suffixing():
                 assert not after[eid]
 
 
+def _pair_model(cid, left, right, forward, backward):
+    """A loaded model whose one constraint is a pair: `forward` from `left`
+    to `right`, and `backward` back, both scoped by class `k`."""
+    doc = {
+        "activities": [left, right],
+        "classes": ["k"],
+        "aoc": [{"activity": left, "class": "k"}, {"activity": right, "class": "k"}],
+        "constraints": [
+            {"id": cid, "type": forward, "ref": left, "target": right, "via": "k", "pair": backward}
+        ],
+    }
+    return load_model(json.dumps(doc).encode())
+
+
 def test_expand_shorthand_pair():
-    pair = PairConstraint(
-        id="c34",
-        left_activity="place order",
-        right_activity="pay",
-        left_to_right=builtin_constraint_type("unary-response"),
-        right_to_left=builtin_constraint_type("unary-precedence"),
-    )
-    forward, backward = expand_shorthand(pair)
+    model = _pair_model("c34", "place order", "pay", "unary-response", "unary-precedence")
+    forward, backward = model.bcm.constraints
     assert (forward.id, forward.ref_activity, forward.target_activity) == ("c34#1", "place order", "pay")
     assert (backward.id, backward.ref_activity, backward.target_activity) == ("c34#2", "pay", "place order")
     assert forward.ctype == builtin_constraint_type("unary-response")
     assert backward.ctype == builtin_constraint_type("unary-precedence")
+    assert model.scope == {"c34#1": "k", "c34#2": "k"}
 
 
 def test_expansion_equals_joint_evaluation():
-    pair = PairConstraint(
-        id="p",
-        left_activity="a1",
-        right_activity="a2",
-        left_to_right=builtin_constraint_type("response"),
-        right_to_left=builtin_constraint_type("precedence"),
-    )
-    forward, backward = expand_shorthand(pair)
+    forward, backward = _pair_model("p", "a1", "a2", "response", "precedence").bcm.constraints
+    assert (forward.id, forward.ref_activity, backward.id, backward.ref_activity) == ("p#1", "a1", "p#2", "a2")
     both = BcModel(activities=frozenset({"a1", "a2"}), constraints=(forward, backward))
     only_forward = BcModel(activities=frozenset({"a1", "a2"}), constraints=(forward,))
     only_backward = BcModel(activities=frozenset({"a1", "a2"}), constraints=(backward,))

@@ -151,6 +151,41 @@ def test_fulfilment_equals_validity_when_no_extra_eventual_cards():
     assert check_type_i(flattened, log) == []
 
 
+def _several_rel_types_model():
+    """Five relationship types over three classes, two of them from a class
+    to itself, so that one object keeps counts of several types and sides."""
+    return OcbcModel(
+        bcm=BcModel(activities=frozenset({"a", "b"}), constraints=()),
+        clam=ClassModel(
+            classes=frozenset({"k0", "k1", "k2"}),
+            rel_types=(
+                rel_type("r0", "k0", "k1", src="0..1", src_ev="1", tar="*", tar_ev="1..*"),
+                rel_type("r1", "k1", "k2", src="*", src_ev="1..*", tar="0..2", tar_ev="1..2"),
+                rel_type("r2", "k0", "k0", src="*", src_ev="0..1", tar="*", tar_ev="1"),
+                rel_type("r3", "k2", "k0", src="1..*", tar="*", tar_ev="1..*"),
+                rel_type("r4", "k1", "k1", src="*", tar="0..1", tar_ev="1"),
+            ),
+        ),
+        links=tuple(link(a, k) for a in ("a", "b") for k in ("k0", "k1", "k2")),
+        scope={},
+    )
+
+
+def test_types_i_and_ii_agree_with_the_oracle_over_several_relationship_types():
+    """Both kinds count partners per (relationship type, side, object); with
+    several types over shared classes, each count stays with its own type."""
+    model = _several_rel_types_model()
+    rel_types = {"I": set(), "II": set()}
+    for seed in range(40):
+        log = random_log(random.Random(seed), model, max_events=25)
+        oracle = sort_violations(naive_check(model, log))
+        for kind in ("I", "II"):
+            found = check_violations(model, log, (kind,))
+            assert found == [v for v in oracle if v.kind == kind], (seed, kind)
+            rel_types[kind].update(v.rel_type for v in found)
+    assert rel_types["I"] >= {"r0", "r1", "r3", "r4"} and len(rel_types["II"]) == 5, rel_types
+
+
 # -- Type III: monotonicity ----------------------------------------------------
 
 
@@ -483,9 +518,24 @@ def test_unselected_kinds_skip_the_replay(monkeypatch):
 
     monkeypatch.setattr(conformance, "_Replay", refuse)
     for model, log in named_and_random_pairs()[:8]:
-        check_violations(model, log, kinds=("II", "IV", "VII", "IX"))
+        check_violations(model, log, kinds=("II", "IV", "V", "VII", "IX"))
+        check_type_v(model, log)
     with pytest.raises(AssertionError):
-        check_violations(ticket_model(), ticket_log(), kinds=("V",))
+        check_violations(ticket_model(), ticket_log(), kinds=("VI",))
+
+
+def test_type_v_and_the_load_warnings_name_the_same_references():
+    """Type V reads the missing references that the log build keeps, so its
+    (event, object) pairs are the warnings' one to one, in the same order."""
+    found = 0
+    for model, log in named_and_random_pairs():
+        missing = [(v.event, v.seq, v.obj) for v in check_violations(model, log, ("V",))]
+        assert [
+            f"event {e!r} (seq {seq}) references object {obj!r} that does not exist in its snapshot"
+            for e, seq, obj in missing
+        ] == list(log.warnings)
+        found += len(missing)
+    assert found > 10
 
 
 def _fold_edge_cases():
