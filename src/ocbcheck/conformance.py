@@ -8,20 +8,24 @@ process can downgrade eventual violations to warnings (prefix mode).
 Each kind is computed only when it is selected.  Types II, IV, V, VII and
 IX read the indexes that the `EventLog` build kept (type V reads the missing
 references the build found, which it also renders as load warnings); types
-I, III, VI and VIII share one per-event replay.
+I, III, VI and VIII share one per-event replay.  Each kind's violations are
+sorted on their own, except type I's, which the replay keeps in report
+order; `KINDS` order then puts the kinds one after another in report order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from operator import itemgetter
+from functools import partial
+from itertools import repeat
+from operator import add, itemgetter
 from typing import Iterable
 
 from .cardinality import Cardinality
 from .eventlog import EMPTY_DELTA, Event, EventLog, LogError, Relation, _ReplayState
 from .model import ActivityClassLink, OcbcModel, RelationshipType
-from .violations import KINDS, Violation, sort_violations
+from .violations import KINDS, Violation, row_key, sort_violations
 
 
 def _keeper(rt: RelationshipType, side: str) -> str:
@@ -31,10 +35,24 @@ def _keeper(rt: RelationshipType, side: str) -> str:
     return rt.target if side == "src" else rt.source
 
 
+def _introducing(log: EventLog) -> list[int]:
+    """The positions of the events that can bring objects into the model:
+    event 0, which also brings in the initial model, and events with a delta."""
+    return [i for i, event in enumerate(log.events) if i == 0 or event.delta is not EMPTY_DELTA]
+
+
 class _Replay(_ReplayState):
     """One pass of the log's delta fold, whose hooks keep incremental validity
     state, for the per-event kinds I, III, VI and VIII.  `by_kind` keeps
-    each kind's violations in detection order."""
+    type I's violations in report order and the other kinds' in detection
+    order.
+
+    Type I reports every breach of the current state again at each event.
+    The replay keeps those breaches as `_rows`, each violation's fields
+    after kind, event and seq in report order.  It builds them again only
+    after an event that left a different breach state, and each event's
+    violations are its kind, id and seq joined to every row.
+    """
 
     def __init__(self, model: OcbcModel, log: EventLog):
         super().__init__(log.init)
@@ -56,26 +74,35 @@ class _Replay(_ReplayState):
                 self._rule[rt.id, side] = (keeper, card, card.render())
                 self._sides_kept_by.setdefault(keeper, []).append((rt.id, side))
         self.replaced()
+        # The breach state that `_rows` was built from.
+        self._built: tuple = ({}, {}, set())
+        self._rows: tuple[tuple, ...] = ()
         self._last_class: dict[str, str] = {}  # survives disappearance, for re-add checks
-        found_vi, found_viii = self.by_kind["VI"], self.by_kind["VIII"]
+        found_i, found_vi, found_viii = self.by_kind["I"], self.by_kind["VI"], self.by_kind["VIII"]
+        new_violation = partial(tuple.__new__, Violation)
+        # Type VI can fire only for an activity that some class an object of
+        # the log can have is not linked to; an undeclared one has no links.
+        classes = {cls for i in _introducing(log) for _, cls in log.introduced(i)}
+        unlinked = {a for a in log._by_activity if any(not model.has_link(a, c) for c in classes)}
 
         for index, event in enumerate(log.events):
             if event.delta is not EMPTY_DELTA or index == 0:
                 self.apply(event, index)
-            if self._bad_card or self._bad_type or self._unknown_rt:
-                self._report_invalid(event)
+            if self._rows:
+                found_i.extend(map(new_violation, map(add, repeat(("I", event.id, event.seq)), self._rows)))
             activity, class_of = event.activity, self.class_of
 
             # Type VI: referenced objects that exist have a linked class.
-            for obj in event.objects:
-                cls = class_of.get(obj)
-                if cls is not None and not model.has_link(activity, cls):
-                    found_vi.append(
-                        Violation(
-                            kind="VI", event=event.id, seq=event.seq, obj=obj,
-                            activity=activity, cls=cls,
+            if activity in unlinked:
+                for obj in event.objects:
+                    cls = class_of.get(obj)
+                    if cls is not None and not model.has_link(activity, cls):
+                        found_vi.append(
+                            Violation(
+                                kind="VI", event=event.id, seq=event.seq, obj=obj,
+                                activity=activity, cls=cls,
+                            )
                         )
-                    )
 
             # Type VIII: the event references the right number of objects per class.
             for link in counted_links.get(activity, ()):
@@ -95,10 +122,11 @@ class _Replay(_ReplayState):
     def _recheck(self, key: tuple[str, str, str]) -> None:
         rt_id, side, obj = key
         keeper_class, card, _ = self._rule[rt_id, side]
-        if self.class_of.get(obj) == keeper_class and self._cnt.get(key, 0) not in card:
-            self._bad_card.add(key)
+        count = self._cnt.get(key, 0)
+        if self.class_of.get(obj) == keeper_class and count not in card:
+            self._bad_card[key] = count
         else:
-            self._bad_card.discard(key)
+            self._bad_card.pop(key, None)
 
     def added_relation(self, rel: Relation) -> None:
         rt = self._rel_type.get(rel[0])
@@ -134,7 +162,7 @@ class _Replay(_ReplayState):
 
     def replaced(self) -> None:
         self._cnt: dict[tuple[str, str, str], int] = {}
-        self._bad_card: set[tuple[str, str, str]] = set()
+        self._bad_card: dict[tuple[str, str, str], int] = {}  # the count of each breach
         self._bad_type: dict[tuple[str, str, str, str], tuple[str, str, str]] = {}
         self._unknown_rt: set[Relation] = set()
         for obj in self.class_of:
@@ -149,6 +177,8 @@ class _Replay(_ReplayState):
         # the state, so take the objects before the event first.
         before = set(self.class_of) if event.delta.assert_snapshot is not None and index else set()
         super().apply(event, index)
+        if (self._bad_card, self._bad_type, self._unknown_rt) != self._built:
+            self._build_rows()
 
         # Type III: objects must not disappear or change class over time.
         for obj in sorted(before.difference(self.class_of)):
@@ -169,22 +199,20 @@ class _Replay(_ReplayState):
                 )
             self._last_class[obj] = cls
 
-    def _report_invalid(self, event: Event) -> None:
+    def _build_rows(self) -> None:
         """Type I: the current snapshot must be valid for the class model."""
-        found = self.by_kind["I"]
-        for key in self._bad_card:
-            rt_id, side, obj = key
-            # Positional: a persistent breach repeats at every event, and keywords
-            # are the slow part of the tuple's __new__.
-            found.append(Violation(
-                "I", event.id, event.seq, "", obj, "", "", rt_id, side, "always",
-                self._cnt.get(key, 0), self._rule[rt_id, side][2],
-            ))
+        self._built = (dict(self._bad_card), dict(self._bad_type), set(self._unknown_rt))
+        found = [
+            Violation(
+                kind="I", rel_type=rt_id, side=side, obj=obj, temporal="always",
+                observed=count, expected=self._rule[rt_id, side][2],
+            )
+            for (rt_id, side, obj), count in self._bad_card.items()
+        ]
         for (rt_id, src, tar, side), (obj, got, want) in self._bad_type.items():
             found.append(
                 Violation(
-                    kind="I", event=event.id, seq=event.seq, rel_type=rt_id,
-                    side=side, obj=obj, cls=got, expected=want,
+                    kind="I", rel_type=rt_id, side=side, obj=obj, cls=got, expected=want,
                     detail=f"relation ({rt_id},{src},{tar}): {side} endpoint has class "
                     f"{got!r}, expected {want!r}",
                 )
@@ -192,11 +220,12 @@ class _Replay(_ReplayState):
         for rt_id, src, tar in self._unknown_rt:
             found.append(
                 Violation(
-                    kind="I", event=event.id, seq=event.seq, rel_type=rt_id,
+                    kind="I", rel_type=rt_id,
                     detail=f"relation ({rt_id},{src},{tar}): relationship type "
                     f"not declared in the class model",
                 )
             )
+        self._rows = tuple(sorted((v[3:] for v in found), key=row_key))
 
 
 def _check_ii(model: OcbcModel, log: EventLog) -> list[Violation]:
@@ -260,7 +289,7 @@ def _check_vii(model: OcbcModel, log: EventLog) -> list[Violation]:
         return []
     # The first appearance of each object per class.
     first_seen: dict[str, dict[str, int]] = {}
-    for index in range(len(events)):
+    for index in _introducing(log):
         for obj, cls in log.introduced(index):
             first_seen.setdefault(cls, {}).setdefault(obj, index)
     last = events[-1]
@@ -453,18 +482,21 @@ def resolve_targets(model: OcbcModel, log: EventLog, cid: str, ref_event: str) -
 def _collect(
     model: OcbcModel, log: EventLog, kinds: tuple[str, ...] | None, prefix: bool
 ) -> list[Violation]:
-    """All violations of the selected kinds, each kind taken once, unsorted.
-    The replay runs only when one of its kinds is selected."""
+    """All violations of the selected kinds, each kind taken once, in report
+    order: each kind's list sorted on its own (type I comes in order), one
+    after another in `KINDS` order, which is where the order starts.  The
+    replay runs only when one of its kinds is selected."""
     # KINDS.index also refuses an unknown kind.
     selected = KINDS if kinds is None else sorted(set(kinds), key=KINDS.index)
     replay = None
     out: list[Violation] = []
     for kind in selected:
         if kind in _CHECKS:
-            out.extend(_CHECKS[kind](model, log))
+            out += sort_violations(_CHECKS[kind](model, log))
         else:
             replay = replay or _Replay(model, log)
-            out.extend(replay.by_kind[kind])
+            found = replay.by_kind[kind]
+            out += found if kind == "I" else sort_violations(found)
     if prefix:
         out = [_downgrade(model, v) for v in out]
     return out
@@ -476,14 +508,15 @@ def check_violations(
     kinds: tuple[str, ...] | None = None,
     prefix: bool = False,
 ) -> list[Violation]:
-    """All violations of the selected kinds, sorted deterministically.
+    """All violations of the selected kinds, in report order
+    (`Violation.sort_key`), which no global sort has to restore.
 
     In prefix mode, violations that future events could still repair
     (fulfilment, eventual event-count shortfalls, behavioral violations
     fixable by more target events, and every behavioral violation of a
     relationship-scoped constraint) are downgraded to warnings.
     """
-    return sort_violations(_collect(model, log, kinds, prefix))
+    return _collect(model, log, kinds, prefix)
 
 
 def _downgrade(model: OcbcModel, violation: Violation) -> Violation:
@@ -508,8 +541,8 @@ def check_all(
     kinds: tuple[str, ...] | None = None,
     prefix: bool = False,
 ):
-    """Run all (or the selected) checkers and aggregate into a report;
-    `aggregate` sorts the violations."""
-    from .report import aggregate
+    """Run all (or the selected) checkers and aggregate into a report, whose
+    violations come in report order without a global sort."""
+    from .report import _report
 
-    return aggregate(_collect(model, log, kinds, prefix), prefix=prefix)
+    return _report(tuple(_collect(model, log, kinds, prefix)), prefix)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import sys
 from array import array
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Any
@@ -477,6 +477,19 @@ def load_log(data: bytes | str) -> EventLog:
         raise FormatError(str(exc), f"line {line_numbers[order[exc.event_index]]}") from None
 
 
+# One C encoder for every line, built with the arguments that
+# ``json.dumps(value, sort_keys=True)`` passes, which builds one per call.
+if c_make_encoder is None:
+    _line_json = json.JSONEncoder(sort_keys=True).encode
+else:
+    _line_chunks = c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ", ", ", True, False, True
+    )
+
+    def _line_json(value: dict) -> str:
+        return "".join(_line_chunks(value, 0))
+
+
 def save_log(log: EventLog) -> bytes:
     """Canonical line-delimited serialization (init line first when non-empty)."""
     lines: list[str] = []
@@ -488,7 +501,7 @@ def save_log(log: EventLog) -> bytes:
         }
 
     if log.init.class_of or log.init.relations:
-        lines.append(json.dumps({"init": om_dict(log.init)}, sort_keys=True))
+        lines.append(_line_json({"init": om_dict(log.init)}))
     for event in log.events:
         entry: dict[str, Any] = {"id": event.id, "seq": event.seq, "activity": event.activity}
         if event.attrs:
@@ -506,7 +519,7 @@ def save_log(log: EventLog) -> bytes:
             entry["removed_relations"] = sorted(list(rel) for rel in delta.removed_relations)
         if delta.assert_snapshot is not None:
             entry["assert_snapshot"] = om_dict(delta.assert_snapshot)
-        lines.append(json.dumps(entry, sort_keys=True))
+        lines.append(_line_json(entry))
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
 
 

@@ -50,6 +50,7 @@ class Violation(NamedTuple):
     severity: str = SEVERITY_ERROR
 
     def sort_key(self) -> tuple:
+        """The report order: by kind, seq, then the fields `row_key` reads."""
         # One unpack reads every field; a named read per field costs more.
         kind, _, seq, constraint, obj, activity, cls, rel_type, side, temporal, observed, _, _, _, detail, _ = self
         observed = -1 if observed is None else observed
@@ -57,6 +58,15 @@ class Violation(NamedTuple):
 
     def downgraded(self) -> Violation:
         return self._replace(severity=SEVERITY_WARNING)
+
+
+def row_key(row: tuple) -> tuple:
+    """`Violation.sort_key` without its kind and seq, for a row of the 13
+    fields that follow `kind`, `event` and `seq`: the violations of one kind
+    at one event sort by the key of their rows."""
+    constraint, obj, activity, cls, rel_type, side, temporal, observed, _, _, _, detail, _ = row
+    observed = -1 if observed is None else observed
+    return constraint, rel_type, side, temporal, activity, cls, obj, observed, detail
 
 
 def sort_violations(violations: list[Violation]) -> list[Violation]:

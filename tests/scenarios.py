@@ -400,6 +400,41 @@ def throughput_model() -> OcbcModel:
     )
 
 
+# -- tickets at desks: a persistent type I breach ------------------------------
+
+
+def desk_model() -> OcbcModel:
+    """Each ticket sits at exactly one desk; "note" may reference tickets only."""
+    return OcbcModel(
+        bcm=BcModel(activities=frozenset({"open", "note"}), constraints=()),
+        clam=ClassModel(
+            classes=frozenset({"ticket", "desk"}),
+            rel_types=(rel_type("at", "ticket", "desk", tar="1"),),
+        ),
+        links=(link("open", "ticket"), link("open", "desk"), link("note", "ticket")),
+        scope={},
+    )
+
+
+def persistent_breach_log(events: int) -> EventLog:
+    """Three tickets that never get a desk breach type I at every event.
+    Each "open" adds a ticket and seats it in the same delta, and every
+    tenth event is an undeclared "audit" of an open ticket (types IV, VI)."""
+    init = ObjectModel(
+        class_of={"d1": "desk", "lost1": "ticket", "lost2": "ticket", "lost3": "ticket"},
+        relations=frozenset(),
+    )
+    log = []
+    for seq in range(1, events + 1):
+        if seq % 10:
+            ticket = f"t{seq}"
+            log.append(event(f"e{seq}", seq, "open", {ticket, "d1"}, new_objects=[(ticket, "ticket")],
+                             new_relations=[("at", ticket, "d1")]))
+        else:
+            log.append(event(f"e{seq}", seq, "audit", {f"t{seq - 1}"}))
+    return EventLog(init=init, events=tuple(log))
+
+
 # -- seeded random scenarios ---------------------------------------------------
 
 _CARD_PAIRS = [

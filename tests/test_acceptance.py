@@ -38,12 +38,14 @@ from ocbcheck import (
 from ocbcheck.violations import KINDS, sort_violations
 from oracle import naive_check
 from scenarios import (
+    desk_model,
     hiring_log,
     hiring_model,
     order_object_model,
     order_class_snapshot_model,
     order_process_log,
     order_process_model,
+    persistent_breach_log,
     precedence_log,
     precedence_model,
     random_case_scenario,
@@ -299,6 +301,28 @@ def test_criterion_9_relationship_scoped_scaling():
     record_acceptance(
         9, f"order process {len(small.events)} -> {len(large.events)} events: per-event "
            f"build {build:.2f}x, check {check:.2f}x",
+    )
+
+
+def test_criterion_9_persistent_type_i_breach_scaling():
+    """A type I breach that persists is reported again at every event, so
+    the report grows with the log: the check's cost per violation stays flat."""
+    model = desk_model()
+    small, large = persistent_breach_log(1500), persistent_breach_log(3000)
+
+    def per_violation(log, repeats):
+        gc.collect()
+        started = time.perf_counter()
+        for _ in range(repeats):
+            report = check_all(model, log)
+        return (time.perf_counter() - started) / (repeats * len(report.violations))
+
+    assert check_all(model, large).summary["I"] == 3 * len(large.events)
+    ratio = median_pair_ratio(lambda: per_violation(small, 2), lambda: per_violation(large, 1))
+    assert ratio <= 1.5, f"doubling the log scaled per-violation check time by {ratio:.2f}x"
+    record_acceptance(
+        9, f"persistent type I breach {len(small.events)} -> {len(large.events)} events: "
+           f"per-violation check {ratio:.2f}x",
     )
 
 

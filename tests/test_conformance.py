@@ -8,6 +8,7 @@ import pytest
 
 from ocbcheck import (
     KINDS,
+    aggregate,
     BcModel,
     ClassModel,
     EventLog,
@@ -31,10 +32,11 @@ from ocbcheck import (
 )
 from ocbcheck import conformance
 from ocbcheck.cardinality import MAX_BOUND, Cardinality, ConstraintType
-from ocbcheck.violations import sort_violations
+from ocbcheck.violations import Violation, sort_violations
 from oracle import naive_check
 from scenarios import (
     constraint,
+    desk_model,
     event,
     hiring_log,
     hiring_model,
@@ -44,6 +46,7 @@ from scenarios import (
     order_class_snapshot_model,
     order_process_log,
     order_process_model,
+    persistent_breach_log,
     precedence_log,
     precedence_model,
     random_log,
@@ -101,6 +104,82 @@ def test_breach_is_reported_at_every_snapshot_where_it_holds():
     log = EventLog(events=(first, second))
     violations = check_type_i(model, log)
     assert [(v.event, v.obj) for v in violations] == [("e1", "ol1")]
+
+
+def _breach_cases():
+    """Logs over `desk_model`, each with its type I (event, object, observed)
+    triples and the number of times the replay builds its type I rows."""
+    desks = {"d1": "desk", "d2": "desk", "d3": "desk"}
+    t1 = ObjectModel(class_of={"t1": "ticket", **desks}, relations=frozenset())
+    seated = ObjectModel(class_of=t1.class_of, relations=frozenset({("at", "t1", "d1")}))
+    both = ObjectModel(class_of={**t1.class_of, "t2": "ticket"}, relations=seated.relations)
+    two_seated = ObjectModel(class_of=both.class_of, relations=frozenset({("at", "t1", "d1"), ("at", "t2", "d1")}))
+    odd = [("at", "t1", "t2"), ("nope", "t2", "d1")]
+    return {
+        "a breach whose count changes while it stays bad": (
+            EventLog(init=t1, events=(
+                event("e1", 1, "note", {"t1"}),
+                event("e2", 2, "open", {"t1"}, new_relations=[("at", "t1", "d1"), ("at", "t1", "d2")]),
+                event("e3", 3, "open", {"t1"}, new_relations=[("at", "t1", "d3")]),
+                event("e4", 4, "note", {"t1"}),
+                event("e5", 5, "note", {"t1"}, removed_relations=[("at", "t1", "d2"), ("at", "t1", "d3")]),
+                event("e6", 6, "note", {"t1"}),
+            )),
+            [("e1", "t1", 0), ("e2", "t1", 2), ("e3", "t1", 3), ("e4", "t1", 3)],
+            4,
+        ),
+        "a breach opened and mended inside one delta": (
+            EventLog(init=ObjectModel(class_of=desks, relations=frozenset()), events=tuple(
+                event(f"e{i}", i, "open", {f"t{i}"}, new_objects=[(f"t{i}", "ticket")],
+                      new_relations=[("at", f"t{i}", "d1")])
+                for i in (1, 2, 3)
+            )),
+            [],
+            0,
+        ),
+        "asserted snapshots that clear and add breaches": (
+            EventLog(init=t1, events=(
+                event("e1", 1, "note", {"t1"}),
+                event("e2", 2, "note", {"t1"}, assert_snapshot=seated),
+                event("e3", 3, "note", {"t1"}),
+                event("e4", 4, "open", {"t2"}, assert_snapshot=both),
+                event("e5", 5, "note", {"t2"}),
+            )),
+            [("e1", "t1", 0), ("e4", "t2", 0), ("e5", "t2", 0)],
+            3,
+        ),
+        "typing and undeclared-type breaches that removed relations end": (
+            EventLog(init=two_seated, events=(
+                event("e1", 1, "note", {"t1"}),
+                event("e2", 2, "open", {"t1"}, new_relations=odd),
+                event("e3", 3, "note", {"t1"}),
+                event("e4", 4, "note", {"t1"}, removed_relations=odd),
+                event("e5", 5, "note", {"t1"}),
+            )),
+            [("e2", "t2", None), ("e2", "t1", 2), ("e2", "", None),
+             ("e3", "t2", None), ("e3", "t1", 2), ("e3", "", None)],
+            2,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_breach_cases()))
+def test_type_i_rows_are_built_once_per_breach_state(name, monkeypatch):
+    """The replay builds type I's rows again only after an event that left
+    a different breach state, and each event's violations equal the
+    oracle's, in full and prefix mode."""
+    model = desk_model()
+    log, expected, builds = _breach_cases()[name]
+    calls = []
+    build_rows = conformance._Replay._build_rows
+    monkeypatch.setattr(conformance._Replay, "_build_rows", lambda self: calls.append(1) or build_rows(self))
+    conformance._Replay(model, log)
+    assert len(calls) == builds
+    oracle = [v for v in sort_violations(naive_check(model, log)) if v.kind == "I"]
+    assert [(v.event, v.obj, v.observed) for v in oracle] == expected
+    for prefix in (False, True):
+        assert check_violations(model, log, ("I",), prefix) == oracle
+        assert [v for v in check_violations(model, log, prefix=prefix) if v.kind == "I"] == oracle
 
 
 # -- Type II: fulfilment at the end of the log --------------------------------
@@ -270,6 +349,29 @@ def test_reference_to_unlinked_class_flagged():
     assert [(v.event, v.obj, v.activity, v.cls) for v in violations] == [
         ("e2", "o1", "pick item", "order")
     ]
+
+
+def test_unlinked_class_that_only_an_assertion_brings_in_is_flagged():
+    model = desk_model()
+    init = ObjectModel(class_of={"t1": "ticket"}, relations=frozenset())
+    asserted = ObjectModel(class_of={"t1": "ticket", "d1": "desk"}, relations=frozenset())
+    log = EventLog(init=init, events=(
+        event("e1", 1, "note", {"t1"}),
+        event("e2", 2, "open", {"t1"}, assert_snapshot=asserted),
+        event("e3", 3, "note", {"t1", "d1"}),
+    ))
+    violations = check_type_vi(model, log)
+    assert [(v.event, v.obj, v.activity, v.cls) for v in violations] == [("e3", "d1", "note", "desk")]
+    assert violations == [v for v in sort_violations(naive_check(model, log)) if v.kind == "VI"]
+
+
+def test_undeclared_activity_references_no_linked_class():
+    model = desk_model()
+    init = ObjectModel(class_of={"t1": "ticket", "d1": "desk"}, relations=frozenset({("at", "t1", "d1")}))
+    log = EventLog(init=init, events=(event("e1", 1, "open", {"t1", "d1"}), event("e2", 2, "audit", {"t1", "d1"})))
+    violations = check_type_vi(model, log)
+    assert [(v.event, v.obj, v.cls) for v in violations] == [("e2", "d1", "desk"), ("e2", "t1", "ticket")]
+    assert violations == [v for v in sort_violations(naive_check(model, log)) if v.kind == "VI"]
 
 
 def test_event_without_references_is_no_proper_class_violation():
@@ -510,6 +612,35 @@ def test_check_all_equals_concatenation_of_individual_checkers():
             subset = tuple(rng.sample(KINDS, rng.randint(1, len(KINDS))))
             expected = [v for v in full_prefix if v.kind in subset]
             assert check_violations(model, log, subset, prefix=True) == expected, subset
+
+
+def test_each_kind_comes_in_report_order_without_a_global_sort():
+    """`check_violations` and `check_all` hand back what `_collect` builds:
+    each kind's list already in report order, one kind after another."""
+    for model, log in named_and_random_pairs():
+        for prefix in (False, True):
+            found = check_violations(model, log, prefix=prefix)
+            assert found == sort_violations(found)
+            assert check_all(model, log, prefix=prefix) == aggregate(found, prefix=prefix)
+            for kind in KINDS:
+                alone = conformance._collect(model, log, (kind,), prefix)
+                assert alone == sort_violations(alone), kind
+
+
+def test_check_sorts_no_type_i_violation(monkeypatch):
+    """Type I comes from the replay in report order, so neither check passes
+    one to `Violation.sort_key`, and every other violation at most once."""
+    model, log = desk_model(), persistent_breach_log(300)
+    keyed = []
+    sort_key = Violation.sort_key
+    monkeypatch.setattr(Violation, "sort_key", lambda v: keyed.append(v.kind) or sort_key(v))
+    for check in (check_all, check_violations):
+        keyed.clear()
+        result = check(model, log)
+        violations = result if check is check_violations else result.violations
+        others = [v for v in violations if v.kind != "I"]
+        assert len(violations) - len(others) == 900 and others
+        assert "I" not in keyed and len(keyed) <= len(others), check.__name__
 
 
 def test_unselected_kinds_skip_the_replay(monkeypatch):

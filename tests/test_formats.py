@@ -238,10 +238,15 @@ def test_model_error_messages(edits, message):
 
 
 def test_log_round_trip_is_byte_stable():
-    for log in (order_process_log(), ticket_log(), precedence_log()):
+    """Each line is ``json.dumps(entry, sort_keys=True)``, also for text
+    that ASCII escapes."""
+    odd = load_log(json.dumps({"id": "é1", "seq": 1, "activity": "\ud800", "attrs": {"nötig": "☕\n"}}))
+    for log in (order_process_log(), ticket_log(), precedence_log(), odd):
         data = save_log(log)
         assert load_log(data) == log
         assert save_log(load_log(data)) == data
+        for line in data.decode().splitlines():
+            assert line == json.dumps(json.loads(line), sort_keys=True)
 
 
 def test_log_loads_init_line():
