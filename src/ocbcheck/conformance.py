@@ -8,9 +8,12 @@ process can downgrade eventual violations to warnings (prefix mode).
 Each kind is computed only when it is selected.  Types II, IV, V, VII and
 IX read the indexes that the `EventLog` build kept (type V reads the missing
 references the build found, which it also renders as load warnings); types
-I, III, VI and VIII share one per-event replay.  Each kind's violations are
-sorted on their own, except type I's, which the replay keeps in report
-order; `KINDS` order then puts the kinds one after another in report order.
+I, III, VI and VIII share one per-event replay.  Type IX correlates once
+per constraint and distinct reference object set, through the function
+`resolve_targets` also uses, and counts each reference event's targets by
+two bisections.  Each kind's violations are sorted on their own, except
+type I's, which the replay keeps in report order; `KINDS` order then puts
+the kinds one after another in report order.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ from collections import Counter
 from functools import partial
 from itertools import repeat
 from operator import add, itemgetter
-from typing import Iterable
+from typing import Callable
 
 from .cardinality import Cardinality
 from .eventlog import EMPTY_DELTA, Event, EventLog, LogError, Relation, _ReplayState
-from .model import ActivityClassLink, OcbcModel, RelationshipType
+from .model import ActivityClassLink, BehavioralConstraint, OcbcModel, RelationshipType
 from .violations import KINDS, Violation, row_key, sort_violations
 
 
@@ -39,6 +42,14 @@ def _introducing(log: EventLog) -> list[int]:
     """The positions of the events that can bring objects into the model:
     event 0, which also brings in the initial model, and events with a delta."""
     return [i for i, event in enumerate(log.events) if i == 0 or event.delta is not EMPTY_DELTA]
+
+
+def _unlinked_activities(model: OcbcModel, log: EventLog) -> set[str]:
+    """The activities of the log that some class an object of the log can
+    have is not linked to, the only ones type VI can fire for; an undeclared
+    activity has no links."""
+    classes = {cls for i in _introducing(log) for _, cls in log.introduced(i)}
+    return {a for a in log._by_activity if any(not model.has_link(a, c) for c in classes)}
 
 
 class _Replay(_ReplayState):
@@ -80,10 +91,7 @@ class _Replay(_ReplayState):
         self._last_class: dict[str, str] = {}  # survives disappearance, for re-add checks
         found_i, found_vi, found_viii = self.by_kind["I"], self.by_kind["VI"], self.by_kind["VIII"]
         new_violation = partial(tuple.__new__, Violation)
-        # Type VI can fire only for an activity that some class an object of
-        # the log can have is not linked to; an undeclared one has no links.
-        classes = {cls for i in _introducing(log) for _, cls in log.introduced(i)}
-        unlinked = {a for a in log._by_activity if any(not model.has_link(a, c) for c in classes)}
+        unlinked = _unlinked_activities(model, log)
 
         for index, event in enumerate(log.events):
             if event.delta is not EMPTY_DELTA or index == 0:
@@ -339,17 +347,23 @@ def _check_vii(model: OcbcModel, log: EventLog) -> list[Violation]:
 
 
 def _check_ix(model: OcbcModel, log: EventLog) -> list[Violation]:
-    """Type IX: behavioral constraints over object-correlated target events."""
+    """Type IX: behavioral constraints over object-correlated target events.
+    Reference events are grouped by their object set, by value: each set is
+    correlated once, on first sight, and each reference event counts its
+    targets by two bisections."""
     events, by_activity = log.events, log._by_activity
-    target_positions = _Correlation(model, log).target_positions
     found = []
     for constraint in model.bcm.constraints:
-        via, target = model.scope[constraint.id], constraint.target_activity
         accepts, expected = constraint.ctype.accepts, constraint.ctype.render()
+        correlate, targets_of = _correlation(model, log, constraint), {}
         for ref_index in by_activity.get(constraint.ref_activity, ()):
-            event = events[ref_index]
-            before, after = _count_around(target_positions(via, target, event.objects), ref_index)
+            objects = events[ref_index].objects
+            targets = targets_of.get(objects)
+            if targets is None:
+                targets = targets_of[objects] = correlate(objects)
+            before, after = bisect_left(targets, ref_index), len(targets) - bisect_right(targets, ref_index)
             if not accepts(before, after):
+                event = events[ref_index]
                 found.append(
                     Violation(
                         kind="IX", event=event.id, seq=event.seq,
@@ -364,51 +378,32 @@ def _check_ix(model: OcbcModel, log: EventLog) -> list[Violation]:
 _CHECKS = {"II": _check_ii, "IV": _check_iv, "V": _check_v, "VII": _check_vii, "IX": _check_ix}
 
 
-class _Correlation:
-    """Correlates reference events with the target events of a constraint.
+def _correlation(
+    model: OcbcModel, log: EventLog, constraint: BehavioralConstraint
+) -> Callable[[frozenset[str]], list[int]]:
+    """The correlation of a constraint: a function from a reference event's
+    objects to the ascending, distinct positions of its target events.
 
     Correlation navigates the final object model: objects of the scope class
     that the reference event references, or partners reached from them over
     relations of the scope relationship type in either direction.  The log
-    builds the neighbour map of a relationship type once, on first use.
+    builds the neighbour map of a relationship type once, on first use.  One
+    correlated object's positions are the log's own list; several objects'
+    lists are merged, so a target event referencing two of them counts once.
     """
+    via, target, positions = model.scope[constraint.id], constraint.target_activity, log._positions
+    class_of = log.final_snapshot().class_of
+    nbr = None if via in model.clam.classes else log._neighbours_via(via)
 
-    def __init__(self, model: OcbcModel, log: EventLog):
-        self.classes = model.clam.classes
-        self.class_of = log.final_snapshot().class_of
-        self.positions = log._positions
-        self.neighbours_via = log._neighbours_via
-
-    def target_positions(self, via: str, target: str, objects: Iterable[str]) -> list[list[int]]:
-        """Positions of the `target` events correlated over the scope `via`
-        with a reference event over `objects`: one ascending list per
-        correlated object.  A target event referencing several correlated
-        objects is in several lists."""
-        if via in self.classes:
-            class_of = self.class_of
-            correlated: Iterable[str] = [o for o in objects if class_of.get(o) == via]
+    def targets(objects: frozenset[str]) -> list[int]:
+        if nbr is None:
+            lists = [p for o in objects if class_of.get(o) == via and (p := positions.get((o, target)))]
         else:
-            nbr = self.neighbours_via(via)
             correlated = set().union(*(nbr.get(o, ()) for o in objects))
-        lists = []
-        for obj in correlated:
-            positions = self.positions.get((obj, target))
-            if positions:
-                lists.append(positions)
-        return lists
+            lists = [p for o in correlated if (p := positions.get((o, target)))]
+        return lists[0] if len(lists) == 1 else sorted(set().union(*lists))
 
-
-def _count_around(lists: list[list[int]], ref: int) -> tuple[int, int]:
-    """Distinct positions in the ascending `lists` strictly before and after `ref`.
-
-    One list is counted by bisection.  Several lists are merged into a set,
-    so a target event referencing two correlated objects counts once.
-    """
-    if len(lists) == 1:
-        (only,) = lists
-        return bisect_left(only, ref), len(only) - bisect_right(only, ref)
-    targets = set().union(*lists)
-    return sum(t < ref for t in targets), sum(t > ref for t in targets)
+    return targets
 
 
 def check_type_i(model: OcbcModel, log: EventLog) -> list[Violation]:
@@ -473,19 +468,26 @@ def resolve_targets(model: OcbcModel, log: EventLog, cid: str, ref_event: str) -
             f"event {ref_event!r} has activity {event.activity!r}, "
             f"expected reference activity {constraint.ref_activity!r}"
         )
-    lists = _Correlation(model, log).target_positions(
-        model.scope[cid], constraint.target_activity, event.objects
-    )
-    return {log.events[i].id for positions in lists for i in positions}
+    return {log.events[i].id for i in _correlation(model, log, constraint)(event.objects)}
 
 
-def _collect(
-    model: OcbcModel, log: EventLog, kinds: tuple[str, ...] | None, prefix: bool
+def check_violations(
+    model: OcbcModel,
+    log: EventLog,
+    kinds: tuple[str, ...] | None = None,
+    prefix: bool = False,
 ) -> list[Violation]:
     """All violations of the selected kinds, each kind taken once, in report
-    order: each kind's list sorted on its own (type I comes in order), one
-    after another in `KINDS` order, which is where the order starts.  The
-    replay runs only when one of its kinds is selected."""
+    order (`Violation.sort_key`), which no global sort has to restore: each
+    kind's list sorted on its own (type I comes in order), one after another
+    in `KINDS` order, which is where the order starts.  The replay runs only
+    when one of its kinds is selected.
+
+    In prefix mode, violations that future events could still repair
+    (fulfilment, eventual event-count shortfalls, behavioral violations
+    fixable by more target events, and every behavioral violation of a
+    relationship-scoped constraint) are downgraded to warnings.
+    """
     # KINDS.index also refuses an unknown kind.
     selected = KINDS if kinds is None else sorted(set(kinds), key=KINDS.index)
     replay = None
@@ -500,23 +502,6 @@ def _collect(
     if prefix:
         out = [_downgrade(model, v) for v in out]
     return out
-
-
-def check_violations(
-    model: OcbcModel,
-    log: EventLog,
-    kinds: tuple[str, ...] | None = None,
-    prefix: bool = False,
-) -> list[Violation]:
-    """All violations of the selected kinds, in report order
-    (`Violation.sort_key`), which no global sort has to restore.
-
-    In prefix mode, violations that future events could still repair
-    (fulfilment, eventual event-count shortfalls, behavioral violations
-    fixable by more target events, and every behavioral violation of a
-    relationship-scoped constraint) are downgraded to warnings.
-    """
-    return _collect(model, log, kinds, prefix)
 
 
 def _downgrade(model: OcbcModel, violation: Violation) -> Violation:
@@ -545,4 +530,4 @@ def check_all(
     violations come in report order without a global sort."""
     from .report import _report
 
-    return _report(tuple(_collect(model, log, kinds, prefix)), prefix)
+    return _report(tuple(check_violations(model, log, kinds, prefix)), prefix)

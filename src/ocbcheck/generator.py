@@ -20,7 +20,7 @@ from bisect import insort
 from dataclasses import dataclass, field, replace
 
 from .cardinality import Cardinality
-from .conformance import check_violations, resolve_targets
+from .conformance import _unlinked_activities, check_violations, resolve_targets
 from .eventlog import EMPTY_DELTA, Event, EventLog, LogError, ObjectDelta, ObjectModel, Relation
 from .model import OcbcModel, RelationshipType
 from .violations import Violation
@@ -643,8 +643,14 @@ def _candidates(model: OcbcModel, log: EventLog, kind: str, rng: random.Random):
             )
 
     elif kind == "VI":
+        # An event whose activity every class of the log is linked to has no
+        # object to take and would draw nothing from `rng`, so skipping its
+        # fold from event 0 changes no output.
+        unlinked = _unlinked_activities(model, log)
         for i in order:
             event = events[i]
+            if event.activity not in unlinked:
+                continue
             snapshot = log.snapshot_after(event.id)
             unrelated = [
                 o

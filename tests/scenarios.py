@@ -435,6 +435,53 @@ def persistent_breach_log(events: int) -> EventLog:
     return EventLog(init=init, events=tuple(log))
 
 
+# -- fan-in: many reference events correlate with one busy object set ---------
+
+
+def fan_in_model(via: str) -> OcbcModel:
+    """Every `visit` needs a later `ship` (response), correlated via `via`:
+    the relationship `r` from a customer to its orders, or the class `desk`."""
+    return OcbcModel(
+        bcm=BcModel(
+            activities=frozenset({"visit", "ship"}),
+            constraints=(constraint("c", "response", "visit", "ship"),),
+        ),
+        clam=ClassModel(
+            classes=frozenset({"customer", "order", "desk"}),
+            rel_types=(rel_type("r", "customer", "order"),),
+        ),
+        links=(link("visit", "customer"), link("ship", "order"), link("visit", "desk"), link("ship", "desk")),
+        scope={"c": via},
+    )
+
+
+def relationship_hub_log(n: int) -> EventLog:
+    """A customer with `n` orders over `r`: each order has one `ship` event,
+    and `n` `visit` events reference the customer, so every visit correlates
+    with all `n` ships."""
+    orders = [f"o{i}" for i in range(1, n + 1)]
+    init = ObjectModel(
+        class_of={"c": "customer", **dict.fromkeys(orders, "order")},
+        relations=frozenset(("r", "c", o) for o in orders),
+    )
+    events = []
+    for i, order in enumerate(orders):
+        events.append(event(f"v{i}", 2 * i + 1, "visit", {"c"}))
+        events.append(event(f"s{i}", 2 * i + 2, "ship", {order}))
+    return EventLog(init=init, events=tuple(events))
+
+
+def desk_hubs_log(n: int) -> EventLog:
+    """Two desks: `n` `visit` events reference both, and each of `n` `ship`
+    events one of them, so every visit correlates with two long lists."""
+    init = ObjectModel(class_of={"d1": "desk", "d2": "desk"}, relations=frozenset())
+    events = []
+    for i in range(n):
+        events.append(event(f"v{i}", 2 * i + 1, "visit", {"d1", "d2"}))
+        events.append(event(f"s{i}", 2 * i + 2, "ship", {f"d{i % 2 + 1}"}))
+    return EventLog(init=init, events=tuple(events))
+
+
 # -- seeded random scenarios ---------------------------------------------------
 
 _CARD_PAIRS = [

@@ -38,7 +38,9 @@ from ocbcheck import (
 from ocbcheck.violations import KINDS, sort_violations
 from oracle import naive_check
 from scenarios import (
+    desk_hubs_log,
     desk_model,
+    fan_in_model,
     hiring_log,
     hiring_model,
     order_object_model,
@@ -51,6 +53,7 @@ from scenarios import (
     random_case_scenario,
     random_log,
     random_model,
+    relationship_hub_log,
     throughput_model,
     ticket_log,
     ticket_model,
@@ -323,6 +326,36 @@ def test_criterion_9_persistent_type_i_breach_scaling():
     record_acceptance(
         9, f"persistent type I breach {len(small.events)} -> {len(large.events)} events: "
            f"per-violation check {ratio:.2f}x",
+    )
+
+
+@pytest.mark.parametrize(
+    "via, build, shape",
+    [
+        ("r", relationship_hub_log, "relationship hub"),
+        ("desk", desk_hubs_log, "two class-scope hubs"),
+    ],
+)
+def test_criterion_9_fan_in_correlation_scaling(via, build, shape):
+    """Every reference event correlates with all target events of the log,
+    through one customer's orders or two desks: IX still costs the same per
+    event at twice the size."""
+    model = fan_in_model(via)
+    small, large = build(500), build(1000)
+
+    def per_event(log):
+        repeats = 40_000 // len(log.events)
+        gc.collect()
+        started = time.perf_counter()
+        for _ in range(repeats):
+            found = check_violations(model, log, ("IX",))
+        assert not found
+        return (time.perf_counter() - started) / (repeats * len(log.events))
+
+    ratio = median_pair_ratio(lambda: per_event(small), lambda: per_event(large))
+    assert ratio <= 1.5, f"doubling the log scaled per-event IX time by {ratio:.2f}x"
+    record_acceptance(
+        9, f"{shape} {len(small.events)} -> {len(large.events)} events: per-event IX {ratio:.2f}x"
     )
 
 

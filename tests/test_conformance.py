@@ -38,6 +38,7 @@ from scenarios import (
     constraint,
     desk_model,
     event,
+    fan_in_model,
     hiring_log,
     hiring_model,
     link,
@@ -439,6 +440,74 @@ def test_resolve_targets_validates_inputs():
         resolve_targets(model, log, "c", "e1")
 
 
+def _fan_in_case(via: str, template: str, order: list[int]) -> tuple[OcbcModel, EventLog]:
+    """A small fan-in log in the given event order, with `visit` -> `ship`
+    and `visit` -> `visit` constraints of one template via `via`.  Visits
+    share object sets, each built as its own frozenset; some ships reference
+    two correlated objects, and one visit on a customer's order correlates
+    with the customer's visits, itself among them."""
+    if via == "r":
+        orders = ("o1", "o2", "o3", "o4", "o5")
+        init = ObjectModel(
+            class_of={"c1": "customer", "c2": "customer", **dict.fromkeys(orders, "order")},
+            relations=frozenset(
+                {("r", "c1", "o1"), ("r", "c1", "o2"), ("r", "c1", "o3"), ("r", "c2", "o4"), ("r", "c2", "o5")}
+            ),
+        )
+        shapes = [("visit", {"c1"}), ("visit", {"c1"}), ("visit", {"c2"}), ("visit", {"c1", "c2"}),
+                  ("visit", {"c1", "o2"}), ("ship", {"o1"}), ("ship", {"o2", "o3"}), ("ship", {"o4"}),
+                  ("ship", {"o1", "o5"})]
+    else:
+        init = ObjectModel(class_of={"d1": "desk", "d2": "desk"}, relations=frozenset())
+        shapes = [("visit", {"d1", "d2"}), ("visit", {"d1", "d2"}), ("visit", {"d1"}),
+                  ("visit", {"d1", "d2"}), ("visit", {"d2"}), ("ship", {"d1"}), ("ship", {"d2"}),
+                  ("ship", {"d1", "d2"}), ("ship", {"d1"})]
+    events = tuple(event(f"e{i}", seq, *shapes[i]) for seq, i in enumerate(order, start=1))
+    model = dataclasses.replace(
+        fan_in_model(via),
+        bcm=BcModel(
+            activities=frozenset({"visit", "ship"}),
+            constraints=(constraint("to-ship", template, "visit", "ship"),
+                         constraint("to-visit", template, "visit", "visit")),
+        ),
+        scope={"to-ship": via, "to-visit": via},
+    )
+    return model, EventLog(init=init, events=events)
+
+
+@pytest.mark.parametrize("via", ["r", "desk"])
+def test_fan_in_correlation_agrees_with_the_oracle(via):
+    """Many visits correlate with one busy object set: their IX counts equal
+    the oracle's, with each reference's own position left out of a shared
+    list, a ship on two correlated objects counted once, and visits grouped
+    by equal object sets, not by identity; `resolve_targets` equals a scan
+    of the final snapshot."""
+    rng = random.Random(via)
+    for template in ("response", "unary-response", "non-response", "precedence",
+                     "unary-precedence", "non-precedence", "co-existence", "non-co-existence"):
+        for _ in range(4):
+            order = list(range(9))
+            rng.shuffle(order)
+            model, log = _fan_in_case(via, template, order)
+            first, second = (e.objects for e in log.events if e.id in ("e0", "e1"))
+            assert first == second and first is not second
+            assert check_violations(model, log) == sort_violations(naive_check(model, log)), (template, order)
+            final = log.final_snapshot()
+            for c in model.bcm.constraints:
+                for ref in log.events_of_activity("visit"):
+                    objects = log.event(ref).objects
+                    if via == "desk":
+                        correlated = {o for o in objects if final.class_of.get(o) == via}
+                    else:
+                        correlated = {t for rt, s, t in final.relations if rt == via and s in objects}
+                        correlated |= {s for rt, s, t in final.relations if rt == via and t in objects}
+                    expected = {
+                        e.id for e in log.events
+                        if e.activity == c.target_activity and e.objects & correlated
+                    }
+                    assert resolve_targets(model, log, c.id, ref) == expected, (c.id, ref)
+
+
 def test_unrelated_and_late_targets_violate_precedence():
     violations = check_type_ix(precedence_model(), precedence_log())
     assert [(v.event, v.before, v.after) for v in violations] == [("e3", 0, 1), ("e6", 0, 0)]
@@ -615,15 +684,15 @@ def test_check_all_equals_concatenation_of_individual_checkers():
 
 
 def test_each_kind_comes_in_report_order_without_a_global_sort():
-    """`check_violations` and `check_all` hand back what `_collect` builds:
-    each kind's list already in report order, one kind after another."""
+    """`check_violations` and `check_all` hand back each kind's list already
+    in report order, one kind after another."""
     for model, log in named_and_random_pairs():
         for prefix in (False, True):
             found = check_violations(model, log, prefix=prefix)
             assert found == sort_violations(found)
             assert check_all(model, log, prefix=prefix) == aggregate(found, prefix=prefix)
             for kind in KINDS:
-                alone = conformance._collect(model, log, (kind,), prefix)
+                alone = check_violations(model, log, (kind,), prefix)
                 assert alone == sort_violations(alone), kind
 
 

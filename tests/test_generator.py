@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from ocbcheck import (
+    EventLog,
     GenerationError,
     InjectionError,
     check_all,
@@ -215,6 +216,19 @@ def test_injection_reports_unachievable_kind():
     # No relationships exist, so no mutation can break snapshot validity.
     with pytest.raises(InjectionError):
         inject_violation(model, log, "I", seed=0)
+
+
+def test_vi_injection_folds_no_snapshot_when_every_class_is_linked(monkeypatch):
+    """Both ticket activities are linked to the only class, so no event can
+    take a type VI mutation, and none pays for a fold from event 0."""
+    model = throughput_model()
+    log = generate_conforming(model, events=200, seed=0)
+    calls = []
+    snapshot_after = EventLog.snapshot_after
+    monkeypatch.setattr(EventLog, "snapshot_after", lambda self, eid: calls.append(eid) or snapshot_after(self, eid))
+    with pytest.raises(InjectionError):
+        inject_violation(model, log, "VI")
+    assert calls == []
 
 
 def test_injection_is_deterministic():
