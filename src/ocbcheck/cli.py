@@ -23,6 +23,12 @@ def _read(path: str) -> bytes:
     return Path(path).read_bytes()
 
 
+def _write(payload: bytes) -> None:
+    """Write bytes to stdout as they are, whatever its text encoding."""
+    sys.stdout.flush()
+    sys.stdout.buffer.write(payload)
+
+
 def _parse_kinds(text: str) -> tuple[str, ...]:
     kinds = tuple(dict.fromkeys(part.strip() for part in text.split(",") if part.strip()))
     for kind in kinds:
@@ -113,7 +119,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(payload.decode("utf-8"))
+        _write(payload)
     return 0 if report.conforms else 1
 
 
@@ -126,16 +132,15 @@ def _cmd_validate_model(args: argparse.Namespace) -> int:
     try:
         model = load_model(data)
     except ModelDefectsError as exc:
-        for defect in exc.defects:
-            print(f"defect {defect}")
+        _write("".join(f"defect {defect}\n" for defect in exc.defects).encode(errors="backslashreplace"))
         return 1
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(
+    _write(
         f"model OK: {len(model.bcm.activities)} activities, "
         f"{len(model.clam.classes)} classes, {len(model.clam.rel_types)} relationships, "
-        f"{len(model.bcm.constraints)} constraints"
+        f"{len(model.bcm.constraints)} constraints\n".encode()
     )
     return 0
 
@@ -158,7 +163,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     except (GenerationError, InjectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(save_log(log).decode("utf-8"))
+    _write(save_log(log))
     return 0
 
 

@@ -5,15 +5,15 @@ of the finite log, which is equivalent to the suffix-quantified form on a
 total finite order.  Logs are treated as complete; callers checking a running
 process can downgrade eventual violations to warnings (prefix mode).
 
-Each kind is computed only when it is selected.  Types II, IV, V, VII and
-IX read the indexes that the `EventLog` build kept (type V reads the missing
-references the build found, which it also renders as load warnings); types
-I, III, VI and VIII share one per-event replay.  Type IX correlates once
-per constraint and distinct reference object set, through the function
-`resolve_targets` also uses, and counts each reference event's targets by
-two bisections.  Each kind's violations are sorted on their own, except
-type I's, which the replay keeps in report order; `KINDS` order then puts
-the kinds one after another in report order.
+Each kind is computed by one function, only when it is selected.  Type I
+alone folds the log again; the other kinds read the indexes that the
+`EventLog` build kept (type V its missing references, types III, VI and
+VIII its class map of each stretch between two assertions).  Type IX
+correlates once per constraint and distinct reference object set, through
+the function `resolve_targets` also uses, and counts each reference event's
+targets by two bisections.  Each kind's violations are sorted on their
+own, except type I's, which its replay keeps in report order; `KINDS`
+order then puts the kinds one after another in report order.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from collections import Counter
 from functools import partial
 from itertools import repeat
 from operator import add, itemgetter
-from typing import Callable
+from typing import Callable, Iterator
 
 from .cardinality import Cardinality
-from .eventlog import EMPTY_DELTA, Event, EventLog, LogError, Relation, _ReplayState
-from .model import ActivityClassLink, BehavioralConstraint, OcbcModel, RelationshipType
+from .eventlog import EMPTY_DELTA, EventLog, LogError, Relation, _ReplayState
+from .model import BehavioralConstraint, OcbcModel, RelationshipType
 from .violations import KINDS, Violation, row_key, sort_violations
 
 
@@ -52,10 +52,20 @@ def _unlinked_activities(model: OcbcModel, log: EventLog) -> set[str]:
     return {a for a in log._by_activity if any(not model.has_link(a, c) for c in classes)}
 
 
+def _stretch_runs(log: EventLog, positions: list[int]) -> Iterator[tuple[dict[str, str], list[int]]]:
+    """Ascending event positions in runs that lie in one stretch each, with
+    the stretch's class map (see `EventLog`)."""
+    stretches, p = log._stretches, 0
+    while p < len(positions):
+        k = bisect_right(stretches, positions[p], key=itemgetter(0)) - 1
+        q = bisect_left(positions, stretches[k + 1][0], p) if k + 1 < len(stretches) else len(positions)
+        yield stretches[k][1], positions[p:q]
+        p = q
+
+
 class _Replay(_ReplayState):
-    """One pass of the log's delta fold, whose hooks keep incremental validity
-    state, for the per-event kinds I, III, VI and VIII.  `by_kind` keeps
-    type I's violations in report order and the other kinds' in detection
+    """Type I: one pass of the log's delta fold, whose hooks keep the
+    breaches of the current state; `found` holds its violations in report
     order.
 
     Type I reports every breach of the current state again at each event.
@@ -67,15 +77,8 @@ class _Replay(_ReplayState):
 
     def __init__(self, model: OcbcModel, log: EventLog):
         super().__init__(log.init)
-        self._log = log
         self._rel_type = {rt.id: rt for rt in model.clam.rel_types}
-        self.by_kind: dict[str, list[Violation]] = {k: [] for k in ("I", "III", "VI", "VIII")}
-        # Type VIII checks only the links that bound the objects per event.
-        counted_links: dict[str, list[ActivityClassLink]] = {}
-        for link in model.links:
-            if not link.card_objects.is_universal:
-                counted_links.setdefault(link.activity, []).append(link)
-        # Type I's rule per (relationship type, side): the keeper class, the
+        # The rule per (relationship type, side): the keeper class, the
         # always-cardinality and its rendering; and the sides each class keeps.
         self._rule: dict[tuple[str, str], tuple[str, Cardinality, str]] = {}
         self._sides_kept_by: dict[str, list[tuple[str, str]]] = {}
@@ -88,44 +91,15 @@ class _Replay(_ReplayState):
         # The breach state that `_rows` was built from.
         self._built: tuple = ({}, {}, set())
         self._rows: tuple[tuple, ...] = ()
-        self._last_class: dict[str, str] = {}  # survives disappearance, for re-add checks
-        found_i, found_vi, found_viii = self.by_kind["I"], self.by_kind["VI"], self.by_kind["VIII"]
-        new_violation = partial(tuple.__new__, Violation)
-        unlinked = _unlinked_activities(model, log)
-
+        self.found: list[Violation] = []
+        found, new_violation = self.found, partial(tuple.__new__, Violation)
         for index, event in enumerate(log.events):
             if event.delta is not EMPTY_DELTA or index == 0:
                 self.apply(event, index)
+                if (self._bad_card, self._bad_type, self._unknown_rt) != self._built:
+                    self._build_rows()
             if self._rows:
-                found_i.extend(map(new_violation, map(add, repeat(("I", event.id, event.seq)), self._rows)))
-            activity, class_of = event.activity, self.class_of
-
-            # Type VI: referenced objects that exist have a linked class.
-            if activity in unlinked:
-                for obj in event.objects:
-                    cls = class_of.get(obj)
-                    if cls is not None and not model.has_link(activity, cls):
-                        found_vi.append(
-                            Violation(
-                                kind="VI", event=event.id, seq=event.seq, obj=obj,
-                                activity=activity, cls=cls,
-                            )
-                        )
-
-            # Type VIII: the event references the right number of objects per class.
-            for link in counted_links.get(activity, ()):
-                count = 0
-                for obj in event.objects:
-                    if class_of.get(obj) == link.cls:
-                        count += 1
-                if count not in link.card_objects:
-                    found_viii.append(
-                        Violation(
-                            kind="VIII", event=event.id, seq=event.seq,
-                            activity=link.activity, cls=link.cls,
-                            observed=count, expected=link.card_objects.render(),
-                        )
-                    )
+                found.extend(map(new_violation, map(add, repeat(("I", event.id, event.seq)), self._rows)))
 
     def _recheck(self, key: tuple[str, str, str]) -> None:
         rt_id, side, obj = key
@@ -178,35 +152,6 @@ class _Replay(_ReplayState):
         for rel in self.relations:
             self.added_relation(rel)
 
-    def apply(self, event: Event, index: int) -> None:
-        """Fold the event's delta and record Type III.  The initial model is
-        no earlier snapshot: nothing disappears at event 0."""
-        # The fold adds new objects in place before an assertion replaces
-        # the state, so take the objects before the event first.
-        before = set(self.class_of) if event.delta.assert_snapshot is not None and index else set()
-        super().apply(event, index)
-        if (self._bad_card, self._bad_type, self._unknown_rt) != self._built:
-            self._build_rows()
-
-        # Type III: objects must not disappear or change class over time.
-        for obj in sorted(before.difference(self.class_of)):
-            self.by_kind["III"].append(
-                Violation(
-                    kind="III", event=event.id, seq=event.seq, obj=obj,
-                    detail="object disappeared from the object model",
-                )
-            )
-        for obj, cls in self._log.introduced(index):
-            previous = self._last_class.get(obj)
-            if previous is not None and previous != cls:
-                self.by_kind["III"].append(
-                    Violation(
-                        kind="III", event=event.id, seq=event.seq, obj=obj,
-                        detail=f"object changed class from {previous!r} to {cls!r}",
-                    )
-                )
-            self._last_class[obj] = cls
-
     def _build_rows(self) -> None:
         """Type I: the current snapshot must be valid for the class model."""
         self._built = (dict(self._bad_card), dict(self._bad_type), set(self._unknown_rt))
@@ -234,6 +179,11 @@ class _Replay(_ReplayState):
                 )
             )
         self._rows = tuple(sorted((v[3:] for v in found), key=row_key))
+
+
+def _check_i(model: OcbcModel, log: EventLog) -> list[Violation]:
+    """Type I: the object model after every event is valid for the class model."""
+    return _Replay(model, log).found
 
 
 def _check_ii(model: OcbcModel, log: EventLog) -> list[Violation]:
@@ -268,6 +218,39 @@ def _check_ii(model: OcbcModel, log: EventLog) -> list[Violation]:
     return found
 
 
+def _check_iii(model: OcbcModel, log: EventLog) -> list[Violation]:
+    """Type III: objects never disappear or change class.  Objects disappear
+    only at an assertion after event 0: those of the stretch before it that
+    the snapshot lacks, less the event's new objects, which the fold adds
+    before the snapshot replaces the state."""
+    events, stretches, found = log.events, log._stretches, []
+    for (_, before), (index, _) in zip(stretches, stretches[1:]):
+        if index:
+            event, delta = events[index], events[index].delta
+            gone = before.keys() - delta.assert_snapshot.class_of.keys() - {o for o, _ in delta.new_objects}
+            found += [
+                Violation(
+                    kind="III", event=event.id, seq=event.seq, obj=obj,
+                    detail="object disappeared from the object model",
+                )
+                for obj in gone
+            ]
+    last_class: dict[str, str] = {}  # survives disappearance, for re-add checks
+    for index in _introducing(log):
+        event = events[index]
+        for obj, cls in log.introduced(index):
+            previous = last_class.get(obj)
+            if previous is not None and previous != cls:
+                found.append(
+                    Violation(
+                        kind="III", event=event.id, seq=event.seq, obj=obj,
+                        detail=f"object changed class from {previous!r} to {cls!r}",
+                    )
+                )
+            last_class[obj] = cls
+    return found
+
+
 def _check_iv(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Type IV: every event's activity is declared in the behavioral model."""
     declared, events = model.bcm.activities, log.events
@@ -286,6 +269,21 @@ def _check_v(model: OcbcModel, log: EventLog) -> list[Violation]:
     return [
         Violation(kind="V", event=events[i].id, seq=events[i].seq, obj=obj)
         for i, obj in log._missing
+    ]
+
+
+def _check_vi(model: OcbcModel, log: EventLog) -> list[Violation]:
+    """Type VI: the objects an event references that exist have a class
+    linked to its activity."""
+    events, has_link, missing = log.events, model.has_link, set(log._missing)
+    return [
+        Violation(kind="VI", event=events[i].id, seq=events[i].seq, obj=obj, activity=activity, cls=cls)
+        for activity in _unlinked_activities(model, log)
+        for class_of, run in _stretch_runs(log, log._by_activity[activity])
+        for i in run
+        for obj in events[i].objects
+        if (cls := class_of.get(obj)) is not None and not has_link(activity, cls)
+        if (i, obj) not in missing
     ]
 
 
@@ -346,6 +344,29 @@ def _check_vii(model: OcbcModel, log: EventLog) -> list[Violation]:
     return found
 
 
+def _check_viii(model: OcbcModel, log: EventLog) -> list[Violation]:
+    """Type VIII: each event references the right number of objects per
+    class, for the links that bound it."""
+    events, missing, found = log.events, set(log._missing), []
+    for link in model.links:
+        if link.card_objects.is_universal:
+            continue
+        for class_of, run in _stretch_runs(log, log._by_activity.get(link.activity, [])):
+            for i in run:
+                count = 0
+                for obj in events[i].objects:
+                    if class_of.get(obj) == link.cls and (i, obj) not in missing:
+                        count += 1
+                if count not in link.card_objects:
+                    found.append(
+                        Violation(
+                            kind="VIII", event=events[i].id, seq=events[i].seq, activity=link.activity,
+                            cls=link.cls, observed=count, expected=link.card_objects.render(),
+                        )
+                    )
+    return found
+
+
 def _check_ix(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Type IX: behavioral constraints over object-correlated target events.
     Reference events are grouped by their object set, by value: each set is
@@ -374,8 +395,10 @@ def _check_ix(model: OcbcModel, log: EventLog) -> list[Violation]:
     return found
 
 
-# The kinds that read only the kept indexes; the rest share one `_Replay`.
-_CHECKS = {"II": _check_ii, "IV": _check_iv, "V": _check_v, "VII": _check_vii, "IX": _check_ix}
+_CHECKS = {
+    "I": _check_i, "II": _check_ii, "III": _check_iii, "IV": _check_iv, "V": _check_v,
+    "VI": _check_vi, "VII": _check_vii, "VIII": _check_viii, "IX": _check_ix,
+}
 
 
 def _correlation(
@@ -480,8 +503,7 @@ def check_violations(
     """All violations of the selected kinds, each kind taken once, in report
     order (`Violation.sort_key`), which no global sort has to restore: each
     kind's list sorted on its own (type I comes in order), one after another
-    in `KINDS` order, which is where the order starts.  The replay runs only
-    when one of its kinds is selected.
+    in `KINDS` order, which is where the order starts.
 
     In prefix mode, violations that future events could still repair
     (fulfilment, eventual event-count shortfalls, behavioral violations
@@ -490,15 +512,10 @@ def check_violations(
     """
     # KINDS.index also refuses an unknown kind.
     selected = KINDS if kinds is None else sorted(set(kinds), key=KINDS.index)
-    replay = None
     out: list[Violation] = []
     for kind in selected:
-        if kind in _CHECKS:
-            out += sort_violations(_CHECKS[kind](model, log))
-        else:
-            replay = replay or _Replay(model, log)
-            found = replay.by_kind[kind]
-            out += found if kind == "I" else sort_violations(found)
+        found = _CHECKS[kind](model, log)
+        out += found if kind == "I" else sort_violations(found)
     if prefix:
         out = [_downgrade(model, v) for v in out]
     return out

@@ -6,9 +6,10 @@ place.  Deltas can add objects and add/remove relations; objects are never
 removed, so delta-built logs are monotone by construction.  An event may
 instead carry an asserted full snapshot, which replaces the folded state
 (the only way a log can exhibit monotonicity violations).  One fold serves
-the build, `snapshot_after`, the conformance replay and the generator.  The
-build alone decides whether a referenced object exists at its event: the
-load warnings and type V read the missing references it keeps.
+the build, `snapshot_after`, type I's replay and the generator.  The build
+alone decides whether a referenced object exists at its event: the load
+warnings and type V read the missing references it keeps, and types III,
+VI and VIII the class map of each stretch between two assertions.
 """
 
 from __future__ import annotations
@@ -218,7 +219,11 @@ class EventLog:
     them as object-existence problems (type V).  The same fold keeps the
     indexes the checks and queries read: the positions of each activity's
     events, the positions of the events of each (object, activity) pair
-    (both ascending), and the final snapshot.
+    (both ascending), the final snapshot, and the stretches: a (start
+    position, class map) pair for the initial model and for each asserted
+    snapshot, the map being the fold's own dict.  Within a stretch objects
+    are only added and keep their class, so an object that an event
+    references and that is not missing has its class in the event's map.
     """
 
     init: ObjectModel = EMPTY_OBJECT_MODEL
@@ -227,6 +232,7 @@ class EventLog:
     _index_of: Mapping[str, int] = _kept()
     _by_activity: dict[str, list[int]] = _kept()
     _positions: dict[tuple[str, str], list[int]] = _kept()
+    _stretches: list[tuple[int, dict[str, str]]] = _kept()
     _final: ObjectModel = _kept()
     _neighbours: dict[str, dict[str, set[str]]] = _kept()
 
@@ -247,9 +253,12 @@ class EventLog:
         by_activity: dict[str, list[int]] = {}
         positions: dict[tuple[str, str], list[int]] = {}
         state = _ReplayState(self.init)
+        stretches = [(0, state.class_of)]
         for i, event in enumerate(events):
             if event.delta is not EMPTY_DELTA:
                 state.apply(event, i)
+                if event.delta.assert_snapshot is not None:
+                    stretches.append((i, state.class_of))
             activity = event.activity
             by_activity.setdefault(activity, []).append(i)
             for obj in event.objects:
@@ -260,6 +269,7 @@ class EventLog:
         object.__setattr__(self, "_index_of", MappingProxyType(index_of))
         object.__setattr__(self, "_by_activity", by_activity)
         object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_stretches", stretches)
         object.__setattr__(self, "_final", state.snapshot() if events else self.init)
         object.__setattr__(self, "_neighbours", {})
 

@@ -301,7 +301,7 @@ def save_model(model: OcbcModel) -> bytes:
         "aoc": aoc,
         "constraints": constraints,
     }
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return (_indented(doc) + "\n").encode()
 
 
 # -- log documents -----------------------------------------------------------

@@ -482,6 +482,35 @@ def desk_hubs_log(n: int) -> EventLog:
     return EventLog(init=init, events=tuple(events))
 
 
+# -- class flips: many asserted snapshots ---------------------------------------
+
+
+def class_flip_model() -> OcbcModel:
+    """Each "note" references exactly one ticket, and no desk."""
+    return OcbcModel(
+        bcm=BcModel(activities=frozenset({"note"}), constraints=()),
+        clam=ClassModel(classes=frozenset({"ticket", "desk"}), rel_types=()),
+        links=(link("note", "ticket", objects="1"),),
+        scope={},
+    )
+
+
+def class_flip_log(events: int) -> EventLog:
+    """Twenty objects, two of which each "note" references in turn; every
+    fourth event asserts a snapshot in which one more of them has flipped
+    between ticket and desk (types III, VI and VIII)."""
+    classes = {f"o{i}": "ticket" for i in range(20)}
+    log = []
+    for seq in range(1, events + 1):
+        snapshot = None
+        if seq % 4 == 0:
+            flipped = f"o{seq // 4 % 20}"
+            classes[flipped] = "desk" if classes[flipped] == "ticket" else "ticket"
+            snapshot = ObjectModel(class_of=classes, relations=frozenset())
+        log.append(event(f"e{seq}", seq, "note", {f"o{seq % 20}", f"o{(seq + 7) % 20}"}, assert_snapshot=snapshot))
+    return EventLog(init=ObjectModel(class_of={o: "ticket" for o in classes}, relations=frozenset()), events=tuple(log))
+
+
 # -- seeded random scenarios ---------------------------------------------------
 
 _CARD_PAIRS = [

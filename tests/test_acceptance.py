@@ -38,6 +38,8 @@ from ocbcheck import (
 from ocbcheck.violations import KINDS, sort_violations
 from oracle import naive_check
 from scenarios import (
+    class_flip_log,
+    class_flip_model,
     desk_hubs_log,
     desk_model,
     fan_in_model,
@@ -356,6 +358,30 @@ def test_criterion_9_fan_in_correlation_scaling(via, build, shape):
     assert ratio <= 1.5, f"doubling the log scaled per-event IX time by {ratio:.2f}x"
     record_acceptance(
         9, f"{shape} {len(small.events)} -> {len(large.events)} events: per-event IX {ratio:.2f}x"
+    )
+
+
+def test_criterion_9_many_assertions_scaling():
+    """An asserted snapshot every fourth event: types III, VI and VIII read
+    an object's class at an event from its stretch's class map, and still
+    cost the same per event at twice the size."""
+    model = class_flip_model()
+    small, large = class_flip_log(2000), class_flip_log(4000)
+
+    def per_event(log):
+        repeats = 8_000 // len(log.events)
+        gc.collect()
+        started = time.perf_counter()
+        for _ in range(repeats):
+            found = check_violations(model, log, ("III", "VI", "VIII"))
+        assert {v.kind for v in found} == {"III", "VI", "VIII"}
+        return (time.perf_counter() - started) / (repeats * len(log.events))
+
+    ratio = median_pair_ratio(lambda: per_event(small), lambda: per_event(large))
+    assert ratio <= 1.5, f"doubling the log scaled per-event III, VI and VIII time by {ratio:.2f}x"
+    record_acceptance(
+        9, f"many assertions {len(small.events)} -> {len(large.events)} events: "
+           f"per-event III, VI and VIII {ratio:.2f}x"
     )
 
 

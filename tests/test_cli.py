@@ -283,6 +283,50 @@ def test_check_text_escapes_lone_surrogate(tmp_path):
     assert b"\\ud800" in result.stdout
 
 
+def test_output_is_utf8_bytes_whatever_the_stdout_encoding(tmp_path):
+    """With an ASCII stdout, each command still writes its UTF-8 bytes: the
+    check report equals its --out file, and nothing ends in a traceback."""
+    import os
+    import subprocess
+    import sys
+
+    env = {**os.environ, "PYTHONIOENCODING": "ascii"}
+
+    def run(*args):
+        result = subprocess.run([sys.executable, "-m", "ocbcheck.cli", *args], capture_output=True, env=env)
+        assert b"Traceback" not in result.stderr, result.stderr.decode(errors="replace")
+        return result
+
+    log_path = tmp_path / "umlaut.oclog.jsonl"
+    log_path.write_bytes('{"id": "e1", "seq": 1, "activity": "zahlung-\u00fc"}\n'.encode())
+    model_path = str(DEMO / "order-process.ocbc.json")
+    for fmt in ("json", "text"):
+        out = tmp_path / f"report.{fmt}"
+        assert run("check", model_path, str(log_path), "--format", fmt, "--out", str(out)).returncode == 1
+        result = run("check", model_path, str(log_path), "--format", fmt)
+        assert result.returncode == 1
+        assert result.stdout == out.read_bytes()
+    assert "zahlung-\u00fc".encode() in result.stdout  # the text report; JSON escapes it
+    # A scope class not linked to its activities is a defect; the lone
+    # surrogate escape of the second id cannot be encoded as UTF-8.
+    for cid, shown in (("c", "'\u00f6'".encode()), ("\\ud800", b"\\ud800:")):
+        bad = tmp_path / "defects.ocbc.json"
+        bad.write_text(
+            '{"activities": ["\u00f6"], "classes": ["k"], "relationships": [], "aoc": [], "constraints": '
+            f'[{{"id": "{cid}", "type": "response", "ref": "\u00f6", "target": "\u00f6", "via": "k"}}]}}',
+            encoding="utf-8",
+        )
+        result = run("validate-model", str(bad))
+        assert result.returncode == 1 and result.stdout.startswith(b"defect ") and shown in result.stdout
+    good = tmp_path / "umlaut.ocbc.json"
+    good.write_bytes((DEMO / "order-process.ocbc.json").read_bytes().replace(b"wrap item", "wrap \u00f6".encode()))
+    result = run("validate-model", str(good))
+    assert result.returncode == 0 and result.stdout.startswith(b"model OK: 4 activities")
+    result = run("generate", str(good), "--events", "20")
+    assert result.returncode == 0
+    assert result.stdout == save_log(generate_conforming(load_model(good.read_bytes()), events=20, seed=0))
+
+
 def test_check_does_not_import_the_generator():
     import subprocess
     import sys
@@ -404,8 +448,9 @@ def _cyclic_garbage(work) -> int:
 def test_check_and_generate_leave_no_cyclic_garbage():
     """`main` pauses the cyclic collector on the premise that a command's
     objects form no reference cycles, so reference counting frees them.
-    `save_report` lays out its indented frame itself, because the json
-    module's pure-Python encoder, which ``indent`` selects, leaves cycles."""
+    `save_report` and `save_model` lay out their indented JSON themselves,
+    because the json module's pure-Python encoder, which ``indent``
+    selects, leaves cycles."""
     pairs = named_and_random_pairs()
     documents = [(save_model(model), save_log(log)) for model, log in pairs]
     reports = []
@@ -426,6 +471,7 @@ def test_check_and_generate_leave_no_cyclic_garbage():
 
     models = [load_model((DEMO / f"{name}.ocbc.json").read_bytes())
               for name in ("order-process", "unmatched-precedence")]
+    assert _cyclic_garbage(lambda: [save_model(model) for model in models]) == 0
 
     def generate():
         for model in models:
