@@ -2,18 +2,20 @@
 
 No object correlation here: every event of the target activity counts.  This
 is the trace-level semantics of behavioral constraints, directly usable for
-single-instance (case-based) traces.  The IX conformance check does not call
-`evaluate_bc`: it applies the same `ConstraintType.accepts` to counts of
-object-correlated target events.
+single-instance (case-based) traces.  Counting is the IX check's: a list
+of positions per activity, and two bisections per reference event give the
+target events before and after it.  IX does not call `evaluate_bc`; it
+counts the same way over object-correlated target positions and applies the
+same `ConstraintType.accepts`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .model import BcModel, BehavioralConstraint
+from .model import BcModel
 
 
 @dataclass(frozen=True)
@@ -34,33 +36,19 @@ def evaluate_bc(bcm: BcModel, events: Iterable[tuple[str, str]]) -> list[BcVerdi
     reference and target activities coincide).  Verdicts are ordered by
     (constraint id, position).
     """
-    trace: Sequence[tuple[str, str]] = list(events)
-    totals = Counter(activity for _, activity in trace)
-    by_ref: dict[str, list[BehavioralConstraint]] = {}
-    for c in bcm.constraints:
-        by_ref.setdefault(c.ref_activity, []).append(c)
+    ids: list[str] = []
+    positions: dict[str, list[int]] = {}
+    for position, (event_id, activity) in enumerate(events):
+        ids.append(event_id)
+        positions.setdefault(activity, []).append(position)
 
     verdicts: list[tuple[str, int, BcVerdict]] = []
-    prefix: Counter[str] = Counter()
-    for position, (event_id, activity) in enumerate(trace):
-        for c in by_ref.get(activity, ()):
-            target = c.target_activity
-            before = prefix[target]
-            after = totals[target] - before - (1 if activity == target else 0)
-            verdicts.append(
-                (
-                    c.id,
-                    position,
-                    BcVerdict(
-                        constraint=c.id,
-                        ref_event=event_id,
-                        before_count=before,
-                        after_count=after,
-                        satisfied=c.ctype.accepts(before, after),
-                    ),
-                )
-            )
-        prefix[activity] += 1
+    for c in bcm.constraints:
+        targets = positions.get(c.target_activity, [])
+        for position in positions.get(c.ref_activity, ()):
+            before, after = bisect_left(targets, position), len(targets) - bisect_right(targets, position)
+            verdict = BcVerdict(c.id, ids[position], before, after, c.ctype.accepts(before, after))
+            verdicts.append((c.id, position, verdict))
+    # Stable: two constraints that share an id keep their model order at one position.
     verdicts.sort(key=lambda item: (item[0], item[1]))
     return [v for _, _, v in verdicts]
-

@@ -82,6 +82,21 @@ class Cardinality:
                 return True
         return False
 
+    def gap_starts(self, low: int, high: int) -> tuple[int, ...]:
+        """The smallest count of each run of non-members within `low..high`
+        (with `low <= high`), ascending, read from the ranges."""
+        starts = ()
+        for rlow, rhigh in self.ranges:
+            if low < rlow:
+                if high < rlow:
+                    return starts + (low,)
+                starts += (low,)
+            if rhigh is None or high <= rhigh:
+                return starts
+            if low <= rhigh:
+                low = rhigh + 1
+        return starts + (low,)
+
     def minimum(self) -> int:
         return self.ranges[0][0]
 

@@ -6,14 +6,17 @@ total finite order.  Logs are treated as complete; callers checking a running
 process can downgrade eventual violations to warnings (prefix mode).
 
 Each kind is computed by one function, only when it is selected.  Type I
-alone folds the log again; the other kinds read the indexes that the
-`EventLog` build kept (type V its missing references, types III, VI and
-VIII its class map of each stretch between two assertions).  Type IX
+alone folds the log again; the other kinds read what the `EventLog` build
+kept (type V its missing references, types III, VI and VIII its class map
+of each stretch between two assertions) and the objects each event brings
+in (`EventLog.introductions`, for III, VI and VII).  Type VII reads each
+object's runs of breaching counts from the cardinality's ranges.  Type IX
 correlates once per constraint and distinct reference object set, through
 the function `resolve_targets` also uses, and counts each reference event's
-targets by two bisections.  Each kind's violations are sorted on their
-own, except type I's, which its replay keeps in report order; `KINDS`
-order then puts the kinds one after another in report order.
+targets by two bisections, as `evaluate_bc` counts a trace.  Each kind's
+violations are sorted on their own, except type I's, which its replay keeps
+in report order; `KINDS` order then puts the kinds one after another in
+report order.
 """
 
 from __future__ import annotations
@@ -38,17 +41,11 @@ def _keeper(rt: RelationshipType, side: str) -> str:
     return rt.target if side == "src" else rt.source
 
 
-def _introducing(log: EventLog) -> list[int]:
-    """The positions of the events that can bring objects into the model:
-    event 0, which also brings in the initial model, and events with a delta."""
-    return [i for i, event in enumerate(log.events) if i == 0 or event.delta is not EMPTY_DELTA]
-
-
 def _unlinked_activities(model: OcbcModel, log: EventLog) -> set[str]:
     """The activities of the log that some class an object of the log can
     have is not linked to, the only ones type VI can fire for; an undeclared
     activity has no links."""
-    classes = {cls for i in _introducing(log) for _, cls in log.introduced(i)}
+    classes = {cls for _, introduced in log.introductions() for _, cls in introduced}
     return {a for a in log._by_activity if any(not model.has_link(a, c) for c in classes)}
 
 
@@ -236,9 +233,9 @@ def _check_iii(model: OcbcModel, log: EventLog) -> list[Violation]:
                 for obj in gone
             ]
     last_class: dict[str, str] = {}  # survives disappearance, for re-add checks
-    for index in _introducing(log):
+    for index, introduced in log.introductions():
         event = events[index]
-        for obj, cls in log.introduced(index):
+        for obj, cls in introduced:
             previous = last_class.get(obj)
             if previous is not None and previous != cls:
                 found.append(
@@ -295,8 +292,8 @@ def _check_vii(model: OcbcModel, log: EventLog) -> list[Violation]:
         return []
     # The first appearance of each object per class.
     first_seen: dict[str, dict[str, int]] = {}
-    for index in _introducing(log):
-        for obj, cls in log.introduced(index):
+    for index, introduced in log.introductions():
+        for obj, cls in introduced:
             first_seen.setdefault(cls, {}).setdefault(obj, index)
     last = events[-1]
     found = []
@@ -304,41 +301,29 @@ def _check_vii(model: OcbcModel, log: EventLog) -> list[Violation]:
         always, eventually = link.card_events_always, link.card_events_eventually
         if always.is_universal and eventually.is_universal:
             continue
-        for obj, first in first_seen.get(link.cls, {}).items():
-            positions = positions_of.get((obj, link.activity), ())
-            total = len(positions)
-            breached = False
-            if not always.is_universal:
-                # The running count at the object's first appearance, then
-                # after each later event; a run of breaches is one problem.
-                index, count = first, bisect_right(positions, first)
-                in_run = False
-                while True:
-                    if count in always:
-                        in_run = False
-                    elif not in_run:
-                        in_run = breached = True
-                        found.append(
-                            Violation(
-                                kind="VII", event=events[index].id, seq=events[index].seq,
-                                activity=link.activity, cls=link.cls, obj=obj,
-                                temporal="always", observed=count,
-                                expected=always.render(),
-                            )
-                        )
-                    if count == total:
-                        break
-                    index, count = positions[count], count + 1
+        activity, cls = link.activity, link.cls
+        for obj, first in first_seen.get(cls, {}).items():
+            positions = positions_of.get((obj, activity), ())
+            # The running count is `start` at the object's first appearance and
+            # `c` at event `positions[c - 1]`; a run of breaches is one problem.
+            start, total = bisect_right(positions, first), len(positions)
+            breached = always.gap_starts(start, total)
+            for count in breached:
+                event = events[first if count == start else positions[count - 1]]
+                found.append(
+                    Violation(
+                        kind="VII", event=event.id, seq=event.seq, activity=activity, cls=cls,
+                        obj=obj, temporal="always", observed=count, expected=always.render(),
+                    )
+                )
             # An eventual-count breach on an object whose running count
             # already broke the always-cardinality is the same root cause;
             # report one problem per (link, object).
             if not breached and total not in eventually:
                 found.append(
                     Violation(
-                        kind="VII", event=last.id, seq=last.seq,
-                        activity=link.activity, cls=link.cls, obj=obj,
-                        temporal="eventually", observed=total,
-                        expected=eventually.render(),
+                        kind="VII", event=last.id, seq=last.seq, activity=activity, cls=cls,
+                        obj=obj, temporal="eventually", observed=total, expected=eventually.render(),
                     )
                 )
     return found

@@ -9,7 +9,8 @@ instead carry an asserted full snapshot, which replaces the folded state
 the build, `snapshot_after`, type I's replay and the generator.  The build
 alone decides whether a referenced object exists at its event: the load
 warnings and type V read the missing references it keeps, and types III,
-VI and VIII the class map of each stretch between two assertions.
+VI and VIII the class map of each stretch between two assertions.  Types
+III, VI and VII learn which objects each event brings in from `introductions`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 Relation = tuple[str, str, str]  # (relationship type, source object, target object)
 
@@ -304,16 +305,21 @@ class EventLog:
             state.apply(event, i)
         return state.snapshot()
 
-    def introduced(self, index: int) -> Iterable[tuple[str, str]]:
-        """The (object, class) pairs that the event at `index` brings into the
-        object model: an asserted snapshot is the whole state after its event,
-        and event 0 also brings in the initial model."""
-        delta = self.events[index].delta
-        if delta.assert_snapshot is not None:
-            return delta.assert_snapshot.class_of.items()
-        if index == 0:
-            return [*self.init.class_of.items(), *delta.new_objects]
-        return delta.new_objects
+    def introductions(self) -> Iterator[tuple[int, Iterable[tuple[str, str]]]]:
+        """The position of each event that can bring objects into the object
+        model, with the (object, class) pairs it brings in: event 0 also
+        brings in the initial model, and an asserted snapshot is the whole
+        state after its event."""
+        for index, event in enumerate(self.events):
+            delta = event.delta
+            if delta is EMPTY_DELTA and index:
+                continue
+            if delta.assert_snapshot is not None:
+                yield index, delta.assert_snapshot.class_of.items()
+            elif index == 0:
+                yield index, [*self.init.class_of.items(), *delta.new_objects]
+            else:
+                yield index, delta.new_objects
 
     def final_snapshot(self) -> ObjectModel:
         """Object model after the last event; the initial model for an empty log.

@@ -49,12 +49,12 @@ def _stepwise_target(always: Cardinality, eventually: Cardinality, start: int, w
     if feasible is None:
         raise GenerationError(f"{what}: count {start} exceeds every eventual value in {eventually}")
     target = feasible.minimum()
-    for value in range(start, target + 1):
-        if value not in always:
-            raise GenerationError(
-                f"{what}: reaching eventual count {target} passes through {value}, "
-                f"which the always-cardinality {always} forbids"
-            )
+    gaps = always.gap_starts(start, target)
+    if gaps:
+        raise GenerationError(
+            f"{what}: reaching eventual count {target} passes through {gaps[0]}, "
+            f"which the always-cardinality {always} forbids"
+        )
     return target
 
 
@@ -386,12 +386,10 @@ class _Generator:
         delta = ObjectDelta(new_objects=tuple(new_objects), new_relations=tuple(new_relations))
         if plan.creator_activity is not None:
             self._emit(plan.creator_activity, {root.oid}, delta)
-        elif plan.acts:
-            # No creating activity: the object enters with its first obligation event.
-            if self._act(root, delta):
-                del self.active[slot]
-        else:
-            self.init_class[root.oid] = cls
+        # A root with no creating activity has acts (see `run`): the object
+        # enters with its first obligation event.
+        elif self._act(root, delta):
+            del self.active[slot]
 
     def _act(self, live: _LiveObject, delta: ObjectDelta = EMPTY_DELTA) -> bool:
         """Emit the next obligation event of `live`; True if it was the last one."""
@@ -530,9 +528,10 @@ def _without_object(om: ObjectModel, obj: str) -> ObjectModel:
     return ObjectModel(class_of=class_of, relations=relations)
 
 
-def _delete_event(log: EventLog, index: int) -> EventLog | None:
-    """Delete one event; its delta (if any) moves to the previous event or
-    the initial model so that later events still replay."""
+def _delete_event(log: EventLog, index: int) -> tuple[ObjectModel, list[Event]] | None:
+    """The initial model and events with one event deleted; its delta (if
+    any) moves to the previous event or the initial model so that later
+    events still replay."""
     events = list(log.events)
     victim = events.pop(index)
     init = log.init
@@ -557,11 +556,13 @@ def _delete_event(log: EventLog, index: int) -> EventLog | None:
                 removed_relations=removed + delta.removed_relations,
             ),
         )
-    return _rebuild(init, events)
+    return init, events
 
 
 def _candidates(model: OcbcModel, log: EventLog, kind: str, rng: random.Random):
-    """Yield (mutated log, site hints, description) candidates for one kind."""
+    """Yield (initial model, events, probe) candidates for one kind: the
+    mutated log's parts, and an outcome that describes the mutation and
+    matches the violations that confirm it."""
     events = list(log.events)
     if not events:
         return
@@ -569,6 +570,12 @@ def _candidates(model: OcbcModel, log: EventLog, kind: str, rng: random.Random):
     last = events[-1]
     order = list(range(len(events)))
     rng.shuffle(order)
+
+    def edit(i: int, **changes) -> list[Event]:
+        """The events with event `i` changed."""
+        mutated = list(events)
+        mutated[i] = replace(events[i], **changes)
+        return mutated
 
     if kind == "I":
         # A relation with a wrongly-classed endpoint breaks snapshot validity.
@@ -585,26 +592,19 @@ def _candidates(model: OcbcModel, log: EventLog, kind: str, rng: random.Random):
                     delta = replace(
                         last.delta, new_relations=last.delta.new_relations + ((rt.id, bad, partner),)
                     )
-                    mutated = events[:-1] + [replace(last, delta=delta)]
-                    yield (
-                        _rebuild(log.init, mutated),
-                        {"event": last.id, "obj": bad},
+                    yield log.init, edit(-1, delta=delta), InjectionOutcome(
+                        kind,
                         f"added mistyped relation ({rt.id},{bad},{partner}) in the delta of {last.id}",
+                        event=last.id, obj=bad,
                     )
 
     elif kind == "II":
         for i in order:
-            for rel in events[i].delta.new_relations:
-                delta = replace(
-                    events[i].delta,
-                    new_relations=tuple(r for r in events[i].delta.new_relations if r != rel),
-                )
-                mutated = list(events)
-                mutated[i] = replace(events[i], delta=delta)
-                yield (
-                    _rebuild(log.init, mutated),
-                    {},
-                    f"dropped relation {rel} from the delta of {events[i].id}",
+            delta = events[i].delta
+            for rel in delta.new_relations:
+                kept = tuple(r for r in delta.new_relations if r != rel)
+                yield log.init, edit(i, delta=replace(delta, new_relations=kept)), InjectionOutcome(
+                    kind, f"dropped relation {rel} from the delta of {events[i].id}"
                 )
 
     elif kind == "III":
@@ -613,33 +613,22 @@ def _candidates(model: OcbcModel, log: EventLog, kind: str, rng: random.Random):
         for obj in candidates[:12]:
             if obj in last.objects:
                 continue
-            snapshot = _without_object(final, obj)
-            delta = replace(last.delta, assert_snapshot=snapshot)
-            mutated = events[:-1] + [replace(last, delta=delta)]
-            yield (
-                _rebuild(log.init, mutated),
-                {"event": last.id, "obj": obj},
-                f"asserted a final snapshot from which {obj} disappeared",
+            delta = replace(last.delta, assert_snapshot=_without_object(final, obj))
+            yield log.init, edit(-1, delta=delta), InjectionOutcome(
+                kind, f"asserted a final snapshot from which {obj} disappeared", event=last.id, obj=obj
             )
 
     elif kind == "IV":
         for i in order:
-            mutated = list(events)
-            mutated[i] = replace(events[i], activity=events[i].activity + "-undeclared")
-            yield (
-                _rebuild(log.init, mutated),
-                {"event": events[i].id},
-                f"renamed the activity of {events[i].id} to an undeclared name",
+            yield log.init, edit(i, activity=events[i].activity + "-undeclared"), InjectionOutcome(
+                kind, f"renamed the activity of {events[i].id} to an undeclared name", event=events[i].id
             )
 
     elif kind == "V":
         for i in order:
-            mutated = list(events)
-            mutated[i] = replace(events[i], objects=events[i].objects | {"ghost"})
-            yield (
-                _rebuild(log.init, mutated),
-                {"event": events[i].id, "obj": "ghost"},
-                f"made {events[i].id} reference an object that never exists",
+            yield log.init, edit(i, objects=events[i].objects | {"ghost"}), InjectionOutcome(
+                kind, f"made {events[i].id} reference an object that never exists",
+                event=events[i].id, obj="ghost",
             )
 
     elif kind == "VI":
@@ -659,13 +648,11 @@ def _candidates(model: OcbcModel, log: EventLog, kind: str, rng: random.Random):
             ]
             rng.shuffle(unrelated)
             for obj in unrelated[:3]:
-                mutated = list(events)
-                mutated[i] = replace(event, objects=event.objects | {obj})
-                yield (
-                    _rebuild(log.init, mutated),
-                    {"event": event.id, "obj": obj},
+                yield log.init, edit(i, objects=event.objects | {obj}), InjectionOutcome(
+                    kind,
                     f"made {event.id} reference {obj}, whose class is not linked to "
                     f"activity {event.activity!r}",
+                    event=event.id, obj=obj,
                 )
 
     elif kind == "VII":
@@ -673,16 +660,13 @@ def _candidates(model: OcbcModel, log: EventLog, kind: str, rng: random.Random):
             event = events[i]
             if event.objects and event.delta.is_empty:
                 dup = replace(event, id=f"{event.id}-again")
-                mutated = events[: i + 1] + [dup] + events[i + 1 :]
-                yield (
-                    _rebuild(log.init, mutated),
-                    {"event": dup.id},
-                    f"repeated event {event.id} with the same object references",
+                yield log.init, events[: i + 1] + [dup] + events[i + 1 :], InjectionOutcome(
+                    kind, f"repeated event {event.id} with the same object references", event=dup.id
                 )
         for i in order:
-            mutated_log = _delete_event(log, i)
-            if mutated_log is not None:
-                yield (mutated_log, {}, f"deleted event {events[i].id}")
+            deleted = _delete_event(log, i)
+            if deleted is not None:
+                yield *deleted, InjectionOutcome(kind, f"deleted event {events[i].id}")
 
     elif kind == "VIII":
         for i in order:
@@ -690,12 +674,8 @@ def _candidates(model: OcbcModel, log: EventLog, kind: str, rng: random.Random):
             for link in model.links_of_activity(event.activity):
                 cleared = frozenset(o for o in event.objects if final.class_of.get(o) != link.cls)
                 if cleared != event.objects:
-                    mutated = list(events)
-                    mutated[i] = replace(event, objects=cleared)
-                    yield (
-                        _rebuild(log.init, mutated),
-                        {"event": event.id},
-                        f"removed every {link.cls!r} reference from {event.id}",
+                    yield log.init, edit(i, objects=cleared), InjectionOutcome(
+                        kind, f"removed every {link.cls!r} reference from {event.id}", event=event.id
                     )
 
     elif kind == "IX":
@@ -716,19 +696,17 @@ def _candidates(model: OcbcModel, log: EventLog, kind: str, rng: random.Random):
                     if not moved.delta.is_empty:
                         continue
                     mutated.insert(ref_index, moved)  # lands on the other side of the reference
-                    yield (
-                        _rebuild(log.init, mutated),
-                        {"event": ref_id, "constraint": c.id},
+                    yield log.init, mutated, InjectionOutcome(
+                        kind,
                         f"moved target event {target_id} across reference event {ref_id} "
                         f"of constraint {c.id}",
+                        event=ref_id, constraint=c.id,
                     )
                 for target_id in targets:
-                    mutated_log = _delete_event(log, log.index_of(target_id))
-                    if mutated_log is not None:
-                        yield (
-                            mutated_log,
-                            {"constraint": c.id},
-                            f"deleted target event {target_id} of constraint {c.id}",
+                    deleted = _delete_event(log, log.index_of(target_id))
+                    if deleted is not None:
+                        yield *deleted, InjectionOutcome(
+                            kind, f"deleted target event {target_id} of constraint {c.id}", constraint=c.id
                         )
 
 
@@ -737,24 +715,20 @@ def inject_violation(
 ) -> tuple[EventLog, InjectionOutcome]:
     """Mutate a conforming log so the checker reports the requested kind.
 
-    The returned outcome names the confirmed violation site.  Cascaded
-    violations of other kinds may accompany the injected one (for example,
-    dropping a relation for a fulfilment breach also starves behavioral
-    constraints scoped through that relationship).
+    A candidate mutation that no longer replays is skipped.  The returned
+    outcome names the confirmed violation site.  Cascaded violations of
+    other kinds may accompany the injected one (for example, dropping a
+    relation for a fulfilment breach also starves behavioral constraints
+    scoped through that relationship).
     """
     rng = random.Random(seed)
-    for mutated, hints, description in _candidates(model, log, kind, rng):
+    for init, events, probe in _candidates(model, log, kind, rng):
         try:
+            mutated = _rebuild(init, events)
             found = check_violations(model, mutated, kinds=(kind,))
         except LogError:
             continue
-        for violation in found:
-            if all(getattr(violation, key) == value for key, value in hints.items()):
-                return mutated, InjectionOutcome(
-                    kind=kind,
-                    description=description,
-                    event=violation.event,
-                    obj=violation.obj,
-                    constraint=violation.constraint,
-                )
+        for v in found:
+            if probe.matches(v):
+                return mutated, replace(probe, event=v.event, obj=v.obj, constraint=v.constraint)
     raise InjectionError(f"no verified mutation of kind {kind} for this model/log")

@@ -513,7 +513,7 @@ def class_flip_log(events: int) -> EventLog:
 
 # -- seeded random scenarios ---------------------------------------------------
 
-_CARD_PAIRS = [
+CARD_PAIRS = [
     ("*", "*"),
     ("*", "1"),
     ("*", "1..*"),
@@ -525,18 +525,24 @@ _CARD_PAIRS = [
     ("0..3", "0..3"),
 ]
 
+# Unions of ranges, whose gaps give an object several runs of type VII breaches.
+_MULTI_RANGE_CARDS = ["0,2", "1,3..4", "0..1,3..*", "1..2,5", "2"]
+MULTI_RANGE_PAIRS = [(always, eventually) for always in _MULTI_RANGE_CARDS for eventually in _MULTI_RANGE_CARDS]
+
 _TEMPLATES = [
     "response", "unary-response", "non-response", "precedence",
     "unary-precedence", "non-precedence", "co-existence", "non-co-existence",
 ]
 
 
-def random_model(rng: random.Random) -> OcbcModel:
+def random_model(rng: random.Random, card_pairs: list[tuple[str, str]] = CARD_PAIRS) -> OcbcModel:
+    """A random model whose link and relationship cardinalities are
+    (always, eventually) pairs drawn from `card_pairs`."""
     classes = [f"k{i}" for i in range(rng.randint(2, 3))]
     rel_types = []
     for i in range(rng.randint(0, 2)):
-        src_always, src_ev = rng.choice(_CARD_PAIRS)
-        tar_always, tar_ev = rng.choice(_CARD_PAIRS)
+        src_always, src_ev = rng.choice(card_pairs)
+        tar_always, tar_ev = rng.choice(card_pairs)
         rel_types.append(
             rel_type(
                 f"r{i}", rng.choice(classes), rng.choice(classes),
@@ -547,7 +553,7 @@ def random_model(rng: random.Random) -> OcbcModel:
     links = []
     for activity in activities:
         for cls in rng.sample(classes, rng.randint(1, min(2, len(classes)))):
-            always, eventually = rng.choice(_CARD_PAIRS)
+            always, eventually = rng.choice(card_pairs)
             links.append(
                 link(activity, cls, always=always, eventually=eventually,
                      objects=rng.choice(["*", "1", "0..1", "1..*", "0..2"]))

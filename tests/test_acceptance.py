@@ -11,6 +11,7 @@ import re
 import statistics
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -38,6 +39,8 @@ from ocbcheck import (
 from ocbcheck.violations import KINDS, sort_violations
 from oracle import naive_check
 from scenarios import (
+    CARD_PAIRS,
+    MULTI_RANGE_PAIRS,
     class_flip_log,
     class_flip_model,
     desk_hubs_log,
@@ -132,25 +135,33 @@ def test_criterion_5_hiring_constraints():
 
 
 def test_criterion_6_oracle_equivalence_on_random_scenarios():
-    """The optimized checker agrees with the definitional evaluator on 500
-    random (model, log) pairs, violation for violation."""
-    pairs = 0
-    for seed in range(500):
+    """The optimized checker agrees with the definitional evaluator on 700
+    random (model, log) pairs, violation for violation: 500 with the common
+    cardinalities, and 200 whose link and relationship cardinalities are
+    unions of ranges, so that counts fall into the gaps between ranges and
+    an object can have several runs of type VII breaches."""
+    pairs, several_runs = 0, 0
+    families = [(seed, CARD_PAIRS) for seed in range(500)] + [(seed, MULTI_RANGE_PAIRS) for seed in range(200)]
+    for seed, card_pairs in families:
         rng = random.Random(seed)
-        model = random_model(rng)
+        model = random_model(rng, card_pairs)
         log = random_log(rng, model, max_events=15)
         assert len(log.events) <= 15
         assert len(log.final_snapshot().objects) <= 12
         assert len(model.bcm.constraints) <= 4
         fast = list(check_violations(model, log))
         slow = sort_violations(naive_check(model, log))
-        assert fast == slow, f"divergence from the definitional evaluator at seed {seed}"
+        where = f"seed {seed}{'' if card_pairs is CARD_PAIRS else ' (multi-range)'}"
+        assert fast == slow, f"divergence from the definitional evaluator at {where}"
         assert fast == sort_violations(fast)
         behavioral = check_type_ix(model, log)
-        assert behavioral == sort_violations(behavioral), f"unsorted type IX list at seed {seed}"
+        assert behavioral == sort_violations(behavioral), f"unsorted type IX list at {where}"
+        runs = Counter((v.activity, v.cls, v.obj) for v in fast if v.kind == "VII" and v.temporal == "always")
+        several_runs += sum(n > 1 for n in runs.values())
         pairs += 1
-    assert pairs == 500
-    record_acceptance(6, "optimized checker matches the definitional evaluator on 500 random pairs")
+    assert pairs == 700
+    assert several_runs > 0
+    record_acceptance(6, "optimized checker matches the definitional evaluator on 700 random pairs")
 
 
 def test_criterion_7_trace_semantics_exhaustive_and_randomized():

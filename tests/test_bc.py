@@ -61,6 +61,23 @@ def test_counts_are_strict_for_self_referential_constraints():
     ]
 
 
+def test_constraints_sharing_an_id_interleave_by_position():
+    model = BcModel(
+        activities=frozenset({"a", "b"}),
+        constraints=(
+            constraint("c", "response", "a", "b"),
+            constraint("c", "precedence", "a", "b"),
+        ),
+    )
+    verdicts = evaluate_bc(model, _trace("a", "b", "a"))
+    assert [(v.ref_event, v.before_count, v.after_count, v.satisfied) for v in verdicts] == [
+        ("e1", 0, 1, True),
+        ("e1", 0, 1, False),
+        ("e3", 1, 0, False),
+        ("e3", 1, 0, True),
+    ]
+
+
 def test_counting_exactness():
     rng = random.Random(11)
     model = _two_constraint_model()

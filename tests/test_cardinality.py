@@ -68,6 +68,25 @@ def test_membership_matches_definition(text):
         assert (n in card) == defined(n), (text, n)
 
 
+def test_gap_starts_examples():
+    assert parse_cardinality("0,2").gap_starts(0, 5) == (1, 3)
+    assert parse_cardinality("0,2").gap_starts(1, 1) == (1,)
+    assert parse_cardinality("0,2").gap_starts(2, 2) == ()
+    assert parse_cardinality("0,2").gap_starts(4, 9) == (4,)
+    assert parse_cardinality("1,3..4").gap_starts(0, 4) == (0, 2)
+    assert parse_cardinality("0..1,3..*").gap_starts(0, 10**9) == (2,)
+    assert parse_cardinality("*").gap_starts(0, 10**9) == ()
+
+
+@pytest.mark.parametrize("text", ["0,2", "1,3..4", "0..1,3..*", "1..2,5", "2", "*", "0,2..3,5..*"])
+def test_gap_starts_match_the_first_non_member_of_each_run(text):
+    card = parse_cardinality(text)
+    for low in range(10):
+        for high in range(low, 10):
+            starts = tuple(n for n in range(low, high + 1) if n not in card and (n == low or n - 1 in card))
+            assert card.gap_starts(low, high) == starts, (text, low, high)
+
+
 def test_render_parse_round_trip():
     rng = random.Random(7)
     for _ in range(200):

@@ -11,9 +11,13 @@ import sys
 import pytest
 
 from ocbcheck import (
+    BcModel,
+    ClassModel,
     EventLog,
     GenerationError,
     InjectionError,
+    ObjectModel,
+    OcbcModel,
     check_all,
     check_violations,
     evaluate_bc,
@@ -26,10 +30,13 @@ from ocbcheck import (
 from ocbcheck import generator
 from ocbcheck.violations import KINDS
 from scenarios import (
+    event,
+    link,
     order_process_log,
     order_process_model,
     random_log,
     random_model,
+    rel_type,
     throughput_model,
 )
 
@@ -210,6 +217,74 @@ def test_demand_on_two_relationships_is_rejected():
         generate_conforming(model, events=10, seed=0)
 
 
+def test_a_class_without_creating_activity_enters_with_its_first_obligation():
+    """No ticket activity must coincide with creation, so each ticket enters
+    the log in the delta of its first obligation event."""
+    model = OcbcModel(
+        bcm=BcModel(activities=frozenset({"pay", "close"}), constraints=()),
+        clam=ClassModel(classes=frozenset({"ticket"}), rel_types=()),
+        links=(link("pay", "ticket", always="*", eventually="2..*", objects="1"),
+               link("close", "ticket", always="0..1", eventually="1", objects="1")),
+        scope={},
+    )
+    for seed in (1, 2):
+        log = generate_conforming(model, events=30, seed=seed)
+        assert check_all(model, log).conforms, seed
+        assert not log.init.class_of
+        entered = [(log.events[i], introduced) for i, introduced in log.introductions()]
+        assert len(entered) > 3
+        for entering, introduced in entered:
+            (ticket, _), = introduced
+            assert entering.objects == {ticket} and entering.activity in ("pay", "close")
+
+
+def test_eventual_demand_of_two_is_absorbed_by_two_creations():
+    """Each order eventually needs two deliveries, and a delivery takes an
+    order at creation, so each order's demand is absorbed one delivery at a
+    time."""
+    model = OcbcModel(
+        bcm=BcModel(activities=frozenset({"create", "ship"}), constraints=()),
+        clam=ClassModel(
+            classes=frozenset({"order", "delivery"}),
+            rel_types=(rel_type("r", "order", "delivery", src="1..*", tar_ev="2..*"),),
+        ),
+        links=(link("create", "order", always="1", objects="1"),
+               link("ship", "delivery", always="1", objects="1")),
+        scope={},
+    )
+    for seed in (1, 2):
+        log = generate_conforming(model, events=40, seed=seed)
+        assert check_all(model, log).conforms, seed
+        shipped_at: dict[str, set[int]] = {}
+        for i, e in enumerate(log.events):
+            for _, order, _ in e.delta.new_relations:
+                shipped_at.setdefault(order, set()).add(i)
+        orders = log.final_snapshot().objects_of_class("order")
+        assert orders and all(len(shipped_at[o]) >= 2 for o in orders)
+
+
+def test_injection_skips_a_mutation_that_no_longer_replays():
+    """Dropping e1's relation leaves e2 removing an absent one, so the only
+    type II candidate does not replay: the injection fails with
+    `InjectionError`, not the log's `LogError`."""
+    model = OcbcModel(
+        bcm=BcModel(activities=frozenset({"a"}), constraints=()),
+        clam=ClassModel(classes=frozenset({"k"}), rel_types=(rel_type("r", "k", "k"),)),
+        links=(link("a", "k"),),
+        scope={},
+    )
+    init = ObjectModel(class_of={"x": "k", "y": "k"}, relations=frozenset())
+    log = EventLog(
+        init=init,
+        events=(
+            event("e1", 1, "a", {"x"}, new_relations=[("r", "x", "y")]),
+            event("e2", 2, "a", {"x"}, removed_relations=[("r", "x", "y")]),
+        ),
+    )
+    with pytest.raises(InjectionError):
+        inject_violation(model, log, "II")
+
+
 def test_injection_reports_unachievable_kind():
     model = throughput_model()
     log = generate_conforming(model, events=4, seed=0)
@@ -260,9 +335,10 @@ def test_deleting_an_event_keeps_the_state_after_it():
         model = random_model(rng)
         log = random_log(rng, model)
         for index, victim in enumerate(log.events):
-            mutated = generator._delete_event(log, index)
-            if mutated is None:
+            deleted = generator._delete_event(log, index)
+            if deleted is None:
                 continue
+            mutated = generator._rebuild(*deleted)
             host = mutated.init if index == 0 else mutated.snapshot_after(mutated.events[index - 1].id)
             assert host == log.snapshot_after(victim.id), (seed, index)
             assert mutated.final_snapshot() == log.final_snapshot(), (seed, index)
