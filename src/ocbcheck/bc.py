@@ -12,14 +12,12 @@ same `ConstraintType.accepts`.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .model import BcModel
 
 
-@dataclass(frozen=True)
-class BcVerdict:
+class BcVerdict(NamedTuple):
     constraint: str
     ref_event: str
     before_count: int

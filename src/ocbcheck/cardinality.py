@@ -8,7 +8,7 @@ is ``N``, ``N..M``, ``N..*`` and ``*``, optionally comma-separated into a union.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Bounds in cardinality annotations must fit a 32-bit signed integer.
 MAX_BOUND = 2**31 - 1
@@ -24,8 +24,11 @@ class CardinalityError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Cardinality:
+class _CardinalityFields(NamedTuple):
+    ranges: tuple[tuple[int, int | None], ...]
+
+
+class Cardinality(_CardinalityFields):
     """A non-empty set of non-negative integers as disjoint inclusive ranges.
 
     ``ranges`` is sorted ascending, with gaps between consecutive ranges
@@ -33,13 +36,13 @@ class Cardinality:
     ``None`` as an upper bound means unbounded.
     """
 
-    ranges: tuple[tuple[int, int | None], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.ranges:
+    def __new__(cls, ranges: tuple[tuple[int, int | None], ...]) -> Cardinality:
+        if not ranges:
             raise CardinalityError("cardinality must be a non-empty set")
         cleaned: list[tuple[int, int | None]] = []
-        for low, high in self.ranges:
+        for low, high in ranges:
             if low < 0:
                 raise CardinalityError(f"negative bound {low}")
             if high is not None and high < low:
@@ -54,7 +57,10 @@ class Cardinality:
                     merged[-1] = (plow, None if high is None else max(phigh, high))
             else:
                 merged.append((low, high))
-        object.__setattr__(self, "ranges", tuple(merged))
+        return tuple.__new__(cls, (tuple(merged),))
+
+    # `_replace` builds the copy through `_make`, so it normalizes as `__new__` does.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def exactly(cls, n: int) -> Cardinality:
@@ -202,8 +208,13 @@ def parse_cardinality(text: str) -> Cardinality:
 ANY = Cardinality.universal()
 
 
-@dataclass(frozen=True)
-class ConstraintType:
+class _ConstraintTypeFields(NamedTuple):
+    before: Cardinality | None = None
+    after: Cardinality | None = None
+    total: Cardinality | None = None
+
+
+class ConstraintType(_ConstraintTypeFields):
     """Predicate over (before, after) target-event counts.
 
     Conjunction of up to three atoms: a bound on the count before the
@@ -211,13 +222,15 @@ class ConstraintType:
     atom must be present.
     """
 
-    before: Cardinality | None = None
-    after: Cardinality | None = None
-    total: Cardinality | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.before is None and self.after is None and self.total is None:
+    def __new__(cls, before: Cardinality | None = None, after: Cardinality | None = None,
+                total: Cardinality | None = None) -> ConstraintType:
+        if before is None and after is None and total is None:
             raise ValueError("constraint type needs at least one of before/after/sum")
+        return tuple.__new__(cls, (before, after, total))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def accepts(self, before: int, after: int) -> bool:
         if self.before is not None and before not in self.before:

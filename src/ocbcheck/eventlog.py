@@ -15,10 +15,9 @@ III, VI and VII learn which objects each event brings in from `introductions`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 Relation = tuple[str, str, str]  # (relationship type, source object, target object)
 
@@ -36,23 +35,28 @@ class LogError(ValueError):
         self.event_id = event_id
 
 
-@dataclass(frozen=True)
-class ObjectModel:
-    """Objects with their classes, and typed relations between them."""
-
+class _ObjectModelFields(NamedTuple):
     class_of: Mapping[str, str]
     relations: frozenset[Relation]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "class_of", MappingProxyType(dict(self.class_of)))
-        object.__setattr__(self, "relations", frozenset(self.relations))
-        class_of = self.class_of
-        dangling = [rel for rel in self.relations if rel[1] not in class_of or rel[2] not in class_of]
+
+class ObjectModel(_ObjectModelFields):
+    """Objects with their classes, and typed relations between them."""
+
+    __slots__ = ()
+
+    def __new__(cls, class_of: Mapping[str, str], relations: Iterable[Relation]) -> ObjectModel:
+        class_of, relations = MappingProxyType(dict(class_of)), frozenset(relations)
+        dangling = [rel for rel in relations if rel[1] not in class_of or rel[2] not in class_of]
         if dangling:
             # The set iterates in hash order; name the smallest relation.
             rel = min(dangling)
             endpoint = rel[1] if rel[1] not in class_of else rel[2]
             raise LogError(f"relation {rel} references unknown object {endpoint!r}")
+        return tuple.__new__(cls, (class_of, relations))
+
+    # `_replace` builds the copy through `_make`, so it checks as `__new__` does.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def objects(self) -> frozenset[str]:
@@ -65,30 +69,33 @@ class ObjectModel:
 EMPTY_OBJECT_MODEL = ObjectModel(class_of={}, relations=frozenset())
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ObjectDelta:
+class _ObjectDeltaFields(NamedTuple):
+    new_objects: tuple[tuple[str, str], ...] = ()
+    new_relations: tuple[Relation, ...] = ()
+    removed_relations: tuple[Relation, ...] = ()
+    assert_snapshot: ObjectModel | None = None
+
+
+class ObjectDelta(_ObjectDeltaFields):
     """Changes applied to the object model by one event.
 
     Ordering within each list carries no meaning (objects are created before
     relations are touched), so the lists are kept sorted for canonical form.
     """
 
-    new_objects: tuple[tuple[str, str], ...] = ()
-    new_relations: tuple[Relation, ...] = ()
-    removed_relations: tuple[Relation, ...] = ()
-    assert_snapshot: ObjectModel | None = None
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         new_objects: Collection[tuple[str, str]] = (),
         new_relations: Collection[Relation] = (),
         removed_relations: Collection[Relation] = (),
         assert_snapshot: ObjectModel | None = None,
-    ) -> None:
-        _set_new_objects(self, _sorted_tuple(new_objects))
-        _set_new_relations(self, _sorted_tuple(new_relations))
-        _set_removed_relations(self, _sorted_tuple(removed_relations))
-        _set_assert_snapshot(self, assert_snapshot)
+    ) -> ObjectDelta:
+        lists = _sorted_tuple(new_objects), _sorted_tuple(new_relations), _sorted_tuple(removed_relations)
+        return tuple.__new__(cls, (*lists, assert_snapshot))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def is_empty(self) -> bool:
@@ -104,50 +111,40 @@ def _sorted_tuple(items: Collection) -> tuple:
     return items if len(items) < 2 and type(items) is tuple else tuple(sorted(items))
 
 
-# The frozen classes refuse __setattr__, so their __init__ stores each field
-# through its slot descriptor, as object.__setattr__ would after a lookup.
-_set_new_objects, _set_new_relations, _set_removed_relations, _set_assert_snapshot = (
-    getattr(ObjectDelta, name).__set__ for name in ObjectDelta.__slots__
-)
 EMPTY_DELTA = ObjectDelta()
 EMPTY_ATTRS: Mapping[str, str] = MappingProxyType({})
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Event:
+class _EventFields(NamedTuple):
     id: str
     seq: int
     activity: str
     objects: frozenset[str] = frozenset()
-    attrs: Mapping[str, str] = field(default_factory=lambda: EMPTY_ATTRS)
+    attrs: Mapping[str, str] = EMPTY_ATTRS
     delta: ObjectDelta = EMPTY_DELTA
 
-    def __init__(
-        self,
+
+class Event(_EventFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
         id: str,
         seq: int,
         activity: str,
         objects: Iterable[str] = frozenset(),
         attrs: Mapping[str, str] = EMPTY_ATTRS,
         delta: ObjectDelta = EMPTY_DELTA,
-    ) -> None:
+    ) -> Event:
         if type(objects) is not frozenset:
             objects = frozenset(objects)
         if attrs is not EMPTY_ATTRS:
             attrs = MappingProxyType(dict(attrs)) if attrs else EMPTY_ATTRS
         if not 1 <= seq <= MAX_SEQ:
             raise LogError(f"seq {seq} outside the 64-bit positive range", event_id=id)
-        _set_id(self, id)
-        _set_seq(self, seq)
-        _set_activity(self, activity)
-        _set_objects(self, objects)
-        _set_attrs(self, attrs)
-        _set_delta(self, delta)
+        return tuple.__new__(cls, (id, seq, activity, objects, attrs, delta))
 
-
-_set_id, _set_seq, _set_activity, _set_objects, _set_attrs, _set_delta = (
-    getattr(Event, name).__set__ for name in Event.__slots__
-)
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class _ReplayState:
@@ -198,17 +195,9 @@ class _ReplayState:
     def snapshot(self) -> ObjectModel:
         """A copy of the state, as the fold may go on.  The fold validated
         every change, so the copy skips `ObjectModel`'s dangling-relation scan."""
-        model = object.__new__(ObjectModel)
-        object.__setattr__(model, "class_of", MappingProxyType(dict(self.class_of)))
-        object.__setattr__(model, "relations", frozenset(self.relations))
-        return model
+        return tuple.__new__(ObjectModel, (MappingProxyType(dict(self.class_of)), frozenset(self.relations)))
 
 
-def _kept():
-    return field(init=False, repr=False, compare=False, default=None)
-
-
-@dataclass(frozen=True)
 class EventLog:
     """Totally ordered events over an evolving object model.
 
@@ -222,24 +211,19 @@ class EventLog:
     events, the positions of the events of each (object, activity) pair
     (both ascending), the final snapshot, and the stretches: a (start
     position, class map) pair for the initial model and for each asserted
-    snapshot, the map being the fold's own dict.  Within a stretch objects
-    are only added and keep their class, so an object that an event
-    references and that is not missing has its class in the event's map.
+    snapshot, the map being the fold's own dict, or the snapshot's own map
+    when the stretch adds no objects.  Within a stretch objects are only
+    added and keep their class, so an object that an event references and
+    that is not missing has its class in the event's map.  Two logs are
+    equal when their `init` and `events` are.
     """
 
-    init: ObjectModel = EMPTY_OBJECT_MODEL
-    events: tuple[Event, ...] = ()
-    _missing: tuple[tuple[int, str], ...] = _kept()
-    _index_of: Mapping[str, int] = _kept()
-    _by_activity: dict[str, list[int]] = _kept()
-    _positions: dict[tuple[str, str], list[int]] = _kept()
-    _stretches: list[tuple[int, dict[str, str]]] = _kept()
-    _final: ObjectModel = _kept()
-    _neighbours: dict[str, dict[str, set[str]]] = _kept()
+    __slots__ = ("init", "events", "_missing", "_index_of", "_by_activity", "_positions", "_stretches",
+                 "_final", "_neighbours")
 
-    def __post_init__(self) -> None:
-        events = tuple(sorted(self.events, key=attrgetter("seq")))
-        object.__setattr__(self, "events", events)
+    def __init__(self, init: ObjectModel = EMPTY_OBJECT_MODEL, events: Iterable[Event] = ()) -> None:
+        self.init = init
+        self.events = events = tuple(sorted(events, key=attrgetter("seq")))
         index_of: dict[str, int] = {}
         previous_seq = None
         for i, event in enumerate(events):
@@ -253,8 +237,8 @@ class EventLog:
         missing: list[tuple[int, str]] = []
         by_activity: dict[str, list[int]] = {}
         positions: dict[tuple[str, str], list[int]] = {}
-        state = _ReplayState(self.init)
-        stretches = [(0, state.class_of)]
+        state = _ReplayState(init)
+        stretches: list[tuple[int, Mapping[str, str]]] = [(0, state.class_of)]
         for i, event in enumerate(events):
             if event.delta is not EMPTY_DELTA:
                 state.apply(event, i)
@@ -266,13 +250,24 @@ class EventLog:
                 positions.setdefault((obj, activity), []).append(i)
             if not state.class_of.keys() >= event.objects:
                 missing.extend((i, obj) for obj in sorted(event.objects - state.class_of.keys()))
-        object.__setattr__(self, "_missing", tuple(missing))
-        object.__setattr__(self, "_index_of", MappingProxyType(index_of))
-        object.__setattr__(self, "_by_activity", by_activity)
-        object.__setattr__(self, "_positions", positions)
-        object.__setattr__(self, "_stretches", stretches)
-        object.__setattr__(self, "_final", state.snapshot() if events else self.init)
-        object.__setattr__(self, "_neighbours", {})
+        # An asserted stretch starts as a copy of the snapshot's map and only
+        # adds to it, so one of the same size can keep the snapshot's map.
+        for k, (start, class_of) in enumerate(stretches[1:], 1):
+            asserted = events[start].delta.assert_snapshot.class_of
+            if len(class_of) == len(asserted):
+                stretches[k] = (start, asserted)
+        self._missing = tuple(missing)
+        self._index_of = MappingProxyType(index_of)
+        self._by_activity = by_activity
+        self._positions = positions
+        self._stretches = stretches
+        self._final = state.snapshot() if events else init
+        self._neighbours: dict[str, dict[str, set[str]]] = {}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.init == other.init and self.events == other.events
 
     @property
     def warnings(self) -> tuple[str, ...]:

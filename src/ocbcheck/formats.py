@@ -16,6 +16,7 @@ from array import array
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from itertools import chain, repeat
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Any
 
 from .cardinality import (
@@ -28,6 +29,7 @@ from .cardinality import (
     parse_cardinality,
 )
 from .eventlog import EMPTY_ATTRS, EMPTY_DELTA, MAX_SEQ, Event, EventLog, LogError, ObjectDelta, ObjectModel
+from .eventlog import _sorted_tuple
 from .model import (
     ActivityClassLink,
     BcModel,
@@ -373,7 +375,8 @@ def _delta(entry: dict, memo: dict) -> ObjectDelta:
         snapshot = _object_model(entry.pop("assert_snapshot"), ".assert_snapshot")
     if entry:
         _no_extras(entry, "")
-    return ObjectDelta(tuple(new_objects), new_relations, removed, snapshot)
+    lists = _sorted_tuple(new_objects), _sorted_tuple(new_relations), _sorted_tuple(removed)
+    return tuple.__new__(ObjectDelta, (*lists, snapshot))  # what `ObjectDelta(...)` builds
 
 
 def _event(entry: dict, memo: dict) -> Event:
@@ -390,7 +393,7 @@ def _event(entry: dict, memo: dict) -> Event:
     seq = entry.pop("seq", _MISSING)
     if type(seq) is not int:
         seq = _field(seq, "seq", int, "")
-    if not 1 <= seq <= MAX_SEQ:  # before any later field; `Event` checks again for library callers
+    if not 1 <= seq <= MAX_SEQ:  # before any later field
         raise FormatError(f"seq {seq} outside the 64-bit positive range", ".seq")
     activity = entry.pop("activity", _MISSING)
     if type(activity) is not str:
@@ -405,6 +408,7 @@ def _event(entry: dict, memo: dict) -> Event:
         for key, val in attrs.items():
             if type(val) is not str:
                 _expect(val, str, f".attrs.{key}")
+        attrs = MappingProxyType(attrs) if attrs else EMPTY_ATTRS
     objects = _NO_OBJECTS
     if "objects" in entry:
         items = entry.pop("objects")
@@ -418,7 +422,8 @@ def _event(entry: dict, memo: dict) -> Event:
             objects = frozenset(map(memo.setdefault, items, items))
             memo[objects] = objects
     delta = _delta(entry, memo) if entry else EMPTY_DELTA  # delta keys or unknown keys left
-    return Event(eid, seq, activity, objects, attrs, delta)
+    # Every field is checked and normalized above, as `Event(...)` would.
+    return tuple.__new__(Event, (eid, seq, activity, objects, attrs, delta))
 
 
 # The C scanner that ``json.loads`` ends in, without its Python wrapper.

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import random
 from bisect import insort
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .cardinality import Cardinality
 from .conformance import _unlinked_activities, check_violations, resolve_targets
-from .eventlog import EMPTY_DELTA, Event, EventLog, LogError, ObjectDelta, ObjectModel, Relation
+from .eventlog import EMPTY_DELTA, MAX_SEQ, Event, EventLog, LogError, ObjectDelta, ObjectModel, Relation
 from .model import OcbcModel, RelationshipType
 from .violations import Violation
 
@@ -58,8 +58,7 @@ def _stepwise_target(always: Cardinality, eventually: Cardinality, start: int, w
     return target
 
 
-@dataclass(frozen=True)
-class _RelNeed:
+class _RelNeed(NamedTuple):
     rt: RelationshipType
     my_side: str  # side of the rt the owning object occupies
     partner_cls: str
@@ -71,16 +70,18 @@ class _RelNeed:
         return (self.rt.id, partner, owner)
 
 
-@dataclass
 class _ClassPlan:
-    cls: str
-    creator_activity: str | None = None
-    is_child: bool = False  # co-created inside a parent's creation delta
-    flush_rt: str | None = None  # created by absorbing pending partner demand
-    ambient: list[_RelNeed] = field(default_factory=list)  # pool partners at creation
-    children: list[_RelNeed] = field(default_factory=list)  # co-created partners
-    eventual: list[_RelNeed] = field(default_factory=list)  # later flush partners
-    acts: list[tuple[str, int]] = field(default_factory=list)  # (activity, count)
+    __slots__ = ("cls", "creator_activity", "is_child", "flush_rt", "ambient", "children", "eventual", "acts")
+
+    def __init__(self, cls: str) -> None:
+        self.cls = cls
+        self.creator_activity: str | None = None
+        self.is_child = False  # co-created inside a parent's creation delta
+        self.flush_rt: str | None = None  # created by absorbing pending partner demand
+        self.ambient: list[_RelNeed] = []  # pool partners at creation
+        self.children: list[_RelNeed] = []  # co-created partners
+        self.eventual: list[_RelNeed] = []  # later flush partners
+        self.acts: list[tuple[str, int]] = []  # (activity, count)
 
     @property
     def poolable(self) -> bool:
@@ -95,7 +96,7 @@ class _ClassPlan:
 
 
 def _analyze(model: OcbcModel) -> dict[str, _ClassPlan]:
-    plans = {cls: _ClassPlan(cls=cls) for cls in sorted(model.clam.classes)}
+    plans = {cls: _ClassPlan(cls) for cls in sorted(model.clam.classes)}
 
     for link in model.links:
         if 0 in link.card_events_always:
@@ -194,7 +195,7 @@ def _analyze(model: OcbcModel) -> dict[str, _ClassPlan]:
                     steps = _stepwise_target(
                         always, eventually, 0, what=f"class {cls!r} via {rt.id}"
                     )
-                    plan.eventual.append(replace(need, count=steps))
+                    plan.eventual.append(need._replace(count=steps))
                 else:
                     plan.ambient.append(need)
 
@@ -284,13 +285,12 @@ def _pick_count(rng: random.Random, card: Cardinality, at_most: int | None = Non
 # -- generation --------------------------------------------------------------
 
 
-@dataclass
 class _LiveObject:
-    oid: str
-    plan: _ClassPlan
-    rank: int  # orders objects by registration
-    next_act: int = 0
-    emitted: int = 0
+    __slots__ = ("oid", "plan", "rank", "next_act", "emitted")
+
+    def __init__(self, oid: str, plan: _ClassPlan, rank: int) -> None:
+        self.oid, self.plan, self.rank = oid, plan, rank  # rank orders objects by registration
+        self.next_act = self.emitted = 0
 
 
 class _Generator:
@@ -336,7 +336,7 @@ class _Generator:
         )
 
     def _register(self, cls: str) -> _LiveObject:
-        live = _LiveObject(oid=self._fresh(cls), plan=self.plans[cls], rank=self.counter)
+        live = _LiveObject(self._fresh(cls), self.plans[cls], self.counter)
         for need in live.plan.eventual:
             self.ready.setdefault(need.partner_cls, [])
         if live.plan.acts:
@@ -492,14 +492,15 @@ def generate_conforming(model: OcbcModel, events: int, seed: int = 0) -> EventLo
     so the log may run slightly longer)."""
     if events < 0:
         raise GenerationError(f"target event count {events} is negative")
+    if events > MAX_SEQ:
+        raise GenerationError(f"target event count {events} exceeds the largest seq {MAX_SEQ}")
     return _Generator(model, events, seed).run()
 
 
 # -- violation injection -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InjectionOutcome:
+class InjectionOutcome(NamedTuple):
     """What the mutation did and where the checker confirmed the violation."""
 
     kind: str
@@ -518,7 +519,7 @@ class InjectionOutcome:
 
 
 def _rebuild(init: ObjectModel, events: list[Event]) -> EventLog:
-    renumbered = [replace(e, seq=i + 1) for i, e in enumerate(events)]
+    renumbered = [e._replace(seq=i + 1) for i, e in enumerate(events)]
     return EventLog(init=init, events=tuple(renumbered))
 
 
@@ -548,8 +549,7 @@ def _delete_event(log: EventLog, index: int) -> tuple[ObjectModel, list[Event]] 
         # the victim re-adds must not stay among the merged removals.
         readded = set(delta.new_relations)
         removed = tuple(rel for rel in host.delta.removed_relations if rel not in readded)
-        events[index - 1] = replace(
-            host,
+        events[index - 1] = host._replace(
             delta=ObjectDelta(
                 new_objects=host.delta.new_objects + delta.new_objects,
                 new_relations=host.delta.new_relations + delta.new_relations,
@@ -574,7 +574,7 @@ def _candidates(model: OcbcModel, log: EventLog, kind: str, rng: random.Random):
     def edit(i: int, **changes) -> list[Event]:
         """The events with event `i` changed."""
         mutated = list(events)
-        mutated[i] = replace(events[i], **changes)
+        mutated[i] = events[i]._replace(**changes)
         return mutated
 
     if kind == "I":
@@ -589,9 +589,7 @@ def _candidates(model: OcbcModel, log: EventLog, kind: str, rng: random.Random):
             rng.shuffle(partners)
             for bad in wrong[:4]:
                 for partner in partners[:4]:
-                    delta = replace(
-                        last.delta, new_relations=last.delta.new_relations + ((rt.id, bad, partner),)
-                    )
+                    delta = last.delta._replace(new_relations=last.delta.new_relations + ((rt.id, bad, partner),))
                     yield log.init, edit(-1, delta=delta), InjectionOutcome(
                         kind,
                         f"added mistyped relation ({rt.id},{bad},{partner}) in the delta of {last.id}",
@@ -603,7 +601,7 @@ def _candidates(model: OcbcModel, log: EventLog, kind: str, rng: random.Random):
             delta = events[i].delta
             for rel in delta.new_relations:
                 kept = tuple(r for r in delta.new_relations if r != rel)
-                yield log.init, edit(i, delta=replace(delta, new_relations=kept)), InjectionOutcome(
+                yield log.init, edit(i, delta=delta._replace(new_relations=kept)), InjectionOutcome(
                     kind, f"dropped relation {rel} from the delta of {events[i].id}"
                 )
 
@@ -613,7 +611,7 @@ def _candidates(model: OcbcModel, log: EventLog, kind: str, rng: random.Random):
         for obj in candidates[:12]:
             if obj in last.objects:
                 continue
-            delta = replace(last.delta, assert_snapshot=_without_object(final, obj))
+            delta = last.delta._replace(assert_snapshot=_without_object(final, obj))
             yield log.init, edit(-1, delta=delta), InjectionOutcome(
                 kind, f"asserted a final snapshot from which {obj} disappeared", event=last.id, obj=obj
             )
@@ -659,7 +657,7 @@ def _candidates(model: OcbcModel, log: EventLog, kind: str, rng: random.Random):
         for i in order:
             event = events[i]
             if event.objects and event.delta.is_empty:
-                dup = replace(event, id=f"{event.id}-again")
+                dup = event._replace(id=f"{event.id}-again")
                 yield log.init, events[: i + 1] + [dup] + events[i + 1 :], InjectionOutcome(
                     kind, f"repeated event {event.id} with the same object references", event=dup.id
                 )
@@ -730,5 +728,5 @@ def inject_violation(
             continue
         for v in found:
             if probe.matches(v):
-                return mutated, replace(probe, event=v.event, obj=v.obj, constraint=v.constraint)
+                return mutated, probe._replace(event=v.event, obj=v.obj, constraint=v.constraint)
     raise InjectionError(f"no verified mutation of kind {kind} for this model/log")

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .cardinality import ANY, Cardinality, ConstraintType
 
 
-@dataclass(frozen=True)
-class BehavioralConstraint:
+class BehavioralConstraint(NamedTuple):
     """A directed constraint: counts of target-activity events around each
     reference-activity event must satisfy `ctype`."""
 
@@ -20,7 +18,6 @@ class BehavioralConstraint:
     ctype: ConstraintType
 
 
-@dataclass(frozen=True)
 class BcModel:
     """Activities plus behavioral constraints between them.
 
@@ -28,19 +25,17 @@ class BcModel:
     models compare equal regardless of declaration order.
     """
 
-    activities: frozenset[str]
-    constraints: tuple[BehavioralConstraint, ...]
-    _by_id: Mapping[str, BehavioralConstraint] = field(
-        init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
-    )
+    __slots__ = ("activities", "constraints", "_by_id")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "constraints", tuple(sorted(self.constraints, key=lambda c: c.id))
-        )
-        object.__setattr__(
-            self, "_by_id", MappingProxyType({c.id: c for c in self.constraints})
-        )
+    def __init__(self, activities: frozenset[str], constraints: Iterable[BehavioralConstraint]) -> None:
+        self.activities = activities
+        self.constraints = tuple(sorted(constraints, key=lambda c: c.id))
+        self._by_id = MappingProxyType({c.id: c for c in self.constraints})
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.activities == other.activities and self.constraints == other.constraints
 
     def constraint(self, cid: str) -> BehavioralConstraint:
         return self._by_id[cid]
@@ -49,8 +44,7 @@ class BcModel:
         return cid in self._by_id
 
 
-@dataclass(frozen=True)
-class RelationshipType:
+class RelationshipType(NamedTuple):
     """A binary relationship between two classes, with per-side cardinalities.
 
     `card_src_*` bounds the number of source objects per target object,
@@ -71,19 +65,18 @@ class RelationshipType:
         return getattr(self, f"card_{side}_{temporal}")
 
 
-@dataclass(frozen=True)
 class ClassModel:
-    classes: frozenset[str]
-    rel_types: tuple[RelationshipType, ...]
-    _by_id: Mapping[str, RelationshipType] = field(
-        init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
-    )
+    __slots__ = ("classes", "rel_types", "_by_id")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rel_types", tuple(sorted(self.rel_types, key=lambda r: r.id)))
-        object.__setattr__(
-            self, "_by_id", MappingProxyType({r.id: r for r in self.rel_types})
-        )
+    def __init__(self, classes: frozenset[str], rel_types: Iterable[RelationshipType]) -> None:
+        self.classes = classes
+        self.rel_types = tuple(sorted(rel_types, key=lambda r: r.id))
+        self._by_id = MappingProxyType({r.id: r for r in self.rel_types})
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.classes == other.classes and self.rel_types == other.rel_types
 
     def rel_type(self, rid: str) -> RelationshipType:
         return self._by_id[rid]
@@ -92,8 +85,7 @@ class ClassModel:
         return rid in self._by_id
 
 
-@dataclass(frozen=True)
-class ActivityClassLink:
+class ActivityClassLink(NamedTuple):
     """An edge between an activity and a class it may reference.
 
     `card_events_always` / `card_events_eventually` bound how many events of
@@ -109,7 +101,6 @@ class ActivityClassLink:
     card_objects: Cardinality = ANY
 
 
-@dataclass(frozen=True)
 class OcbcModel:
     """Behavioral model + class model + activity/class links + constraint scoping.
 
@@ -117,18 +108,20 @@ class OcbcModel:
     through which its reference and target events are correlated.
     """
 
-    bcm: BcModel
-    clam: ClassModel
-    links: tuple[ActivityClassLink, ...]
-    scope: Mapping[str, str]
-    _link_keys: frozenset[tuple[str, str]] = field(
-        init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
-    )
+    __slots__ = ("bcm", "clam", "links", "scope", "_link_keys")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "links", tuple(sorted(self.links, key=lambda l: (l.activity, l.cls))))
-        object.__setattr__(self, "scope", MappingProxyType(dict(sorted(self.scope.items()))))
-        object.__setattr__(self, "_link_keys", frozenset((l.activity, l.cls) for l in self.links))
+    def __init__(
+        self, bcm: BcModel, clam: ClassModel, links: Iterable[ActivityClassLink], scope: Mapping[str, str]
+    ) -> None:
+        self.bcm, self.clam = bcm, clam
+        self.links = tuple(sorted(links, key=lambda l: (l.activity, l.cls)))
+        self.scope = MappingProxyType(dict(sorted(scope.items())))
+        self._link_keys = frozenset((l.activity, l.cls) for l in self.links)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.bcm, self.clam, self.links, self.scope) == (other.bcm, other.clam, other.links, other.scope)
 
     def has_link(self, activity: str, cls: str) -> bool:
         return (activity, cls) in self._link_keys
@@ -137,8 +130,7 @@ class OcbcModel:
         return [l for l in self.links if l.activity == activity]
 
 
-@dataclass(frozen=True)
-class ModelDefect:
+class ModelDefect(NamedTuple):
     """One well-formedness problem of a model. Defects are data, not errors."""
 
     code: str

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter
+from typing import NamedTuple
 
 from .violations import KIND_TITLES, KINDS, SEVERITY_ERROR, Violation, sort_violations
 
 
-@dataclass(frozen=True)
-class ConformanceReport:
+class ConformanceReport(NamedTuple):
     """Deterministic summary of one conformance check.
 
     `per_constraint` counts failing reference events per behavioral

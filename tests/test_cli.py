@@ -23,6 +23,7 @@ from ocbcheck import (
 )
 from ocbcheck import cli
 from ocbcheck.cli import main
+from ocbcheck.eventlog import MAX_SEQ
 from ocbcheck.violations import KINDS
 from scenarios import (
     named_and_random_pairs,
@@ -215,6 +216,27 @@ def test_generate_refuses_a_negative_event_count(capsys):
     assert capsys.readouterr() == ("", "")
 
 
+def test_generate_refuses_an_event_count_past_the_largest_seq():
+    """Events past `MAX_SEQ` could never get a 64-bit seq, so the command
+    stops before it starts.  It runs in a child with a timeout, because a
+    generator that starts such a run does not come back."""
+    import subprocess
+    import sys
+
+    events = 10**20
+    result = subprocess.run(
+        [sys.executable, "-m", "ocbcheck.cli", "generate", str(DEMO / "order-process.ocbc.json"),
+         "--events", str(events)],
+        capture_output=True,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert result.stderr == f"error: target event count {events} exceeds the largest seq {MAX_SEQ}\n".encode()
+    with pytest.raises(GenerationError, match="exceeds the largest seq"):
+        generate_conforming(order_process_model(), events=MAX_SEQ + 1)
+
+
 def test_bad_types_flag_rejected(workspace, capsys):
     _, paths = workspace
     model, log = paths["order"]
@@ -340,6 +362,25 @@ def test_check_does_not_import_the_generator():
     imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.decode().splitlines()]
     assert "ocbcheck.formats" in imported
     assert "ocbcheck.generator" not in imported
+
+
+def test_start_up_imports_no_dataclass_machinery():
+    """The records are named tuples and plain classes, so neither command
+    pulls in `dataclasses` or the `inspect` module it imports.  `-S` keeps
+    site-packages' start-up hooks from importing modules of their own."""
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import ocbcheck.cli, ocbcheck.generator; "
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert {"ocbcheck.cli", "ocbcheck.generator"} <= loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_generator_names_load_on_first_use():

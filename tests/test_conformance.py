@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 from pathlib import Path
 
@@ -212,19 +211,20 @@ def test_delivering_the_missing_lines_fulfils_the_model():
 
 def test_fulfilment_equals_validity_when_no_extra_eventual_cards():
     model = order_class_snapshot_model()
-    flattened = dataclasses.replace(
-        model,
-        clam=dataclasses.replace(
-            model.clam,
+    flattened = OcbcModel(
+        model.bcm,
+        ClassModel(
+            model.clam.classes,
             rel_types=tuple(
-                dataclasses.replace(
-                    rt,
+                rt._replace(
                     card_src_eventually=rt.card_src_always,
                     card_tar_eventually=rt.card_tar_always,
                 )
                 for rt in model.clam.rel_types
             ),
         ),
+        model.links,
+        model.scope,
     )
     _, log = order_object_model()
     assert check_type_ii(flattened, log) == []
@@ -345,7 +345,7 @@ def test_reference_to_unlinked_class_flagged():
     log = order_process_log()
     events = list(log.events)
     # A pick event referencing the order object: (pick item, order) is not linked.
-    events[1] = dataclasses.replace(events[1], objects=events[1].objects | {"o1"})
+    events[1] = events[1]._replace(objects=events[1].objects | {"o1"})
     violations = check_type_vi(model, EventLog(init=log.init, events=tuple(events)))
     assert [(v.event, v.obj, v.activity, v.cls) for v in violations] == [
         ("e2", "o1", "pick item", "order")
@@ -413,9 +413,12 @@ def test_multi_ticket_payment_is_fine():
 
 
 def test_unbounded_object_count_never_fires():
-    model = dataclasses.replace(
-        ticket_model(),
-        links=(dataclasses.replace(ticket_model().links[0], card_objects=__import__("ocbcheck").parse_cardinality("*")),),
+    model = ticket_model()
+    model = OcbcModel(
+        model.bcm,
+        model.clam,
+        links=(model.links[0]._replace(card_objects=__import__("ocbcheck").parse_cardinality("*")),),
+        scope=model.scope,
     )
     assert check_type_viii(model, ticket_log()) == []
 
@@ -463,13 +466,15 @@ def _fan_in_case(via: str, template: str, order: list[int]) -> tuple[OcbcModel, 
                   ("visit", {"d1", "d2"}), ("visit", {"d2"}), ("ship", {"d1"}), ("ship", {"d2"}),
                   ("ship", {"d1", "d2"}), ("ship", {"d1"})]
     events = tuple(event(f"e{i}", seq, *shapes[i]) for seq, i in enumerate(order, start=1))
-    model = dataclasses.replace(
-        fan_in_model(via),
+    base = fan_in_model(via)
+    model = OcbcModel(
         bcm=BcModel(
             activities=frozenset({"visit", "ship"}),
             constraints=(constraint("to-ship", template, "visit", "ship"),
                          constraint("to-visit", template, "visit", "visit")),
         ),
+        clam=base.clam,
+        links=base.links,
         scope={"to-ship": via, "to-visit": via},
     )
     return model, EventLog(init=init, events=events)
@@ -533,8 +538,8 @@ def _ix_counts(model, log):
     counts.
     """
     never = ConstraintType(total=Cardinality.exactly(MAX_BOUND))
-    constraints = tuple(dataclasses.replace(c, ctype=never) for c in model.bcm.constraints)
-    blind = dataclasses.replace(model, bcm=dataclasses.replace(model.bcm, constraints=constraints))
+    constraints = tuple(c._replace(ctype=never) for c in model.bcm.constraints)
+    blind = OcbcModel(BcModel(model.bcm.activities, constraints), model.clam, model.links, model.scope)
     return {(v.constraint, v.event): (v.before, v.after) for v in check_type_ix(blind, log)}
 
 

@@ -1,17 +1,30 @@
 from __future__ import annotations
 
-import dataclasses
+import gc
 import json
 import random
+import tracemalloc
 from operator import ge, gt, le, lt
 from pathlib import Path
 from types import MappingProxyType
 
 import pytest
 
-from ocbcheck import Event, EventLog, FormatError, LogError, ObjectDelta, ObjectModel, load_log
-from ocbcheck.eventlog import _ReplayState
+from ocbcheck import (
+    Cardinality,
+    CardinalityError,
+    ConstraintType,
+    Event,
+    EventLog,
+    FormatError,
+    LogError,
+    ObjectDelta,
+    ObjectModel,
+    load_log,
+)
+from ocbcheck.eventlog import EMPTY_DELTA, _ReplayState
 from scenarios import (
+    class_flip_log,
     event,
     hiring_log,
     order_object_model,
@@ -159,10 +172,10 @@ def test_fold_snapshots_skip_the_dangling_relation_scan(monkeypatch):
     middle = len(log.events) // 2
     expected = [log.snapshot_after(e.id) for e in (log.events[middle], log.events[-1])]
 
-    def scan(self):
+    def scan(cls, *fields):
         raise AssertionError("re-checked a snapshot the fold made")
 
-    monkeypatch.setattr(ObjectModel, "__post_init__", scan)
+    monkeypatch.setattr(ObjectModel, "__new__", scan)
     state = _ReplayState(log.init)
     for i, e in enumerate(log.events[: middle + 1]):
         state.apply(e, i)
@@ -267,14 +280,14 @@ def test_event_invariants():
         Event(id="e0", seq=0, activity="a")
     built = Event(id="e1", seq=1, activity="a", objects=["o2", "o1", "o2"], attrs={"k": "v"})
     with pytest.raises(LogError, match="outside the 64-bit positive range"):
-        dataclasses.replace(built, seq=2**63)
+        built._replace(seq=2**63)
     assert built.objects == frozenset({"o1", "o2"})
     assert type(built.objects) is frozenset
     with pytest.raises(TypeError):
         built.attrs["k"] = "w"  # type: ignore[index]
     with pytest.raises(TypeError):
         Event(id="e2", seq=2, activity="a").attrs["k"] = "w"  # type: ignore[index]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         built.seq = 5  # type: ignore[misc]
     delta = ObjectDelta(
         new_objects=[("o2", "k"), ("o1", "k")],
@@ -287,16 +300,16 @@ def test_event_invariants():
     assert ObjectDelta(new_objects=[("o1", "k")]).new_objects == (("o1", "k"),)
     as_tuples = ObjectDelta(new_relations=(("r", "o2", "o1"), ("r", "o1", "o2")))
     assert as_tuples.new_relations == (("r", "o1", "o2"), ("r", "o2", "o1"))
-    replaced = dataclasses.replace(delta, new_relations=[("r", "o2", "o1"), ("q", "o1", "o2")])
+    replaced = delta._replace(new_relations=[("r", "o2", "o1"), ("q", "o1", "o2")])
     assert replaced.new_relations == (("q", "o1", "o2"), ("r", "o2", "o1"))
     assert replaced.new_objects == delta.new_objects
     assert replaced.removed_relations == delta.removed_relations
     for instance in (built, delta):
-        for f in dataclasses.fields(instance):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(instance, f.name, None)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(instance, f.name)
+        for name in instance._fields:
+            with pytest.raises(AttributeError):
+                setattr(instance, name, None)
+            with pytest.raises(AttributeError):
+                delattr(instance, name)
 
 
 def test_event_messages_fields_and_hashing():
@@ -306,30 +319,106 @@ def test_event_messages_fields_and_hashing():
     assert caught.value.event_id == "e0"
     built = Event("e1", 1, "a", ["o1"], {"k": "v"})
     with pytest.raises(LogError) as caught:
-        dataclasses.replace(built, seq=2**63)
+        built._replace(seq=2**63)
     assert str(caught.value) == "seq 9223372036854775808 outside the 64-bit positive range"
-    assert dataclasses.replace(built, activity="b") == Event("e1", 1, "b", {"o1"}, {"k": "v"})
+    assert built._replace(activity="b") == Event("e1", 1, "b", {"o1"}, {"k": "v"})
     assert repr(Event("e2", 2, "a")) == (
         "Event(id='e2', seq=2, activity='a', objects=frozenset(), attrs=mappingproxy({}), "
         "delta=ObjectDelta(new_objects=(), new_relations=(), removed_relations=(), "
         "assert_snapshot=None))"
     )
-    fields = [(f.name, f.type, f.default, f.init, f.repr, f.compare) for f in dataclasses.fields(Event)]
-    assert fields == [
-        ("id", "str", dataclasses.MISSING, True, True, True),
-        ("seq", "int", dataclasses.MISSING, True, True, True),
-        ("activity", "str", dataclasses.MISSING, True, True, True),
-        ("objects", "frozenset[str]", frozenset(), True, True, True),
-        ("attrs", "Mapping[str, str]", dataclasses.MISSING, True, True, True),
-        ("delta", "ObjectDelta", ObjectDelta(), True, True, True),
+    # The field types are those of the NamedTuple that `Event` extends.
+    annotations = Event.__mro__[1].__annotations__
+    assert [(name, ref.__forward_arg__) for name, ref in annotations.items()] == [
+        ("id", "str"),
+        ("seq", "int"),
+        ("activity", "str"),
+        ("objects", "frozenset[str]"),
+        ("attrs", "Mapping[str, str]"),
+        ("delta", "ObjectDelta"),
     ]
-    assert dataclasses.fields(Event)[4].default_factory() == {}
-    assert [f.name for f in dataclasses.fields(ObjectDelta)] == [
-        "new_objects", "new_relations", "removed_relations", "assert_snapshot"
-    ]
-    assert Event.__slots__ == tuple(f.name for f in dataclasses.fields(Event))
+    assert Event._fields == ("id", "seq", "activity", "objects", "attrs", "delta")
+    assert Event._field_defaults == {"objects": frozenset(), "attrs": {}, "delta": ObjectDelta()}
+    assert ObjectDelta._fields == ("new_objects", "new_relations", "removed_relations", "assert_snapshot")
+    # Every field is a tuple item: no instance has a __dict__.
+    assert Event.__slots__ == ObjectDelta.__slots__ == ()
+    assert not hasattr(built, "__dict__") and not hasattr(ObjectDelta(), "__dict__")
     # attrs (and an ObjectModel's class_of) are read-only mapping views, which do not hash.
     with pytest.raises(TypeError):
         hash(built)
     with pytest.raises(TypeError):
         hash(ObjectModel(class_of={}, relations=frozenset()))
+
+
+def test_every_checked_record_checks_again_on_replace():
+    """`_replace` builds through the same checks as the constructor, as
+    `dataclasses.replace` did: each checked record normalizes or refuses
+    the changed fields."""
+    card = Cardinality(((1, 1),))
+    assert card._replace(ranges=((4, 6), (0, 2), (3, 3))).ranges == ((0, 6),)
+    with pytest.raises(CardinalityError, match="negative bound"):
+        card._replace(ranges=((-1, 2),))
+    ctype = ConstraintType(after=card)
+    assert ctype._replace(after=None, total=card) == ConstraintType(total=card)
+    with pytest.raises(ValueError, match="at least one of before/after/sum"):
+        ctype._replace(after=None)
+    model = ObjectModel(class_of={"o1": "k", "o2": "k"}, relations=frozenset())
+    linked = model._replace(relations={("r", "o1", "o2")})
+    assert type(linked.relations) is frozenset and type(linked.class_of) is MappingProxyType
+    with pytest.raises(LogError, match="references unknown object 'o3'"):
+        model._replace(relations={("r", "o1", "o3")})
+    delta = ObjectDelta(new_objects=[("o1", "k")])
+    moved = delta._replace(new_objects=[("o2", "k"), ("o1", "k")], removed_relations={("r", "o2", "o1")})
+    assert moved.new_objects == (("o1", "k"), ("o2", "k")) and moved.removed_relations == (("r", "o2", "o1"),)
+    built = Event("e1", 1, "a", ["o1"])
+    with pytest.raises(LogError, match="seq 0 outside the 64-bit positive range"):
+        built._replace(seq=0)
+    assert built._replace(seq=2**63 - 1, objects=["o2"]).objects == frozenset({"o2"})
+
+
+def test_records_are_value_tuples():
+    """Equal fields make equal records, and a record equals the plain tuple
+    of its fields, as any named tuple does."""
+    assert Cardinality(((3, 4), (1, 2))) == Cardinality(((1, 4),)) == (((1, 4),),)
+    assert Event("e1", 1, "a", {"o1"}, {"k": "v"}) == Event("e1", 1, "a", ["o1"], {"k": "v"})
+    assert ObjectDelta(new_relations=[("r", "o2", "o1"), ("r", "o1", "o2")]) == (
+        (), (("r", "o1", "o2"), ("r", "o2", "o1")), (), None
+    )
+
+
+def test_decoded_events_share_the_one_empty_delta():
+    """The checks test `delta is EMPTY_DELTA`, so an event line without delta
+    keys, and an event built without a delta, carry that very delta."""
+    log = load_log(b'{"id": "e1", "seq": 1, "activity": "a", "new_objects": [{"id": "o1", "class": "k"}]}\n'
+                   b'{"id": "e2", "seq": 2, "activity": "a", "objects": ["o1"]}\n')
+    assert log.events[0].delta is not EMPTY_DELTA
+    assert log.events[1].delta is EMPTY_DELTA and Event("e3", 3, "a").delta is EMPTY_DELTA
+    assert ObjectDelta() == EMPTY_DELTA and ObjectDelta().is_empty
+
+
+def test_asserted_stretches_keep_the_snapshot_map():
+    """An asserted stretch that adds no objects keeps its snapshot's own
+    class map rather than the fold's copy of it: the build over a log with
+    1,000 such stretches retains about half of what it did with copies."""
+    log = class_flip_log(4000)
+    asserted = [e.delta.assert_snapshot.class_of for e in log.events if e.delta.assert_snapshot is not None]
+    assert len(log._stretches) == len(asserted) + 1 == 1001
+    assert all(kept is own for (_, kept), own in zip(log._stretches[1:], asserted))
+    # A stretch that adds an object keeps the fold's own map, which holds it.
+    grown = EventLog(events=(
+        event("e1", 1, "a", assert_snapshot=ObjectModel(class_of={"o1": "k"}, relations=frozenset())),
+        event("e2", 2, "a", new_objects=[("o2", "k")]),
+    ))
+    assert dict(grown._stretches[1][1]) == {"o1": "k", "o2": "k"}
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = EventLog(init=log.init, events=log.events)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert built == log
+    # 953 KiB while each stretch kept a copy; 436 KiB before the build kept stretches.
+    assert retained < 600 * 1024, f"the build retains {retained / 1024:.0f} KiB"

@@ -7,7 +7,6 @@ and in prefix mode.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import re
 
@@ -61,9 +60,7 @@ def _renamed(log: EventLog, obj: dict[str, str], ev: dict[str, str]) -> EventLog
             assert_snapshot=None if delta.assert_snapshot is None else model(delta.assert_snapshot),
         )
         events.append(
-            dataclasses.replace(
-                event, id=ev[event.id], objects={obj[o] for o in event.objects}, delta=renamed_delta
-            )
+            event._replace(id=ev[event.id], objects={obj[o] for o in event.objects}, delta=renamed_delta)
         )
     return EventLog(init=model(log.init), events=tuple(events))
 
@@ -91,12 +88,12 @@ def test_shifting_every_seq_changes_only_the_seqs(prefix):
         for shift in (7, MAX_SEQ - top):
             shifted = EventLog(
                 init=log.init,
-                events=tuple(dataclasses.replace(e, seq=e.seq + shift) for e in log.events),
+                events=tuple(e._replace(seq=e.seq + shift) for e in log.events),
             )
             report = check_all(model, log, prefix=prefix)
             moved = check_all(model, shifted, prefix=prefix)
             assert list(moved.violations) == [v._replace(seq=v.seq + shift) for v in report.violations], n
-            assert dataclasses.replace(moved, violations=report.violations) == report, n
+            assert moved._replace(violations=report.violations) == report, n
 
 
 @pytest.mark.parametrize("prefix", [False, True])

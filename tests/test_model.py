@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from ocbcheck import BcModel, ClassModel, OcbcModel, validate_model
@@ -30,7 +28,7 @@ def test_rewired_scope_is_rejected():
     # c5 correlates deliver/wrap through r2; r4 does not connect their classes.
     scope = dict(model.scope)
     scope["c5"] = "r4"
-    broken = dataclasses.replace(model, scope=scope)
+    broken = OcbcModel(model.bcm, model.clam, model.links, scope)
     defects = validate_model(broken)
     assert [d.code for d in defects] == ["scope-not-linked"]
     assert defects[0].subject == "c5"
@@ -145,3 +143,31 @@ def test_scope_through_relationship_accepts_both_orientations():
     assert validate_model(build("b", "a")) == []  # traversed the other way
     with pytest.raises(KeyError):
         build("a", "b").bcm.constraint("zz")
+
+
+def test_lookups_read_the_kept_indexes():
+    """`has_link`, `constraint` and `rel_type` answer from the indexes built
+    with the model, not by scanning its tuples: they still answer after the
+    tuples are emptied behind the model's back."""
+    model = order_process_model()
+    link, c, rt = model.links[0], model.bcm.constraints[0], model.clam.rel_types[0]
+    object.__setattr__(model, "links", ())
+    object.__setattr__(model.bcm, "constraints", ())
+    object.__setattr__(model.clam, "rel_types", ())
+    assert model.has_link(link.activity, link.cls) and not model.has_link(link.activity, "nope")
+    assert model.bcm.constraint(c.id) is c and model.bcm.has_constraint(c.id)
+    assert model.clam.rel_type(rt.id) is rt and model.clam.has_rel_type(rt.id)
+
+
+def test_models_are_equal_by_value():
+    """Two models built from the same parts in another order are equal;
+    a different scope makes them differ."""
+    model = order_process_model()
+    shuffled = OcbcModel(
+        BcModel(model.bcm.activities, model.bcm.constraints[::-1]),
+        ClassModel(model.clam.classes, model.clam.rel_types[::-1]),
+        model.links[::-1],
+        dict(reversed(model.scope.items())),
+    )
+    assert shuffled == model and not shuffled != model
+    assert OcbcModel(model.bcm, model.clam, model.links, {**model.scope, "c5": "r4"}) != model
