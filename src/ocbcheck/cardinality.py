@@ -70,10 +70,6 @@ class Cardinality(_CardinalityFields):
     def at_least(cls, n: int) -> Cardinality:
         return cls(((n, None),))
 
-    @classmethod
-    def universal(cls) -> Cardinality:
-        return cls(((0, None),))
-
     @property
     def is_universal(self) -> bool:
         return self.ranges == ((0, None),)
@@ -205,7 +201,7 @@ def parse_cardinality(text: str) -> Cardinality:
     return Cardinality(tuple(ranges))
 
 
-ANY = Cardinality.universal()
+ANY = Cardinality(((0, None),))
 
 
 class _ConstraintTypeFields(NamedTuple):

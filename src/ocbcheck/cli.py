@@ -1,13 +1,14 @@
 """Command line front end: validate models, check conformance, generate fixtures.
 
 Exit codes: 0 success/conforming (warnings allowed in --prefix mode),
-1 violations or model defects, 2 unusable input.
+1 violations or model defects, 2 unusable input or a failed read or write.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -24,18 +25,27 @@ def _read(path: str) -> bytes:
 
 
 def _write(payload: bytes) -> None:
-    """Write bytes to stdout as they are, whatever its text encoding."""
-    sys.stdout.flush()
-    sys.stdout.buffer.write(payload)
+    """Write bytes to stdout as they are, whatever its text encoding.  The
+    flush makes a failed write fail here, where `main` reports it; stdout is
+    then pointed at the null device, so the flush at exit has nothing to fail on."""
+    try:
+        sys.stdout.flush()
+        sys.stdout.buffer.write(payload)
+        sys.stdout.buffer.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
+
+
+def _kind(text: str) -> str:
+    kind = text.strip()
+    if kind not in KINDS:
+        raise argparse.ArgumentTypeError(f"unknown problem type {kind!r} (choose from {', '.join(KINDS)})")
+    return kind
 
 
 def _parse_kinds(text: str) -> tuple[str, ...]:
-    kinds = tuple(dict.fromkeys(part.strip() for part in text.split(",") if part.strip()))
-    for kind in kinds:
-        if kind not in KINDS:
-            raise argparse.ArgumentTypeError(
-                f"unknown problem type {kind!r} (choose from {', '.join(KINDS)})"
-            )
+    kinds = tuple(dict.fromkeys(_kind(part) for part in text.split(",") if part.strip()))
     if not kinds:
         raise argparse.ArgumentTypeError("no problem type selected")
     return kinds
@@ -43,11 +53,7 @@ def _parse_kinds(text: str) -> tuple[str, ...]:
 
 def _parse_injection(text: str) -> tuple[str, int]:
     kind, _, times = text.partition("x")
-    kind = kind.strip()
-    if kind not in KINDS:
-        raise argparse.ArgumentTypeError(
-            f"unknown problem type {kind!r} (choose from {', '.join(KINDS)})"
-        )
+    kind = _kind(kind)
     count = times.strip() or "1"
     if not count.isdecimal() or int(count) < 1:
         raise argparse.ArgumentTypeError(f"injection count {times!r} is not a positive integer")
@@ -97,12 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    try:
-        model = load_model(_read(args.model))
-        log = load_log(_read(args.log))
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    model = load_model(_read(args.model))
+    log = load_log(_read(args.log))
     for warning in log.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     report = check_all(model, log, kinds=args.types, prefix=args.prefix)
@@ -113,11 +115,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         # A log may hold a lone surrogate escape, which UTF-8 cannot encode.
         payload = render_text(report).encode(errors="backslashreplace")
     if args.out:
-        try:
-            Path(args.out).write_bytes(payload)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        Path(args.out).write_bytes(payload)
     else:
         _write(payload)
     return 0 if report.conforms else 1
@@ -125,18 +123,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_validate_model(args: argparse.Namespace) -> int:
     try:
-        data = _read(args.model)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        model = load_model(data)
+        model = load_model(_read(args.model))
     except ModelDefectsError as exc:
         _write("".join(f"defect {defect}\n" for defect in exc.defects).encode(errors="backslashreplace"))
         return 1
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     _write(
         f"model OK: {len(model.bcm.activities)} activities, "
         f"{len(model.clam.classes)} classes, {len(model.clam.rel_types)} relationships, "
@@ -148,11 +138,7 @@ def _cmd_validate_model(args: argparse.Namespace) -> int:
 def _cmd_generate(args: argparse.Namespace) -> int:
     from .generator import GenerationError, InjectionError, generate_conforming, inject_violation
 
-    try:
-        model = load_model(_read(args.model))
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    model = load_model(_read(args.model))
     try:
         log = generate_conforming(model, events=args.events, seed=args.seed)
         if args.inject:
@@ -180,6 +166,9 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         return handlers[args.command](args)
+    except (FormatError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if was_enabled:
             gc.enable()

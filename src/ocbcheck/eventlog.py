@@ -15,7 +15,7 @@ III, VI and VII learn which objects each event brings in from `introductions`.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
@@ -96,15 +96,6 @@ class ObjectDelta(_ObjectDeltaFields):
         return tuple.__new__(cls, (*lists, assert_snapshot))
 
     _make = classmethod(lambda cls, fields: cls(*fields))
-
-    @property
-    def is_empty(self) -> bool:
-        return (
-            not self.new_objects
-            and not self.new_relations
-            and not self.removed_relations
-            and self.assert_snapshot is None
-        )
 
 
 def _sorted_tuple(items: Collection) -> tuple:
@@ -202,20 +193,20 @@ class EventLog:
     """Totally ordered events over an evolving object model.
 
     Construction replays all deltas once: it sorts events by seq, rejects
-    duplicate seqs/ids and failing deltas, and keeps the (position, object)
-    pair of every event reference to an object that does not exist in the
-    snapshot after the event.  Those pairs are the only record of a missing
-    reference: `warnings` renders them, and conformance checking reports
-    them as object-existence problems (type V).  The same fold keeps the
-    indexes the checks and queries read: the positions of each activity's
-    events, the positions of the events of each (object, activity) pair
-    (both ascending), the final snapshot, and the stretches: a (start
-    position, class map) pair for the initial model and for each asserted
-    snapshot, the map being the fold's own dict, or the snapshot's own map
-    when the stretch adds no objects.  Within a stretch objects are only
-    added and keep their class, so an object that an event references and
-    that is not missing has its class in the event's map.  Two logs are
-    equal when their `init` and `events` are.
+    the first duplicate seq or id or failing delta in seq order, and keeps
+    the (position, object) pair of every event reference to an object that
+    does not exist in the snapshot after the event.  Those pairs are the
+    only record of a missing reference: `warnings` renders them, and
+    conformance checking reports them as object-existence problems (type V).
+    The same fold keeps the indexes the checks and queries read: the
+    positions of each activity's events, the positions of the events of each
+    (object, activity) pair (both ascending), the final snapshot, and the
+    stretches: a (start position, class map) pair for the initial model and
+    for each asserted snapshot, the map being the fold's own dict, or the
+    snapshot's own map when the stretch adds no objects.  Within a stretch
+    objects are only added and keep their class, so an object that an event
+    references and that is not missing has its class in the event's map.
+    Two logs are equal when their `init` and `events` are.
     """
 
     __slots__ = ("init", "events", "_missing", "_index_of", "_by_activity", "_positions", "_stretches",
@@ -223,33 +214,31 @@ class EventLog:
 
     def __init__(self, init: ObjectModel = EMPTY_OBJECT_MODEL, events: Iterable[Event] = ()) -> None:
         self.init = init
-        self.events = events = tuple(sorted(events, key=attrgetter("seq")))
+        self.events = events = tuple(sorted(events, key=itemgetter(1)))  # by seq
         index_of: dict[str, int] = {}
-        previous_seq = None
-        for i, event in enumerate(events):
-            if event.seq == previous_seq:  # sorted, so a duplicate follows its twin
-                raise LogError(f"duplicate seq {event.seq}", i, event.id)
-            previous_seq = event.seq
-            if event.id in index_of:
-                raise LogError(f"duplicate event id {event.id!r}", i, event.id)
-            index_of[event.id] = i
-
         missing: list[tuple[int, str]] = []
         by_activity: dict[str, list[int]] = {}
         positions: dict[tuple[str, str], list[int]] = {}
         state = _ReplayState(init)
         stretches: list[tuple[int, Mapping[str, str]]] = [(0, state.class_of)]
+        previous_seq = None
         for i, event in enumerate(events):
-            if event.delta is not EMPTY_DELTA:
+            eid, seq, activity, objects, _, delta = event
+            if seq == previous_seq:  # sorted, so a duplicate follows its twin
+                raise LogError(f"duplicate seq {seq}", i, eid)
+            previous_seq = seq
+            if eid in index_of:
+                raise LogError(f"duplicate event id {eid!r}", i, eid)
+            index_of[eid] = i
+            if delta is not EMPTY_DELTA:
                 state.apply(event, i)
-                if event.delta.assert_snapshot is not None:
+                if delta.assert_snapshot is not None:
                     stretches.append((i, state.class_of))
-            activity = event.activity
             by_activity.setdefault(activity, []).append(i)
-            for obj in event.objects:
+            for obj in objects:
                 positions.setdefault((obj, activity), []).append(i)
-            if not state.class_of.keys() >= event.objects:
-                missing.extend((i, obj) for obj in sorted(event.objects - state.class_of.keys()))
+            if not state.class_of.keys() >= objects:
+                missing.extend((i, obj) for obj in sorted(objects - state.class_of.keys()))
         # An asserted stretch starts as a copy of the snapshot's map and only
         # adds to it, so one of the same size can keep the snapshot's map.
         for k, (start, class_of) in enumerate(stretches[1:], 1):

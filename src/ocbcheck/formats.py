@@ -120,9 +120,7 @@ def _card(obj: dict, key: str, where: str, default: Cardinality | None = ANY) ->
         raise FormatError(f"bad cardinality {text!r}: {exc}", f"{where}.{key}") from None
 
 
-def _string_list(value: Any, where: str) -> list[str]:
-    if type(value) is not list:
-        _expect(value, list, where)
+def _string_list(value: list, where: str) -> list[str]:
     for i, item in enumerate(value):
         if type(item) is not str:
             _expect(item, str, f"{where}[{i}]")

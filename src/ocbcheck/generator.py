@@ -43,13 +43,10 @@ def _partner_cards(rt: RelationshipType, my_side: str) -> tuple[Cardinality, Car
     return rt.card(other, "always"), rt.card(other, "eventually")
 
 
-def _stepwise_target(always: Cardinality, eventually: Cardinality, start: int, what: str) -> int:
-    """Smallest admissible final count >= start reachable one event at a time."""
-    feasible = eventually.restrict_min(start)
-    if feasible is None:
-        raise GenerationError(f"{what}: count {start} exceeds every eventual value in {eventually}")
-    target = feasible.minimum()
-    gaps = always.gap_starts(start, target)
+def _stepwise_target(always: Cardinality, eventually: Cardinality, what: str) -> int:
+    """Smallest admissible final count reachable from 0 one event at a time."""
+    target = eventually.minimum()
+    gaps = always.gap_starts(0, target)
     if gaps:
         raise GenerationError(
             f"{what}: reaching eventual count {target} passes through {gaps[0]}, "
@@ -125,7 +122,6 @@ def _analyze(model: OcbcModel) -> dict[str, _ClassPlan]:
             target = _stepwise_target(
                 link.card_events_always,
                 link.card_events_eventually,
-                start=0,
                 what=f"link ({link.activity}, {cls})",
             )
             if target > 0:
@@ -192,9 +188,7 @@ def _analyze(model: OcbcModel) -> dict[str, _ClassPlan]:
             else:
                 if partner.creator_activity is not None:
                     always, eventually = _partner_cards(rt, my_side)
-                    steps = _stepwise_target(
-                        always, eventually, 0, what=f"class {cls!r} via {rt.id}"
-                    )
+                    steps = _stepwise_target(always, eventually, what=f"class {cls!r} via {rt.id}")
                     plan.eventual.append(need._replace(count=steps))
                 else:
                     plan.ambient.append(need)
@@ -271,14 +265,12 @@ def _order_acts(model: OcbcModel, cls: str, acts: list[tuple[str, int]]) -> list
 
 
 def _pick_count(rng: random.Random, card: Cardinality, at_most: int | None = None) -> int:
-    """A small member of the cardinality, >= 1, at most `at_most`."""
+    """A small member of the cardinality, >= 1, at most `at_most`.  Callers
+    pass a cardinality with a positive member, and an `at_most` no smaller
+    than the least of them."""
     feasible = card.restrict_min(1)
-    if feasible is None:
-        raise GenerationError(f"cardinality {card} admits no positive count")
     low = feasible.minimum()
     options = [v for v in range(low, low + 3) if v in feasible and (at_most is None or v <= at_most)]
-    if not options:
-        raise GenerationError(f"cardinality {card} admits no count <= {at_most}")
     return rng.choice(options)
 
 
@@ -541,7 +533,7 @@ def _delete_event(log: EventLog, index: int) -> tuple[ObjectModel, list[Event]] 
         return None
     if index == 0:
         init = EventLog(init=init, events=(victim,)).final_snapshot()  # the log's own fold
-    elif not delta.is_empty:
+    elif delta != EMPTY_DELTA:
         host = events[index - 1]
         if host.delta.assert_snapshot is not None:
             return None
@@ -656,7 +648,7 @@ def _candidates(model: OcbcModel, log: EventLog, kind: str, rng: random.Random):
     elif kind == "VII":
         for i in order:
             event = events[i]
-            if event.objects and event.delta.is_empty:
+            if event.objects and event.delta == EMPTY_DELTA:
                 dup = event._replace(id=f"{event.id}-again")
                 yield log.init, events[: i + 1] + [dup] + events[i + 1 :], InjectionOutcome(
                     kind, f"repeated event {event.id} with the same object references", event=dup.id
@@ -691,7 +683,7 @@ def _candidates(model: OcbcModel, log: EventLog, kind: str, rng: random.Random):
                         continue
                     mutated = list(events)
                     moved = mutated.pop(moved_index)
-                    if not moved.delta.is_empty:
+                    if moved.delta != EMPTY_DELTA:
                         continue
                     mutated.insert(ref_index, moved)  # lands on the other side of the reference
                     yield log.init, mutated, InjectionOutcome(

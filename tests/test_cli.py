@@ -349,6 +349,63 @@ def test_output_is_utf8_bytes_whatever_the_stdout_encoding(tmp_path):
     assert result.stdout == save_log(generate_conforming(load_model(good.read_bytes()), events=20, seed=0))
 
 
+@contextmanager
+def _failing_stdout(sink):
+    """A file descriptor whose every write fails: /dev/full, or the write
+    end of a pipe whose read end is closed."""
+    import os
+
+    if sink == "/dev/full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        fd = os.open("/dev/full", os.O_WRONLY)
+    else:
+        if os.name != "posix":
+            pytest.skip("a closed pipe raises EPIPE only on POSIX")
+        read_end, fd = os.pipe()
+        os.close(read_end)
+    try:
+        yield fd
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check", "--format", "json"),
+        ("check", "--format", "text"),
+        ("validate-model",),
+        ("generate",),
+    ],
+    ids=["check-json", "check-text", "validate-model", "generate"],
+)
+def test_a_failed_stdout_write_exits_two(args, sink, buffered):
+    # A buffered stdout keeps a small report (validate-model's one line) until
+    # the flush at exit, which must not fail a second time.
+    import os
+    import subprocess
+    import sys
+
+    command, *options = args
+    files = [str(DEMO / "order-process.ocbc.json")]
+    if command == "check":
+        files.append(str(DEMO / "order-process.oclog.jsonl"))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with _failing_stdout(sink) as fd:
+        result = subprocess.run(
+            [sys.executable, "-m", "ocbcheck.cli", command, *files, *options],
+            stdout=fd, stderr=subprocess.PIPE, env=env,
+        )
+    assert result.returncode == 2, result.stderr.decode(errors="replace")
+    assert result.stderr.splitlines()[-1].startswith(b"error: [Errno "), result.stderr
+    assert b"Traceback" not in result.stderr and b"Exception ignored" not in result.stderr
+
+
 def test_check_does_not_import_the_generator():
     import subprocess
     import sys

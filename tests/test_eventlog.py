@@ -393,7 +393,7 @@ def test_decoded_events_share_the_one_empty_delta():
                    b'{"id": "e2", "seq": 2, "activity": "a", "objects": ["o1"]}\n')
     assert log.events[0].delta is not EMPTY_DELTA
     assert log.events[1].delta is EMPTY_DELTA and Event("e3", 3, "a").delta is EMPTY_DELTA
-    assert ObjectDelta() == EMPTY_DELTA and ObjectDelta().is_empty
+    assert ObjectDelta() == EMPTY_DELTA
 
 
 def test_asserted_stretches_keep_the_snapshot_map():

@@ -10,8 +10,11 @@ from pathlib import Path
 import pytest
 
 from ocbcheck import (
+    BcModel,
+    ConstraintType,
     FormatError,
     ModelDefectsError,
+    OcbcModel,
     Violation,
     aggregate,
     check_all,
@@ -19,6 +22,7 @@ from ocbcheck import (
     load_log,
     load_model,
     load_report,
+    parse_cardinality,
     save_log,
     save_model,
     save_report,
@@ -71,11 +75,35 @@ def test_load_minimal_model():
     assert model == precedence_model()
 
 
+def _custom_ctype_model():
+    """The order model with its first constraints given types that are no
+    template; returns the model and those constraints."""
+    model = order_process_model()
+    ctypes = [
+        ConstraintType(before=parse_cardinality("1..*"), after=parse_cardinality("0..1,3"),
+                       total=parse_cardinality("2..*")),
+        ConstraintType(after=parse_cardinality("0,2..4")),
+        ConstraintType(total=parse_cardinality("2..3")),
+        ConstraintType(before=parse_cardinality("0"), after=parse_cardinality("1")),
+    ]
+    constraints = [c._replace(ctype=ct) for c, ct in zip(model.bcm.constraints, ctypes)]
+    bcm = BcModel(model.bcm.activities, (*constraints, *model.bcm.constraints[len(ctypes):]))
+    return OcbcModel(bcm, model.clam, model.links, model.scope), constraints
+
+
 def test_model_round_trip_is_byte_stable():
-    for model in (order_process_model(), hiring_model(), ticket_model(), precedence_model()):
+    models = (order_process_model(), hiring_model(), ticket_model(), precedence_model(), _custom_ctype_model()[0])
+    for model in models:
         data = save_model(model)
         assert load_model(data) == model
         assert save_model(load_model(data)) == data
+
+
+def test_custom_constraint_types_are_saved_as_their_atoms():
+    model, constraints = _custom_ctype_model()
+    saved = {c["id"]: c["type"] for c in json.loads(save_model(model))["constraints"]}
+    assert saved[constraints[0].id] == {"after": "0..1,3", "before": "1..*", "sum": "2..*"}
+    assert [saved[c.id] for c in constraints[1:]] == [{"after": "0,2..4"}, {"sum": "2..3"}, {"after": "1", "before": "0"}]
 
 
 def test_order_process_model_counts():
@@ -332,6 +360,18 @@ def test_log_duplicate_seq_out_of_file_order_names_the_later_line():
     with pytest.raises(FormatError) as caught:
         load_log("\n".join(lines))
     assert str(caught.value) == "line 3: duplicate seq 5 (event 'e2', index 2)"
+
+
+def test_log_with_several_faults_names_the_first_in_seq_order():
+    # The build checks ids and deltas in one pass, so the dangling relation
+    # of seq 1 is reported before the duplicate id of seq 2.
+    lines = [
+        json.dumps({"id": "e1", "seq": 1, "activity": "a", "new_relations": [["r", "x", "y"]]}),
+        json.dumps({"id": "e1", "seq": 2, "activity": "a"}),
+    ]
+    with pytest.raises(FormatError) as caught:
+        load_log("\n".join(lines))
+    assert str(caught.value) == "line 1: relation ('r', 'x', 'y') references unknown object 'x' (event 'e1', index 0)"
 
 
 def test_log_removing_absent_relation_delta_error():

@@ -29,6 +29,8 @@ from ocbcheck import (
 from ocbcheck import generator
 from ocbcheck.violations import KINDS
 from scenarios import (
+    CARD_PAIRS,
+    MULTI_RANGE_PAIRS,
     event,
     link,
     order_process_log,
@@ -133,6 +135,33 @@ def test_unsatisfiable_link_is_rejected():
     assert validate_model(broken) == []
     with pytest.raises(GenerationError, match="passes through 1"):
         generate_conforming(broken, events=10, seed=0)
+
+
+# The smallest seed of `random_model` (card pairs, seed, target events) at
+# which each analysis rule rejects the model, with the generation seed
+# equal to the model seed.
+ANALYSIS_RULES = [
+    (CARD_PAIRS, 1, 0, "class 'k0' has two activities that must coincide with creation"),
+    (MULTI_RANGE_PAIRS, 0, 0, "link (a1, k0): cardinalities do not admit exactly one creating event"),
+    (CARD_PAIRS, 2, 0, "constraint c1: forbidding constraint types are unsupported"),
+    (CARD_PAIRS, 470, 0, "class 'k1' would need demand-driven creation on two relationships"),
+    (CARD_PAIRS, 114, 0, "classes 'k0' and 'k0' both require creation events but must be created together"),
+    (CARD_PAIRS, 107, 0, "class 'k1' needs a 'k0' partner at creation but 'k0' is created independently"),
+    (CARD_PAIRS, 156, 0, "class 'k0' is co-created by 'k0' but has co-created dependents of its own"),
+    (CARD_PAIRS, 5, 0, "link (a2, k2): object cardinality 1 does not admit 0 reference(s) on 'a2' events"),
+    (CARD_PAIRS, 8, 0, "class 'k0': cyclic ordering between activities ['a1']"),
+    (CARD_PAIRS, 0, 5, "class 'k1' is needed as an ambient partner but has obligations of its own"),
+    (CARD_PAIRS, 21, 1, "ambient class 'k0' has a bounded cardinality on its side of r0"),
+    (CARD_PAIRS, 7, 1, "model has no startable cluster to generate events from"),
+]
+
+
+@pytest.mark.parametrize("card_pairs, seed, events, message", ANALYSIS_RULES)
+def test_each_analysis_rule_rejects_its_model(card_pairs, seed, events, message):
+    model = random_model(random.Random(seed), card_pairs)
+    with pytest.raises(GenerationError) as caught:
+        generate_conforming(model, events=events, seed=seed)
+    assert str(caught.value) == message
 
 
 def test_generation_error_stable_across_hash_randomization(tmp_path):
