@@ -174,5 +174,20 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """The command's entry point: `main`, a flush, and an exit without
+    interpreter teardown (an exception, `SystemExit` too, leaves normally)."""
+    code = main()
+    try:
+        if sys.stdout is not None:  # None when the fd was closed at start-up
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

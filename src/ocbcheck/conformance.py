@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 from itertools import repeat
 from operator import add, itemgetter
 from typing import Callable, Iterator
@@ -75,15 +75,18 @@ class _Replay(_ReplayState):
     def __init__(self, model: OcbcModel, log: EventLog):
         super().__init__(log.init)
         self._rel_type = {rt.id: rt for rt in model.clam.rel_types}
-        # The rule per (relationship type, side): the keeper class, the
-        # always-cardinality and its rendering; and the sides each class keeps.
+        # The rule per side that can breach (its always-cardinality is not `*`):
+        # the keeper class, the always-cardinality and its rendering; and the sides each class keeps.
         self._rule: dict[tuple[str, str], tuple[str, Cardinality, str]] = {}
         self._sides_kept_by: dict[str, list[tuple[str, str]]] = {}
+        self._counted: dict[str, list[tuple[str, int]]] = {}  # per type: (side, the keeper's relation field)
         for rt in model.clam.rel_types:
-            for side in ("src", "tar"):
+            for side, field in (("tar", 1), ("src", 2)):
                 keeper, card = _keeper(rt, side), rt.card(side, "always")
-                self._rule[rt.id, side] = (keeper, card, card.render())
-                self._sides_kept_by.setdefault(keeper, []).append((rt.id, side))
+                if not card.is_universal:
+                    self._rule[rt.id, side] = (keeper, card, card.render())
+                    self._sides_kept_by.setdefault(keeper, []).append((rt.id, side))
+                    self._counted.setdefault(rt.id, []).append((side, field))
         self.replaced()
         # The breach state that `_rows` was built from.
         self._built: tuple = ({}, {}, set())
@@ -112,11 +115,11 @@ class _Replay(_ReplayState):
         if rt is None:
             self._unknown_rt.add(rel)
             return
-        _, src, tar = rel
-        for side, obj in (("tar", src), ("src", tar)):
-            key = (rt.id, side, obj)
+        for side, field in self._counted.get(rt.id, ()):
+            key = (rt.id, side, rel[field])
             self._cnt[key] = self._cnt.get(key, 0) + 1
             self._recheck(key)
+        _, src, tar = rel
         for side, obj, want in (("src", src, rt.source), ("tar", tar, rt.target)):
             got = self.class_of.get(obj)
             if got != want:
@@ -127,11 +130,11 @@ class _Replay(_ReplayState):
         if rt is None:
             self._unknown_rt.discard(rel)
             return
-        _, src, tar = rel
-        for side, obj in (("tar", src), ("src", tar)):
-            key = (rt.id, side, obj)
+        for side, field in self._counted.get(rt.id, ()):
+            key = (rt.id, side, rel[field])
             self._cnt[key] = self._cnt.get(key, 0) - 1
             self._recheck(key)
+        _, src, tar = rel
         self._bad_type.pop((rt.id, src, tar, "src"), None)
         self._bad_type.pop((rt.id, src, tar, "tar"), None)
 
@@ -297,17 +300,17 @@ def _check_vii(model: OcbcModel, log: EventLog) -> list[Violation]:
             first_seen.setdefault(cls, {}).setdefault(obj, index)
     last = events[-1]
     found = []
-    for link in model.links:
-        always, eventually = link.card_events_always, link.card_events_eventually
+    for activity, cls, always, eventually, _ in model.links:
         if always.is_universal and eventually.is_universal:
             continue
-        activity, cls = link.activity, link.cls
+        # The link's verdict tables, per (start, total) and per final count.
+        gap_starts, allows_total = cache(always.gap_starts), cache(eventually.__contains__)
         for obj, first in first_seen.get(cls, {}).items():
             positions = positions_of.get((obj, activity), ())
             # The running count is `start` at the object's first appearance and
             # `c` at event `positions[c - 1]`; a run of breaches is one problem.
             start, total = bisect_right(positions, first), len(positions)
-            breached = always.gap_starts(start, total)
+            breached = gap_starts(start, total)
             for count in breached:
                 event = events[first if count == start else positions[count - 1]]
                 found.append(
@@ -319,7 +322,7 @@ def _check_vii(model: OcbcModel, log: EventLog) -> list[Violation]:
             # An eventual-count breach on an object whose running count
             # already broke the always-cardinality is the same root cause;
             # report one problem per (link, object).
-            if not breached and total not in eventually:
+            if not breached and not allows_total(total):
                 found.append(
                     Violation(
                         kind="VII", event=last.id, seq=last.seq, activity=activity, cls=cls,
@@ -333,20 +336,21 @@ def _check_viii(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Type VIII: each event references the right number of objects per
     class, for the links that bound it."""
     events, missing, found = log.events, set(log._missing), []
-    for link in model.links:
-        if link.card_objects.is_universal:
+    for activity, cls, _, _, card in model.links:
+        if card.is_universal:
             continue
-        for class_of, run in _stretch_runs(log, log._by_activity.get(link.activity, [])):
+        expected, allows = card.render(), cache(card.__contains__)  # the verdict per count
+        for class_of, run in _stretch_runs(log, log._by_activity.get(activity, [])):
             for i in run:
                 count = 0
                 for obj in events[i].objects:
-                    if class_of.get(obj) == link.cls and (i, obj) not in missing:
+                    if class_of.get(obj) == cls and (i, obj) not in missing:
                         count += 1
-                if count not in link.card_objects:
+                if not allows(count):
                     found.append(
                         Violation(
-                            kind="VIII", event=events[i].id, seq=events[i].seq, activity=link.activity,
-                            cls=link.cls, observed=count, expected=link.card_objects.render(),
+                            kind="VIII", event=events[i].id, seq=events[i].seq, activity=activity,
+                            cls=cls, observed=count, expected=expected,
                         )
                     )
     return found
@@ -360,9 +364,10 @@ def _check_ix(model: OcbcModel, log: EventLog) -> list[Violation]:
     events, by_activity = log.events, log._by_activity
     found = []
     for constraint in model.bcm.constraints:
-        accepts, expected = constraint.ctype.accepts, constraint.ctype.render()
+        cid, ref_activity, _, ctype = constraint
+        accepts, expected = cache(ctype.accepts), ctype.render()  # the verdict table
         correlate, targets_of = _correlation(model, log, constraint), {}
-        for ref_index in by_activity.get(constraint.ref_activity, ()):
+        for ref_index in by_activity.get(ref_activity, ()):
             objects = events[ref_index].objects
             targets = targets_of.get(objects)
             if targets is None:
@@ -373,7 +378,7 @@ def _check_ix(model: OcbcModel, log: EventLog) -> list[Violation]:
                 found.append(
                     Violation(
                         kind="IX", event=event.id, seq=event.seq,
-                        constraint=constraint.id, before=before, after=after,
+                        constraint=cid, before=before, after=after,
                         expected=expected,
                     )
                 )

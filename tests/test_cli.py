@@ -406,6 +406,111 @@ def test_a_failed_stdout_write_exits_two(args, sink, buffered):
     assert b"Traceback" not in result.stderr and b"Exception ignored" not in result.stderr
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_command_ends_without_losing_output(tmp_path, buffered):
+    """`run` flushes and then leaves by `os._exit`: a generated log smaller
+    than stdout's buffer, or larger than a pipe's, reaches the reader whole,
+    and a check on a log with missing references prints every warning and
+    the whole report."""
+    import os
+    import subprocess
+    import sys
+
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "ocbcheck.cli", *args], capture_output=True, env=env)
+
+    model_path = DEMO / "order-process.ocbc.json"
+    for events, size in ((3, 8 * 1024), (3000, 64 * 1024)):
+        expected = save_log(generate_conforming(load_model(model_path.read_bytes()), events=events, seed=0))
+        assert (len(expected) < size) == (events == 3)
+        result = run("generate", str(model_path), "--events", str(events))
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == expected
+
+    model, log_path = ticket_model(), tmp_path / "dangling.oclog.jsonl"
+    log_path.write_text("".join(
+        f'{{"id": "p{i}", "seq": {i}, "activity": "pay", "objects": ["nobody{i}"]}}\n' for i in range(1, 1501)
+    ))
+    model_path = tmp_path / "tickets.ocbc.json"
+    model_path.write_bytes(save_model(model))
+    log = load_log(log_path.read_bytes())
+    assert len(log.warnings) == 1500
+    result = run("check", str(model_path), str(log_path))
+    assert result.returncode == 1
+    assert result.stderr == "".join(f"warning: {w}\n" for w in log.warnings).encode()
+    assert result.stdout == render_text(check_all(model, log)).encode()
+
+
+def test_both_entry_points_call_run():
+    """The console script and `python -m ocbcheck.cli` both end through
+    `cli.run`; `main` returns its code to an in-process caller."""
+    import ast
+
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert 'ocbcheck = "ocbcheck.cli:run"' in pyproject.splitlines()
+    tree = ast.parse(Path(cli.__file__).read_text())
+    [block] = [node.body for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(statement) for statement in block] == ["run()"]
+
+
+def test_run_reports_a_failed_final_flush(monkeypatch, capsys):
+    """When the flush after the command fails, `run` prints `error: ...`
+    and exits 2 instead of the command's code."""
+    import sys
+
+    class Exited(Exception):
+        pass
+
+    class FullStdout:
+        def flush(self):
+            raise OSError(28, "No space left on device")
+
+    def exit_(code):
+        raise Exited(code)
+
+    monkeypatch.setattr(cli, "main", lambda: 0)
+    monkeypatch.setattr(cli.os, "_exit", exit_)
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    with pytest.raises(Exited) as caught:
+        cli.run()
+    assert caught.value.args == (2,)
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("args", [("check",), ("check", "m", "l", "--types", "X"), ("nonsense",)])
+def test_a_usage_error_exits_two_through_run(args):
+    import subprocess
+    import sys
+
+    result = subprocess.run([sys.executable, "-m", "ocbcheck.cli", *args], capture_output=True)
+    assert result.returncode == 2
+    assert result.stderr.startswith(b"usage: ocbcheck") and b"Traceback" not in result.stderr
+    assert result.stdout == b""
+
+
+@pytest.mark.parametrize("args", [
+    ("check", str(DEMO / "order-process.ocbc.json"), str(DEMO / "order-process.oclog.jsonl")),
+    ("generate", str(DEMO / "order-process.ocbc.json"), "--events", "5"),
+    ("validate-model", str(DEMO / "order-process.ocbc.json")),
+])
+def test_a_command_run_with_stderr_closed_keeps_its_exit_code(args):
+    """With fd 2 closed at start-up `sys.stderr` is None; `run` flushes only
+    the streams there are, and the command still succeeds."""
+    import os
+    import subprocess
+    import sys
+
+    result = subprocess.run([sys.executable, "-m", "ocbcheck.cli", *args], stdout=subprocess.PIPE,
+                            preexec_fn=lambda: os.close(2))
+    assert result.returncode == 0
+    assert result.stdout and result.stdout.endswith(b"\n")
+
+
 def test_check_does_not_import_the_generator():
     import subprocess
     import sys

@@ -646,6 +646,119 @@ def test_hiring_mutants():
     assert [(v.kind, v.constraint, v.event) for v in late_apply] == [("IX", "c6", "e6")]
 
 
+@pytest.mark.parametrize("via", ["r", "desk"])
+def test_equal_object_sets_share_one_correlation(via, monkeypatch):
+    """Reference events whose object sets are equal by value, though each is
+    its own frozenset, are correlated once per constraint, and each of them
+    gets the oracle's (before, after) counts."""
+    model, log = _fan_in_case(via, "response", list(range(9)))
+    never = ConstraintType(total=Cardinality.exactly(MAX_BOUND))  # reports every count
+    constraints = tuple(c._replace(ctype=never) for c in model.bcm.constraints)
+    model = OcbcModel(BcModel(model.bcm.activities, constraints), model.clam, model.links, model.scope)
+    correlated = []
+    correlation = conformance._correlation
+
+    def counting(model, log, constraint):
+        correlate = correlation(model, log, constraint)
+        return lambda objects: correlated.append((constraint.id, objects)) or correlate(objects)
+
+    monkeypatch.setattr(conformance, "_correlation", counting)
+    found = check_violations(model, log, ("IX",))
+    visits = [e.objects for e in log.events if e.activity == "visit"]
+    assert visits[0] == visits[1] and visits[0] is not visits[1]
+    assert len(correlated) == len(set(correlated)) == len(constraints) * len(set(visits))
+    assert len(found) == len(constraints) * len(visits)
+    assert found == [v for v in sort_violations(naive_check(model, log)) if v.kind == "IX"]
+
+
+def test_viii_counts_only_the_objects_an_event_finds():
+    """One event references many objects of two counted classes, one of them
+    created only by a later event, so missing from the event's snapshot
+    though in its stretch's class map: the count leaves it out, as the
+    oracle's does."""
+    model = OcbcModel(
+        bcm=BcModel(activities=frozenset({"pay", "issue"}), constraints=()),
+        clam=ClassModel(classes=frozenset({"ticket", "voucher"}), rel_types=()),
+        links=(link("pay", "ticket", objects="3"), link("pay", "voucher", objects="1"),
+               link("issue", "ticket")),
+        scope={},
+    )
+    init = ObjectModel(
+        class_of={"t1": "ticket", "t2": "ticket", "t3": "ticket", "v1": "voucher", "v2": "voucher"},
+        relations=frozenset(),
+    )
+    log = EventLog(
+        init=init,
+        events=(
+            event("p1", 1, "pay", {"t1", "t2", "t3", "t4", "v1", "v2"}),
+            event("i1", 2, "issue", {"t4"}, new_objects=[("t4", "ticket")]),
+            event("p2", 3, "pay", {"t1", "t2", "t4", "v1", "v2"}),
+        ),
+    )
+    assert [(v.event, v.obj) for v in check_violations(model, log, ("V",))] == [("p1", "t4")]
+    oracle = sort_violations(naive_check(model, log))
+    found = check_violations(model, log, ("VIII",))
+    assert found == [v for v in oracle if v.kind == "VIII"]
+    assert [(v.event, v.cls, v.observed) for v in found] == [("p1", "voucher", 2), ("p2", "voucher", 2)]
+    assert check_violations(model, log) == oracle
+
+
+def _opposite_verdicts_case() -> tuple[OcbcModel, EventLog]:
+    """Equal counts with opposite verdicts: a `response` and a `non-response`
+    constraint from `issue` to `pay`; `pay` links to two classes with object
+    cardinalities 1 and 0; ticket links of `issue` and `pay` with
+    always-cardinalities 1 and 0..1."""
+    model = OcbcModel(
+        bcm=BcModel(
+            activities=frozenset({"issue", "pay"}),
+            constraints=(constraint("paid", "response", "issue", "pay"),
+                         constraint("unpaid", "non-response", "issue", "pay")),
+        ),
+        clam=ClassModel(classes=frozenset({"ticket", "voucher"}), rel_types=()),
+        links=(link("issue", "ticket", always="1"),
+               link("pay", "ticket", always="0..1", objects="1"),
+               link("pay", "voucher", objects="0")),
+        scope={"paid": "ticket", "unpaid": "ticket"},
+    )
+    init = ObjectModel(class_of={"t0": "ticket"}, relations=frozenset())
+    log = EventLog(
+        init=init,
+        events=(
+            event("i1", 1, "issue", {"t1"}, new_objects=[("t1", "ticket")]),
+            event("p1", 2, "pay", {"t1"}),
+            event("i2", 3, "issue", {"t2"}, new_objects=[("t2", "ticket")]),
+            event("p2", 4, "pay", {"t2", "v1"}, new_objects=[("v1", "voucher")]),
+            event("p3", 5, "pay"),
+            event("i3", 6, "issue", {"t3"}, new_objects=[("t3", "ticket")]),
+        ),
+    )
+    return model, log
+
+
+def test_each_constraint_and_link_keeps_its_own_verdicts():
+    """IX, VII and VIII decide each distinct count once per constraint or
+    link.  Here equal counts get opposite verdicts from two constraints, two
+    links of one activity and two links of one class, and every kind equals
+    the oracle's, in full and prefix mode."""
+    model, log = _opposite_verdicts_case()
+    oracle = sort_violations(naive_check(model, log))
+    found = check_violations(model, log)
+    assert found == oracle
+    assert [(v.kind, v.event, v.constraint or v.activity, v.cls, v.obj, v.observed) for v in found] == [
+        ("VII", "i1", "issue", "ticket", "t0", 0),
+        ("VIII", "p2", "pay", "voucher", "", 1),
+        ("VIII", "p3", "pay", "ticket", "", 0),
+        ("IX", "i1", "unpaid", "", "", None),
+        ("IX", "i2", "unpaid", "", "", None),
+        ("IX", "i3", "paid", "", "", None),
+    ]
+    for kind in ("VII", "VIII", "IX"):
+        assert check_violations(model, log, (kind,)) == [v for v in oracle if v.kind == kind], kind
+    # Only the missing payment can still come; a payment that came stays.
+    prefix = [v.downgraded() if v.constraint == "paid" else v for v in oracle]
+    assert check_violations(model, log, prefix=True) == prefix
+
+
 # -- the full report -------------------------------------------------------------
 
 

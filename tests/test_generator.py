@@ -164,6 +164,37 @@ def test_each_analysis_rule_rejects_its_model(card_pairs, seed, events, message)
     assert str(caught.value) == message
 
 
+# Hand-made models for the creation rules no `random_model` seed reaches:
+# (relationship type a -> b, links, target events, message).
+CREATION_RULES = [
+    # Each b needs two a's at creation, and each a needs its b then too.
+    (rel_type("r", "a", "b", src="2", tar="1"), [link("make", "a", always="1")], 1,
+     "class 'b' needs 2 'a' partners at creation; only one co-creating parent is supported"),
+    # Each a eventually needs a b, which takes no a at all.
+    (rel_type("r", "a", "b", src="0", tar="*", tar_ev="1..*"),
+     [link("open", "a", always="1"), link("mk", "b", always="1")], 1,
+     "class 'b': no admissible partner count at creation"),
+    # Each b takes two a's at creation, and the one event makes one a.
+    (rel_type("r", "a", "b", src="2", tar="*", tar_ev="1..*"),
+     [link("open", "a", always="1"), link("mk", "b", always="1")], 1,
+     "cannot create a 'b': needs 2 pending partner(s), only 1 are ready"),
+]
+
+
+@pytest.mark.parametrize("rt, links, events, message", CREATION_RULES)
+def test_each_creation_rule_rejects_its_model(rt, links, events, message):
+    model = OcbcModel(
+        bcm=BcModel(activities=frozenset(l.activity for l in links), constraints=()),
+        clam=ClassModel(classes=frozenset({"a", "b"}), rel_types=(rt,)),
+        links=tuple(links),
+        scope={},
+    )
+    assert validate_model(model) == []
+    with pytest.raises(GenerationError) as caught:
+        generate_conforming(model, events=events, seed=0)
+    assert str(caught.value) == message
+
+
 def test_generation_error_stable_across_hash_randomization(tmp_path):
     # Both links are outside the generated family; the error must name the
     # same one whatever order the class set iterates in.
