@@ -28,6 +28,8 @@ def _write(payload: bytes) -> None:
     """Write bytes to stdout as they are, whatever its text encoding.  The
     flush makes a failed write fail here, where `main` reports it; stdout is
     then pointed at the null device, so the flush at exit has nothing to fail on."""
+    if sys.stdout is None:  # fd 1 was closed at start-up
+        raise OSError("stdout is closed")
     try:
         sys.stdout.flush()
         sys.stdout.buffer.write(payload)

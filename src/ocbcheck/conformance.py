@@ -9,7 +9,7 @@ Each kind is computed by one function, only when it is selected.  Type I
 alone folds the log again; the other kinds read what the `EventLog` build
 kept (type V its missing references, types III, VI and VIII its class map
 of each stretch between two assertions) and the objects each event brings
-in (`EventLog.introductions`, for III, VI and VII).  Type VII reads each
+in (`EventLog.introductions`, for III and VII).  Type VII reads each
 object's runs of breaching counts from the cardinality's ranges.  Type IX
 correlates once per constraint and distinct reference object set, through
 the function `resolve_targets` also uses, and counts each reference event's
@@ -42,10 +42,10 @@ def _keeper(rt: RelationshipType, side: str) -> str:
 
 
 def _unlinked_activities(model: OcbcModel, log: EventLog) -> set[str]:
-    """The activities of the log that some class an object of the log can
-    have is not linked to, the only ones type VI can fire for; an undeclared
+    """The activities of the log that some class of its stretches is not
+    linked to, a superset of the ones type VI can fire for; an undeclared
     activity has no links."""
-    classes = {cls for _, introduced in log.introductions() for _, cls in introduced}
+    classes = set().union(*(class_of.values() for _, class_of in log._stretches))
     return {a for a in log._by_activity if any(not model.has_link(a, c) for c in classes)}
 
 

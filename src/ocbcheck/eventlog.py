@@ -10,7 +10,7 @@ the build, `snapshot_after`, type I's replay and the generator.  The build
 alone decides whether a referenced object exists at its event: the load
 warnings and type V read the missing references it keeps, and types III,
 VI and VIII the class map of each stretch between two assertions.  Types
-III, VI and VII learn which objects each event brings in from `introductions`.
+III and VII learn which objects each event brings in from `introductions`.
 """
 
 from __future__ import annotations
@@ -140,18 +140,21 @@ class Event(_EventFields):
 
 class _ReplayState:
     """The delta fold: the object model while replaying events, validating
-    each delta against it.  A subclass observes the fold through hooks called
-    after each change: `added_object`, `added_relation` and `removed_relation`
-    (only when the relation set changes), and `replaced` (by an assertion)."""
+    each delta against it; it copies a snapshot's class map only to add to it.
+    A subclass observes the fold through hooks called after each change:
+    `added_object`, `added_relation` and `removed_relation` (only when the
+    relation set changes), and `replaced` (by an assertion)."""
 
     __slots__ = ("class_of", "relations")
 
     def __init__(self, init: ObjectModel):
-        self.class_of: dict[str, str] = dict(init.class_of)
+        self.class_of: Mapping[str, str] = init.class_of
         self.relations: set[Relation] = set(init.relations)
 
     def apply(self, event: Event, index: int) -> None:
         delta = event.delta
+        if type(self.class_of) is not dict and delta.new_objects:
+            self.class_of = dict(self.class_of)
         class_of, relations = self.class_of, self.relations
         for obj, cls in delta.new_objects:
             if obj in class_of:
@@ -174,7 +177,7 @@ class _ReplayState:
             relations.remove(rel)
             self.removed_relation(rel)
         if delta.assert_snapshot is not None:
-            self.class_of = dict(delta.assert_snapshot.class_of)
+            self.class_of = delta.assert_snapshot.class_of
             self.relations = set(delta.assert_snapshot.relations)
             self.replaced()
 
@@ -202,9 +205,9 @@ class EventLog:
     positions of each activity's events, the positions of the events of each
     (object, activity) pair (both ascending), the final snapshot, and the
     stretches: a (start position, class map) pair for the initial model and
-    for each asserted snapshot, the map being the fold's own dict, or the
-    snapshot's own map when the stretch adds no objects.  Within a stretch
-    objects are only added and keep their class, so an object that an event
+    for each asserted snapshot, kept when it ends: the snapshot's own map, or
+    the fold's dict when the stretch adds objects.  Within a stretch objects
+    are only added and keep their class, so an object that an event
     references and that is not missing has its class in the event's map.
     Two logs are equal when their `init` and `events` are.
     """
@@ -220,8 +223,8 @@ class EventLog:
         by_activity: dict[str, list[int]] = {}
         positions: dict[tuple[str, str], list[int]] = {}
         state = _ReplayState(init)
-        stretches: list[tuple[int, Mapping[str, str]]] = [(0, state.class_of)]
-        previous_seq = None
+        stretches: list[tuple[int, Mapping[str, str]]] = []
+        start, previous_seq = 0, None
         for i, event in enumerate(events):
             eid, seq, activity, objects, _, delta = event
             if seq == previous_seq:  # sorted, so a duplicate follows its twin
@@ -231,26 +234,23 @@ class EventLog:
                 raise LogError(f"duplicate event id {eid!r}", i, eid)
             index_of[eid] = i
             if delta is not EMPTY_DELTA:
+                if delta.assert_snapshot is not None:  # the stretch before it ends
+                    stretches.append((start, state.class_of))
+                    start = i
                 state.apply(event, i)
-                if delta.assert_snapshot is not None:
-                    stretches.append((i, state.class_of))
             by_activity.setdefault(activity, []).append(i)
             for obj in objects:
                 positions.setdefault((obj, activity), []).append(i)
             if not state.class_of.keys() >= objects:
                 missing.extend((i, obj) for obj in sorted(objects - state.class_of.keys()))
-        # An asserted stretch starts as a copy of the snapshot's map and only
-        # adds to it, so one of the same size can keep the snapshot's map.
-        for k, (start, class_of) in enumerate(stretches[1:], 1):
-            asserted = events[start].delta.assert_snapshot.class_of
-            if len(class_of) == len(asserted):
-                stretches[k] = (start, asserted)
+        stretches.append((start, class_of := state.class_of))  # and so does the last
+        class_of = MappingProxyType(class_of) if type(class_of) is dict else class_of
         self._missing = tuple(missing)
         self._index_of = MappingProxyType(index_of)
         self._by_activity = by_activity
         self._positions = positions
         self._stretches = stretches
-        self._final = state.snapshot() if events else init
+        self._final = tuple.__new__(ObjectModel, (class_of, frozenset(state.relations))) if events else init
         self._neighbours: dict[str, dict[str, set[str]]] = {}
 
     def __eq__(self, other: object) -> bool:
@@ -307,7 +307,7 @@ class EventLog:
 
     def final_snapshot(self) -> ObjectModel:
         """Object model after the last event; the initial model for an empty log.
-        Kept by construction, so O(1)."""
+        Kept by construction, sharing the fold's last class map, so O(1)."""
         return self._final
 
     def _neighbours_via(self, rel_type: str) -> Mapping[str, set[str]]:

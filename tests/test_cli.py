@@ -511,6 +511,40 @@ def test_a_command_run_with_stderr_closed_keeps_its_exit_code(args):
     assert result.stdout and result.stdout.endswith(b"\n")
 
 
+@pytest.mark.parametrize("args", [
+    ("check", str(DEMO / "order-process.ocbc.json"), str(DEMO / "order-process.oclog.jsonl")),
+    ("generate", str(DEMO / "order-process.ocbc.json"), "--events", "5"),
+    ("validate-model", str(DEMO / "order-process.ocbc.json")),
+])
+def test_a_command_run_with_stdout_closed_fails_with_an_error_line(args):
+    """With fd 1 closed at start-up `sys.stdout` is None: a command that
+    writes there reports the failed write and exits 2, without a traceback."""
+    import os
+    import subprocess
+    import sys
+
+    result = subprocess.run([sys.executable, "-m", "ocbcheck.cli", *args], stderr=subprocess.PIPE,
+                            preexec_fn=lambda: os.close(1))
+    assert result.returncode == 2
+    assert result.stderr.splitlines()[-1].startswith(b"error:")
+    assert b"Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("name, code", [("order-process", 0), ("unmatched-precedence", 1)])
+def test_a_check_run_with_stdout_closed_keeps_its_exit_code_with_out(tmp_path, name, code):
+    import os
+    import subprocess
+    import sys
+
+    argv = ["check", str(DEMO / f"{name}.ocbc.json"), str(DEMO / f"{name}.oclog.jsonl"), "--out"]
+    result = subprocess.run([sys.executable, "-m", "ocbcheck.cli", *argv, str(tmp_path / "closed.txt")],
+                            stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+    assert result.returncode == code, result.stderr.decode(errors="replace")
+    assert b"Traceback" not in result.stderr
+    assert main([*argv, str(tmp_path / "open.txt")]) == code
+    assert (tmp_path / "closed.txt").read_bytes() == (tmp_path / "open.txt").read_bytes()
+
+
 def test_check_does_not_import_the_generator():
     import subprocess
     import sys

@@ -866,9 +866,10 @@ def test_type_v_and_the_load_warnings_name_the_same_references():
 def _fold_edge_cases():
     """Logs whose deltas the fold must read as set operations, over a model
     in which counting a relation twice breaks an always-cardinality, and
-    logs that place a referenced object's class at its event, where "a"
-    references at most one object of class k and one of class m, and none
-    of class n.  Each case comes with whether it reads set operations."""
+    logs that place a referenced object's class at its event, at the edges
+    of the stretches between assertions too, where "a" references at most
+    one object of class k and one of class m, and none of class n.  Each
+    case comes with whether it reads set operations."""
     model = OcbcModel(
         bcm=BcModel(activities=frozenset({"a"}), constraints=()),
         clam=ClassModel(
@@ -930,6 +931,41 @@ def _fold_edge_cases():
                 event("e2", 2, "a", {"k1", "m1"}, new_objects=[("m1", "m")]),
             ),
         ),
+        "an assertion at event 0 that drops the one object of a class that \"a\" is not linked to": EventLog(
+            init=ObjectModel(class_of={"k1": "k", "n0": "n"}, relations=frozenset()),
+            events=(event("e1", 1, "a", {"k1", "n0"}, assert_snapshot=pair), event("e2", 2, "a", {"k1", "m1"})),
+        ),
+        "an asserting event that adds objects, after a stretch that added none": EventLog(
+            init=pair,
+            events=(
+                event("e1", 1, "a", {"k1", "m1"}),
+                event("e2", 2, "a", {"k1", "k2", "n1"}, new_objects=[("k2", "k"), ("n1", "n")],
+                      assert_snapshot=ObjectModel(class_of={"k1": "k", "m1": "m", "k2": "k"}, relations=())),
+                event("e3", 3, "a", {"k2", "n1"}),
+                event("e4", 4, "a", {"k1", "k2"}),
+            ),
+        ),
+        "an asserting event that adds objects, after a stretch that added some": EventLog(
+            init=pair,
+            events=(
+                event("e1", 1, "a", {"k1"}, new_objects=[("k3", "k")]),
+                event("e2", 2, "a", {"k3", "m1"}, new_objects=[("n2", "n")],
+                      assert_snapshot=ObjectModel(class_of={"k1": "k", "k3": "m", "n2": "n"}, relations=())),
+                event("e3", 3, "a", {"k3", "n2"}),
+                event("e4", 4, "a", {"k1", "m1"}, new_objects=[("m2", "m")]),
+                event("e5", 5, "a", {"k1", "m2"}, new_objects=[("n3", "n"), ("k4", "k")],
+                      assert_snapshot=ObjectModel(class_of={"k1": "k", "m2": "m", "n3": "n"}, relations=())),
+                event("e6", 6, "a", {"n3", "k1"}),
+            ),
+        ),
+        "events that add nothing to the initial model": EventLog(
+            init=(still := ObjectModel(class_of={"k1": "k", "m1": "m", "n1": "n"}, relations=())),
+            events=(
+                event("e1", 1, "a", {"k1", "n1"}),
+                event("e2", 2, "a", {"k1", "m1", "x9"}),
+                event("e3", 3, "a", {"k1", "m1"}, assert_snapshot=still),
+            ),
+        ),
     }
     return [
         (name, model, log, name in set_operations)
@@ -941,17 +977,24 @@ def test_replay_state_after_the_last_event_is_the_final_snapshot():
     """The conformance replay folds deltas through the log's own fold, so its
     state after the last event is the final snapshot the build kept; on the
     edge cases, all kinds together and types III, VI and VIII each alone
-    agree with the oracle."""
+    agree with the oracle, in full and prefix mode."""
     for model, log in named_and_random_pairs():
         assert conformance._Replay(model, log).snapshot() == log.final_snapshot()
+    kinds = set()
     for name, model, log, set_operations in _fold_edge_cases():
         assert conformance._Replay(model, log).snapshot() == log.final_snapshot(), name
         oracle = sort_violations(naive_check(model, log))
-        assert check_violations(model, log) == oracle, name
-        for kind in ("III", "VI", "VIII"):
-            assert check_violations(model, log, (kind,)) == [v for v in oracle if v.kind == kind], (name, kind)
+        for prefix in (False, True):
+            assert check_violations(model, log, prefix=prefix) == oracle, (name, prefix)
+            for kind in ("III", "VI", "VIII"):
+                alone = [v for v in oracle if v.kind == kind]
+                assert check_violations(model, log, (kind,), prefix) == alone, (name, kind, prefix)
         if set_operations:
             assert not [v for v in oracle if v.kind in ("I", "III")], name
+        kinds |= {v.kind for v in oracle}
+    # Type II, the model's one eventual requirement, never fires, so prefix
+    # mode downgrades nothing.
+    assert kinds == {"III", "V", "VI", "VIII"}
 
 
 def _two_class_model():

@@ -189,6 +189,28 @@ def test_fold_snapshots_skip_the_dangling_relation_scan(monkeypatch):
     assert type(halfway.class_of) is MappingProxyType and type(halfway.relations) is frozenset
 
 
+def test_the_fold_copies_a_class_map_only_to_add_to_it():
+    init = ObjectModel(class_of={"k1": "k"}, relations=frozenset())
+    asserted = ObjectModel(class_of={"k1": "k", "k2": "k"}, relations=frozenset())
+    state = _ReplayState(init)
+    assert state.class_of is init.class_of
+    state.apply(event("e1", 1, "a", {"k1"}, new_relations=[("r", "k1", "k1")]), 0)
+    assert state.class_of is init.class_of
+    state.apply(event("e2", 2, "a", new_objects=[("k3", "k")]), 1)
+    assert type(state.class_of) is dict and state.class_of == {"k1": "k", "k3": "k"}
+    state.apply(event("e3", 3, "a", assert_snapshot=asserted), 2)
+    assert state.class_of is asserted.class_of
+    state.apply(event("e4", 4, "a", new_objects=[("k4", "k")]), 3)
+    assert state.class_of == {"k1": "k", "k2": "k", "k4": "k"}
+    assert dict(init.class_of) == {"k1": "k"} and dict(asserted.class_of) == {"k1": "k", "k2": "k"}
+    log = EventLog(init=init, events=(event("e1", 1, "a", new_objects=[("k2", "k")]),))
+    assert dict(init.class_of) == {"k1": "k"} and log.final_snapshot().objects == {"k1", "k2"}
+    # A log that adds no objects shares its initial map with every stretch and the final snapshot.
+    still = EventLog(init=init, events=(event("e1", 1, "a", {"k1"}), event("e2", 2, "a", assert_snapshot=init)))
+    assert len(still._stretches) == 2 and all(class_of is init.class_of for _, class_of in still._stretches)
+    assert still.final_snapshot().class_of is init.class_of
+
+
 def test_removing_absent_relation_rejected():
     with pytest.raises(LogError, match="absent relation"):
         EventLog(
@@ -398,8 +420,9 @@ def test_decoded_events_share_the_one_empty_delta():
 
 def test_asserted_stretches_keep_the_snapshot_map():
     """An asserted stretch that adds no objects keeps its snapshot's own
-    class map rather than the fold's copy of it: the build over a log with
-    1,000 such stretches retains about half of what it did with copies."""
+    class map rather than a copy of it: the build over a log with 1,000 such
+    stretches retains about half of what it did with copies, and makes none
+    on the way."""
     log = class_flip_log(4000)
     asserted = [e.delta.assert_snapshot.class_of for e in log.events if e.delta.assert_snapshot is not None]
     assert len(log._stretches) == len(asserted) + 1 == 1001
@@ -416,9 +439,11 @@ def test_asserted_stretches_keep_the_snapshot_map():
         before = tracemalloc.get_traced_memory()[0]
         built = EventLog(init=log.init, events=log.events)
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
+        retained, peak = (traced - before for traced in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert built == log
     # 953 KiB while each stretch kept a copy; 436 KiB before the build kept stretches.
     assert retained < 600 * 1024, f"the build retains {retained / 1024:.0f} KiB"
+    # 913 KiB while the fold copied every snapshot's map and then dropped the copies.
+    assert peak < 600 * 1024, f"the build peaks at {peak / 1024:.0f} KiB"
