@@ -107,15 +107,8 @@ class Cardinality(_CardinalityFields):
         return self.ranges[-1][1]
 
     def is_subset_of(self, other: Cardinality) -> bool:
-        # Normalized ranges of `other` are separated by real gaps, so each of
-        # our ranges must fit inside a single range of `other`.
-        for low, high in self.ranges:
-            if not any(
-                olow <= low and (ohigh is None or (high is not None and high <= ohigh))
-                for olow, ohigh in other.ranges
-            ):
-                return False
-        return True
+        # A is within B exactly when A meets B in all of A; equal sets have equal ranges.
+        return self.intersect(other) == self
 
     def intersect(self, other: Cardinality) -> Cardinality | None:
         """Set intersection, or None when empty."""
@@ -136,15 +129,6 @@ class Cardinality(_CardinalityFields):
     def restrict_min(self, n: int) -> Cardinality | None:
         """Members >= n, or None when empty."""
         return self.intersect(Cardinality.at_least(n))
-
-    def shift_down(self, n: int) -> Cardinality | None:
-        """{x - n | x in self, x >= n}, or None when empty."""
-        out = [
-            (max(low, n) - n, None if high is None else high - n)
-            for low, high in self.ranges
-            if high is None or high >= n
-        ]
-        return Cardinality(tuple(out)) if out else None
 
     def render(self) -> str:
         parts = []
@@ -238,24 +222,15 @@ class ConstraintType(_ConstraintTypeFields):
         return True
 
     def future_fixable(self, before: int, after: int) -> bool:
-        """True if some after' >= after would be accepted with this before count.
-
-        The before count of a reference event is frozen once the event has
-        happened; only future target events (growing `after`) can still
-        repair a violation.
-        """
-        if self.before is not None and before not in self.before:
-            return False
-        pool = self.after if self.after is not None else ANY
-        feasible = pool.restrict_min(after)
-        if feasible is None:
-            return False
-        if self.total is not None:
-            sums = self.total.shift_down(before)
-            if sums is None:
-                return False
-            feasible = feasible.intersect(sums)
-        return feasible is not None
+        """True if some after' >= after would be accepted with this before count:
+        the before count is frozen once the reference event has happened, and
+        only future target events can still repair a violation.  The smallest
+        such after' starts where `after..*`, a range of the after cardinality
+        and one of the sum cardinality less `before` overlap, so it is one of
+        those starts, and asking `accepts` about each of them decides."""
+        starts = [low for low, _ in self.after.ranges] if self.after is not None else []
+        starts += [low - before for low, _ in self.total.ranges] if self.total is not None else []
+        return any(self.accepts(before, n) for n in (after, *starts) if n >= after)
 
     def render(self) -> str:
         parts = []

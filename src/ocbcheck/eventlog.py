@@ -186,11 +186,6 @@ class _ReplayState:
 
     added_object = added_relation = removed_relation = replaced = _ignore
 
-    def snapshot(self) -> ObjectModel:
-        """A copy of the state, as the fold may go on.  The fold validated
-        every change, so the copy skips `ObjectModel`'s dangling-relation scan."""
-        return tuple.__new__(ObjectModel, (MappingProxyType(dict(self.class_of)), frozenset(self.relations)))
-
 
 class EventLog:
     """Totally ordered events over an evolving object model.
@@ -282,12 +277,8 @@ class EventLog:
         return self.events[self.index_of(event_id)]
 
     def snapshot_after(self, event_id: str) -> ObjectModel:
-        """Object model directly after the given event (fold of all deltas up to it)."""
-        position = self.index_of(event_id)
-        state = _ReplayState(self.init)
-        for i, event in enumerate(self.events[: position + 1]):
-            state.apply(event, i)
-        return state.snapshot()
+        """Object model directly after the given event: the final snapshot of the log cut there."""
+        return EventLog(self.init, self.events[: self.index_of(event_id) + 1]).final_snapshot()
 
     def introductions(self) -> Iterator[tuple[int, Iterable[tuple[str, str]]]]:
         """The position of each event that can bring objects into the object

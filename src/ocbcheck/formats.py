@@ -127,12 +127,6 @@ def _string_list(value: list, where: str) -> list[str]:
     return value
 
 
-def _relation(value: Any, where: str) -> tuple[str, str, str]:
-    if len(_expect(value, list, where)) != 3:
-        raise FormatError("expected [relType, source, target]", where)
-    return tuple(_string_list(value, where))  # type: ignore[return-value]
-
-
 def _parse_json(data: bytes | str, where: str = "document") -> Any:
     text = _decode(data)
     try:
@@ -324,9 +318,7 @@ def _object_model(value: Any, where: str) -> ObjectModel:
         if oid in class_of:
             raise FormatError(f"duplicate object id {oid!r}", inner)
         class_of[oid] = cls
-    relations = []
-    for i, item in enumerate(_take(entry, "relations", list, where, default=[])):
-        relations.append(_relation(item, f"{where}.relations[{i}]"))
+    relations = _relations(_take(entry, "relations", list, where, default=[]), f"{where}.relations")
     _no_extras(entry, where)
     try:
         return ObjectModel(class_of=class_of, relations=frozenset(relations))
@@ -337,16 +329,17 @@ def _object_model(value: Any, where: str) -> ObjectModel:
 _NO_OBJECTS: frozenset[str] = frozenset()
 
 
-def _relations(entry: dict, key: str) -> tuple[tuple[str, str, str], ...]:
-    items = entry.pop(key)
-    if type(items) is not list:
-        items = _field(items, key, list, "")
+def _relations(items: list, where: str) -> tuple[tuple[str, str, str], ...]:
+    """The `[relType, source, target]` items of the array at `where`."""
     out = []
     for i, item in enumerate(items):
         if type(item) is list and len(item) == 3 and type(item[0]) is type(item[1]) is type(item[2]) is str:
             out.append(tuple(item))
-        else:  # raises, with the item's location
-            out.append(_relation(item, f".{key}[{i}]"))
+        else:  # a bad item raises, with its location
+            inner = f"{where}[{i}]"
+            if len(_expect(item, list, inner)) != 3:
+                raise FormatError("expected [relType, source, target]", inner)
+            out.append(tuple(_string_list(item, inner)))
     return tuple(out)
 
 
@@ -366,8 +359,11 @@ def _delta(entry: dict, memo: dict) -> ObjectDelta:
                     new_objects.append((memo.setdefault(oid, oid), memo.setdefault(cls, cls)))
                     continue
             _object_entry(item, f".new_objects[{i}]")  # raises, with the item's location
-    new_relations = _relations(entry, "new_relations") if "new_relations" in entry else ()
-    removed = _relations(entry, "removed_relations") if "removed_relations" in entry else ()
+    new_relations = removed = ()
+    if "new_relations" in entry:
+        new_relations = _relations(_take(entry, "new_relations", list, ""), ".new_relations")
+    if "removed_relations" in entry:
+        removed = _relations(_take(entry, "removed_relations", list, ""), ".removed_relations")
     snapshot = None
     if "assert_snapshot" in entry:
         snapshot = _object_model(entry.pop("assert_snapshot"), ".assert_snapshot")
@@ -468,7 +464,7 @@ def load_log(data: bytes | str) -> EventLog:
     input is released before the build: rebinding `data` frees the caller's
     bytes (unless it keeps a reference) and then the text, and the lines go
     once decoded."""
-    data = _decode(data).splitlines()
+    data = _decode(data).split("\n")  # not `splitlines`: JSON strings may hold U+2028, U+2029, U+0085
     init, events, line_numbers = _decode_lines(data)
     del data
     try:

@@ -1,21 +1,39 @@
 """Definitional conformance evaluator, used as the independent test oracle.
 
 Every quantified condition is recomputed directly from per-event snapshots
-(rebuilt via the public fold API), with the eventual requirements evaluated
-by literally searching for a suffix on which the condition holds everywhere.
-No index structures or incremental state are shared with the optimized
-engine; only the violation record shape is."""
+(folded here from the log's initial model and deltas), with the eventual
+requirements evaluated by literally searching for a suffix on which the
+condition holds everywhere.  No fold, index structure or incremental state
+is shared with the optimized engine; only the record and model types are."""
 
 from __future__ import annotations
 
-from ocbcheck import EventLog, OcbcModel, Violation
+from ocbcheck import EventLog, ObjectModel, OcbcModel, Violation
+
+
+def fold_snapshots(log: EventLog) -> list[ObjectModel]:
+    """The object model after each event, each delta applied as written: its
+    new objects join the class map, its relations are added and then removed,
+    and an asserted snapshot replaces both.  The build has already rejected a
+    log whose deltas do not replay, so nothing is checked here."""
+    class_of, relations = dict(log.init.class_of), set(log.init.relations)
+    out = []
+    for event in log.events:
+        delta = event.delta
+        class_of.update(delta.new_objects)
+        relations.update(delta.new_relations)
+        relations.difference_update(delta.removed_relations)
+        if delta.assert_snapshot is not None:
+            class_of, relations = dict(delta.assert_snapshot.class_of), set(delta.assert_snapshot.relations)
+        out.append(ObjectModel(class_of, relations))
+    return out
 
 
 def naive_check(model: OcbcModel, log: EventLog) -> list[Violation]:
     out: list[Violation] = []
     events = list(log.events)
     n = len(events)
-    snapshots = [log.snapshot_after(e.id) for e in events]
+    snapshots = fold_snapshots(log)
 
     def count_relations(j: int, rt_id: str, fixed: str, obj: str) -> int:
         if fixed == "src":

@@ -99,11 +99,33 @@ def test_render_parse_round_trip():
         assert parse_cardinality(card.render()) == card
 
 
+# Every finite bound of `_random_card` is below this, so each cardinality is
+# constant on the counts from here on.
+_BOUND = 12
+
+
+def _random_card(rng):
+    ranges = []
+    for _ in range(rng.randint(1, 3)):
+        low = rng.randint(0, 7)
+        ranges.append((low, None if rng.random() < 0.3 else low + rng.randint(0, 3)))
+    return Cardinality(tuple(ranges))
+
+
 def test_subset():
     assert parse_cardinality("1").is_subset_of(parse_cardinality("0..1"))
     assert parse_cardinality("2..3,7").is_subset_of(parse_cardinality("1..*"))
     assert not parse_cardinality("1..*").is_subset_of(parse_cardinality("0..1"))
     assert not parse_cardinality("1..3").is_subset_of(parse_cardinality("1..2,4..5"))
+    # Against membership, over counts up to past every finite bound and the tails beyond.
+    rng = random.Random(11)
+    cards = [parse_cardinality(t) for t in ("*", "0", "1", "1..*", "0..1", "2..3,7", "1..2,4..5")]
+    cards += [_random_card(rng) for _ in range(60)]
+    for a in cards:
+        for b in cards:
+            members = all(n in b for n in range(_BOUND + 1) if n in a)
+            tails = a.maximum() is not None or b.maximum() is None  # all counts past every bound
+            assert a.is_subset_of(b) == (members and tails), (a, b)
 
 
 def test_intersect_and_shift():
@@ -112,8 +134,6 @@ def test_intersect_and_shift():
     assert a.intersect(b) == parse_cardinality("2..3,8..9")
     assert a.intersect(parse_cardinality("5..6")) is None
     assert a.restrict_min(9) == parse_cardinality("9..*")
-    assert parse_cardinality("3..5").shift_down(4) == parse_cardinality("0..1")
-    assert parse_cardinality("1..2").shift_down(5) is None
 
 
 def test_empty_cardinality_rejected():
@@ -179,6 +199,20 @@ def test_future_fixable():
     assert not precedence.future_fixable(0, 5)  # the past cannot change
     assert not builtin_constraint_type("non-response").future_fixable(0, 1)
     assert builtin_constraint_type("co-existence").future_fixable(0, 0)
+    # Against the definition, some later after count is accepted: every count
+    # from `after` to past every finite bound plus `before` is tried, beyond
+    # which nothing changes.
+    rng = random.Random(5)
+    ctypes = list(TEMPLATES.values())
+    while len(ctypes) < 300:
+        atoms = [_random_card(rng) if rng.random() < 0.5 else None for _ in range(3)]
+        if any(atoms):
+            ctypes.append(ConstraintType(*atoms))
+    for ctype in ctypes:
+        for before in range(_BOUND):
+            for after in range(_BOUND):
+                defined = any(ctype.accepts(before, n) for n in range(after, _BOUND + before + 1))
+                assert ctype.future_fixable(before, after) == defined, (ctype, before, after)
 
 
 def test_all_templates_have_distinct_semantics():

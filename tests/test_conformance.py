@@ -32,7 +32,7 @@ from ocbcheck import (
 from ocbcheck import conformance
 from ocbcheck.cardinality import MAX_BOUND, Cardinality, ConstraintType
 from ocbcheck.violations import Violation, sort_violations
-from oracle import naive_check
+from oracle import fold_snapshots, naive_check
 from scenarios import (
     constraint,
     desk_model,
@@ -978,11 +978,16 @@ def test_replay_state_after_the_last_event_is_the_final_snapshot():
     state after the last event is the final snapshot the build kept; on the
     edge cases, all kinds together and types III, VI and VIII each alone
     agree with the oracle, in full and prefix mode."""
+    def state(class_of, relations):
+        return dict(class_of), frozenset(relations)
+
     for model, log in named_and_random_pairs():
-        assert conformance._Replay(model, log).snapshot() == log.final_snapshot()
+        replay = conformance._Replay(model, log)
+        assert state(replay.class_of, replay.relations) == state(*log.final_snapshot())
     kinds = set()
     for name, model, log, set_operations in _fold_edge_cases():
-        assert conformance._Replay(model, log).snapshot() == log.final_snapshot(), name
+        replay = conformance._Replay(model, log)
+        assert state(replay.class_of, replay.relations) == state(*log.final_snapshot()), name
         oracle = sort_violations(naive_check(model, log))
         for prefix in (False, True):
             assert check_violations(model, log, prefix=prefix) == oracle, (name, prefix)
@@ -995,6 +1000,18 @@ def test_replay_state_after_the_last_event_is_the_final_snapshot():
     # Type II, the model's one eventual requirement, never fires, so prefix
     # mode downgrades nothing.
     assert kinds == {"III", "V", "VI", "VIII"}
+
+
+def test_snapshot_after_equals_the_oracle_fold():
+    """`snapshot_after` builds the cut log; the oracle folds the deltas as
+    written, with no check.  They agree at every event."""
+    logs = [log for _, log in named_and_random_pairs()] + [log for _, _, log, _ in _fold_edge_cases()]
+    compared = 0
+    for log in logs:
+        for event, folded in zip(log.events, fold_snapshots(log), strict=True):
+            assert log.snapshot_after(event.id) == folded, event.id
+            compared += 1
+    assert compared > 500
 
 
 def _two_class_model():

@@ -27,6 +27,7 @@ from ocbcheck import (
     save_model,
     save_report,
 )
+from ocbcheck.cli import main
 from scenarios import (
     hiring_log,
     hiring_model,
@@ -402,6 +403,31 @@ def test_log_seq_overflow():
 def test_log_bad_json_line():
     with pytest.raises(FormatError, match="line 1: invalid JSON"):
         load_log(b"{nope}")
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+def test_log_string_may_hold_a_raw_unicode_line_separator(separator, tmp_path, capsys):
+    """`str.splitlines` breaks at these three, but JSON allows them raw inside
+    a string: a log line ends at "\\n" only."""
+    note = f"x{separator}y"
+    line = json.dumps({"activity": "a", "attrs": {"note": note}, "id": "e1", "seq": 1}, ensure_ascii=False)
+    assert separator in line
+    assert load_log(line.encode()).event("e1").attrs["note"] == note
+    model_path, log_path = tmp_path / "a.ocbc.json", tmp_path / "a.oclog.jsonl"
+    model_path.write_text(json.dumps({"activities": ["a"], "classes": [], "relationships": [], "aoc": [],
+                                      "constraints": []}))
+    log_path.write_bytes((line + "\n").encode())
+    assert main(["check", str(model_path), str(log_path)]) == 0
+    assert capsys.readouterr().out.startswith("CONFORMS: yes")
+
+
+def test_crlf_log_keeps_its_line_numbers():
+    lines = [json.dumps({"id": f"e{i}", "seq": i, "activity": "a"}) for i in (1, 2, 3)]
+    assert load_log("\r\n".join(lines) + "\r\n") == load_log("\n".join(lines))
+    lines[2] = json.dumps({"id": "e3", "seq": "3", "activity": "a"})
+    with pytest.raises(FormatError) as caught:
+        load_log(("\r\n".join(lines) + "\r\n").encode())
+    assert str(caught.value) == "line 3.seq: expected integer, got str"
 
 
 def test_log_unknown_event_key():
