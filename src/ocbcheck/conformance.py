@@ -221,13 +221,12 @@ def _check_ii(model: OcbcModel, log: EventLog) -> list[Violation]:
 def _check_iii(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Type III: objects never disappear or change class.  Objects disappear
     only at an assertion after event 0: those of the stretch before it that
-    the snapshot lacks, less the event's new objects, which the fold adds
-    before the snapshot replaces the state."""
+    the snapshot lacks."""
     events, stretches, found = log.events, log._stretches, []
     for (_, before), (index, _) in zip(stretches, stretches[1:]):
         if index:
-            event, delta = events[index], events[index].delta
-            gone = before.keys() - delta.assert_snapshot.class_of.keys() - {o for o, _ in delta.new_objects}
+            event = events[index]
+            gone = before.keys() - event.delta.assert_snapshot.class_of.keys()
             found += [
                 Violation(
                     kind="III", event=event.id, seq=event.seq, obj=obj,

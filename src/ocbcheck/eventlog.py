@@ -15,9 +15,10 @@ III and VII learn which objects each event brings in from `introductions`.
 
 from __future__ import annotations
 
+from collections import ChainMap
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 Relation = tuple[str, str, str]  # (relationship type, source object, target object)
 
@@ -140,7 +141,8 @@ class Event(_EventFields):
 
 class _ReplayState:
     """The delta fold: the object model while replaying events, validating
-    each delta against it; it copies a snapshot's class map only to add to it.
+    each delta against it; it copies a snapshot's class map only to add to it,
+    and the additions of an asserting event go to a map of their own.
     A subclass observes the fold through hooks called after each change:
     `added_object`, `added_relation` and `removed_relation` (only when the
     relation set changes), and `replaced` (by an assertion)."""
@@ -153,8 +155,11 @@ class _ReplayState:
 
     def apply(self, event: Event, index: int) -> None:
         delta = event.delta
-        if type(self.class_of) is not dict and delta.new_objects:
-            self.class_of = dict(self.class_of)
+        if delta.new_objects:
+            if delta.assert_snapshot is not None:  # replaced below, so the additions are only checked
+                self.class_of = ChainMap({}, self.class_of)
+            elif type(self.class_of) is not dict:
+                self.class_of = dict(self.class_of)
         class_of, relations = self.class_of, self.relations
         for obj, cls in delta.new_objects:
             if obj in class_of:
@@ -208,7 +213,7 @@ class EventLog:
     """
 
     __slots__ = ("init", "events", "_missing", "_index_of", "_by_activity", "_positions", "_stretches",
-                 "_final", "_neighbours")
+                 "_final", "_neighbours", "_introductions")
 
     def __init__(self, init: ObjectModel = EMPTY_OBJECT_MODEL, events: Iterable[Event] = ()) -> None:
         self.init = init
@@ -247,6 +252,7 @@ class EventLog:
         self._stretches = stretches
         self._final = tuple.__new__(ObjectModel, (class_of, frozenset(state.relations))) if events else init
         self._neighbours: dict[str, dict[str, set[str]]] = {}
+        self._introductions: list[tuple[int, Iterable[tuple[str, str]]]] | None = None
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -280,21 +286,25 @@ class EventLog:
         """Object model directly after the given event: the final snapshot of the log cut there."""
         return EventLog(self.init, self.events[: self.index_of(event_id) + 1]).final_snapshot()
 
-    def introductions(self) -> Iterator[tuple[int, Iterable[tuple[str, str]]]]:
+    def introductions(self) -> list[tuple[int, Iterable[tuple[str, str]]]]:
         """The position of each event that can bring objects into the object
         model, with the (object, class) pairs it brings in: event 0 also
         brings in the initial model, and an asserted snapshot is the whole
-        state after its event."""
-        for index, event in enumerate(self.events):
-            delta = event.delta
-            if delta is EMPTY_DELTA and index:
-                continue
-            if delta.assert_snapshot is not None:
-                yield index, delta.assert_snapshot.class_of.items()
-            elif index == 0:
-                yield index, [*self.init.class_of.items(), *delta.new_objects]
-            else:
-                yield index, delta.new_objects
+        state after its event.  Walked on first use, then kept."""
+        kept = self._introductions
+        if kept is None:
+            kept = self._introductions = []
+            for index, event in enumerate(self.events):
+                delta = event.delta
+                if delta is EMPTY_DELTA and index:
+                    continue
+                if delta.assert_snapshot is not None:
+                    kept.append((index, delta.assert_snapshot.class_of.items()))
+                elif index == 0:
+                    kept.append((index, [*self.init.class_of.items(), *delta.new_objects]))
+                else:
+                    kept.append((index, delta.new_objects))
+        return kept
 
     def final_snapshot(self) -> ObjectModel:
         """Object model after the last event; the initial model for an empty log.

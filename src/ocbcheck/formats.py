@@ -11,12 +11,12 @@ byte-stable.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from array import array
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from itertools import chain, repeat
 from operator import itemgetter
-from types import MappingProxyType
 from typing import Any
 
 from .cardinality import (
@@ -29,7 +29,6 @@ from .cardinality import (
     parse_cardinality,
 )
 from .eventlog import EMPTY_ATTRS, EMPTY_DELTA, MAX_SEQ, Event, EventLog, LogError, ObjectDelta, ObjectModel
-from .eventlog import _sorted_tuple
 from .model import (
     ActivityClassLink,
     BcModel,
@@ -85,18 +84,13 @@ def _expect(value: Any, kind: type, where: str) -> Any:
 _MISSING = object()
 
 
-# A value whose type is exactly `kind` is one `_expect` accepts, so `_take`,
-# `_string_list` and the event decoder return it before formatting a location
-# that only an error message would use.
+# A value whose type is exactly `kind` is one `_expect` accepts, so `_take`
+# and `_string_list` return it before formatting a location that only an
+# error message would use.
 def _take(obj: dict, key: str, kind: type, where: str, default: Any = _MISSING) -> Any:
     value = obj.pop(key, _MISSING)
     if type(value) is kind:
         return value
-    return _field(value, key, kind, where, default)
-
-
-def _field(value: Any, key: str, kind: type, where: str, default: Any = _MISSING) -> Any:
-    """`_take`'s check of a `value` popped from `key` that is `_MISSING` or not exactly `kind`."""
     if value is _MISSING:
         if default is _MISSING:
             raise FormatError(f"missing required key {key!r}", where)
@@ -333,106 +327,111 @@ def _relations(items: list, where: str) -> tuple[tuple[str, str, str], ...]:
     """The `[relType, source, target]` items of the array at `where`."""
     out = []
     for i, item in enumerate(items):
-        if type(item) is list and len(item) == 3 and type(item[0]) is type(item[1]) is type(item[2]) is str:
-            out.append(tuple(item))
-        else:  # a bad item raises, with its location
-            inner = f"{where}[{i}]"
-            if len(_expect(item, list, inner)) != 3:
-                raise FormatError("expected [relType, source, target]", inner)
-            out.append(tuple(_string_list(item, inner)))
+        inner = f"{where}[{i}]"
+        if len(_expect(item, list, inner)) != 3:
+            raise FormatError("expected [relType, source, target]", inner)
+        out.append(tuple(_string_list(item, inner)))
     return tuple(out)
 
 
+def _object_set(items: list[str], memo: dict) -> frozenset[str]:
+    """The set of `items` and its strings, each shared through `memo` with
+    the equal one decoded first (see `_event`)."""
+    objects = memo.get(frozenset(items))
+    if objects is None:
+        objects = frozenset(map(memo.setdefault, items, items))
+        memo[objects] = objects
+    return objects
+
+
 def _delta(entry: dict, memo: dict) -> ObjectDelta:
-    """The delta keys left in `entry`; each is touched only when present, and
-    an item's location is formatted only when the item is bad.  New object
-    ids and classes come from `memo`, as in `_event`."""
+    """The delta keys left in `entry`.  New object ids and classes come from
+    `memo`, as in `_event`."""
     new_objects = []
-    if "new_objects" in entry:
-        items = entry.pop("new_objects")
-        if type(items) is not list:
-            items = _field(items, "new_objects", list, "")
-        for i, item in enumerate(items):
-            if type(item) is dict and len(item) == 2:
-                oid, cls = item.get("id"), item.get("class")
-                if type(oid) is str and type(cls) is str:
-                    new_objects.append((memo.setdefault(oid, oid), memo.setdefault(cls, cls)))
-                    continue
-            _object_entry(item, f".new_objects[{i}]")  # raises, with the item's location
-    new_relations = removed = ()
-    if "new_relations" in entry:
-        new_relations = _relations(_take(entry, "new_relations", list, ""), ".new_relations")
-    if "removed_relations" in entry:
-        removed = _relations(_take(entry, "removed_relations", list, ""), ".removed_relations")
+    for i, item in enumerate(_take(entry, "new_objects", list, "", default=[])):
+        oid, cls = _object_entry(item, f".new_objects[{i}]")
+        new_objects.append((memo.setdefault(oid, oid), memo.setdefault(cls, cls)))
+    new_relations = _relations(_take(entry, "new_relations", list, "", default=[]), ".new_relations")
+    removed = _relations(_take(entry, "removed_relations", list, "", default=[]), ".removed_relations")
     snapshot = None
     if "assert_snapshot" in entry:
         snapshot = _object_model(entry.pop("assert_snapshot"), ".assert_snapshot")
-    if entry:
-        _no_extras(entry, "")
-    lists = _sorted_tuple(new_objects), _sorted_tuple(new_relations), _sorted_tuple(removed)
-    return tuple.__new__(ObjectDelta, (*lists, snapshot))  # what `ObjectDelta(...)` builds
+    _no_extras(entry, "")
+    return ObjectDelta(new_objects, new_relations, removed, snapshot)
 
 
 def _event(entry: dict, memo: dict) -> Event:
     """Decode one event from the fresh dict `_decode_lines` decoded: its keys
-    are popped in place, and optional keys are only touched when present.
-    Error locations are relative to the line (".seq"); `_decode_lines`
-    prefixes it.
+    are popped in place.  Error locations are relative to the line (".seq");
+    `_decode_lines` prefixes it.
 
     `memo` maps each activity, object id, class and `objects` set decoded so
     far in this log to its first copy, so equal values share one object."""
-    eid = entry.pop("id", _MISSING)
-    if type(eid) is not str:
-        eid = _field(eid, "id", str, "")
-    seq = entry.pop("seq", _MISSING)
-    if type(seq) is not int:
-        seq = _field(seq, "seq", int, "")
+    eid = _take(entry, "id", str, "")
+    seq = _take(entry, "seq", int, "")
     if not 1 <= seq <= MAX_SEQ:  # before any later field
         raise FormatError(f"seq {seq} outside the 64-bit positive range", ".seq")
-    activity = entry.pop("activity", _MISSING)
-    if type(activity) is not str:
-        activity = _field(activity, "activity", str, "")
+    activity = _take(entry, "activity", str, "")
     activity = memo.setdefault(activity, activity)
-    attrs = EMPTY_ATTRS
-    if "attrs" in entry:
-        attrs = entry.pop("attrs")
-        if type(attrs) is not dict:
-            attrs = _field(attrs, "attrs", dict, "")
-        attrs = dict(sorted(attrs.items()))
-        for key, val in attrs.items():
-            if type(val) is not str:
-                _expect(val, str, f".attrs.{key}")
-        attrs = MappingProxyType(attrs) if attrs else EMPTY_ATTRS
-    objects = _NO_OBJECTS
-    if "objects" in entry:
-        items = entry.pop("objects")
-        if type(items) is not list:
-            items = _field(items, "objects", list, "")
-        for item in items:
-            if type(item) is not str:
-                _string_list(items, ".objects")  # raises, with the item's index
-        objects = memo.get(frozenset(items))
-        if objects is None:
-            objects = frozenset(map(memo.setdefault, items, items))
-            memo[objects] = objects
+    attrs = dict(sorted(_take(entry, "attrs", dict, "", default={}).items()))
+    for key, val in attrs.items():
+        _expect(val, str, f".attrs.{key}")
+    items = _take(entry, "objects", list, "", default=None)
+    objects = _NO_OBJECTS if items is None else _object_set(_string_list(items, ".objects"), memo)
     delta = _delta(entry, memo) if entry else EMPTY_DELTA  # delta keys or unknown keys left
-    # Every field is checked and normalized above, as `Event(...)` would.
-    return tuple.__new__(Event, (eid, seq, activity, objects, attrs, delta))
+    return Event(eid, seq, activity, objects, attrs, delta)
 
 
 # The C scanner that ``json.loads`` ends in, without its Python wrapper.
 _scan_once = json.JSONDecoder().scan_once
 
+# An event line as `save_log` writes it: only the keys activity, id,
+# new_objects, new_relations, a non-empty objects and seq, in that order,
+# and strings with no escape and no control character (S).  O and R are the
+# items of new_objects and new_relations, whose groups only `findall` reads;
+# the line's group of each of those two keys is empty when the key is absent.
+_S = r'[^"\\\x00-\x1f]*'
+_OBJECT = r'\{"class": "(S)", "id": "(S)"\}'.replace("S", _S)
+_RELATION = r'\["(S)", "(S)", "(S)"\]'.replace("S", _S)
+_CANONICAL = (
+    r'\{"activity": "(S)", "id": "(S)"'
+    r'((?:, "new_objects": \[O(?:, O)*\])?)((?:, "new_relations": \[R(?:, R)*\])?)'
+    r'(?:, "objects": \["(S(?:", "S)*)"\])?, "seq": ([1-9][0-9]{0,18})\}'
+).replace("O", _OBJECT.replace("(", "(?:")).replace("R", _RELATION.replace("(", "(?:")).replace("S", _S)
+
 
 def _decode_lines(lines: list[str]) -> tuple[ObjectModel | None, list[Event], array]:
-    """The init model, the events in file order and the line number of each."""
+    """The init model, the events in file order and the line number of each.
+
+    A line that `_CANONICAL` matches, with its seq in range, is decoded from
+    the match's groups; any other by the JSON scanner and `_event`, which
+    also gives every error.  Both build the same event through one `memo`."""
     memo: dict = {}
+    sets: dict[str, frozenset[str]] = {}  # the `objects` set of each `objects` text matched
     init = None
     events: list[Event] = []
     line_numbers = array("q")
+    # Compiled here, through `re`'s cache, so a run that decodes no log skips it.
+    canonical = re.compile(_CANONICAL).fullmatch
+    objects_in, relations_in = re.compile(_OBJECT).findall, re.compile(_RELATION).findall
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
+            continue
+        if (match := canonical(line)) and (seq := int(match[6])) <= MAX_SEQ:
+            activity, eid, new_objects, new_relations, objects, _ = match.groups()
+            activity = memo.setdefault(activity, activity)
+            if objects is None:
+                objects = _NO_OBJECTS
+            else:  # equal texts give one set, so each text is split once
+                objects = sets.get(objects) or sets.setdefault(objects, _object_set(objects.split('", "'), memo))
+            delta = EMPTY_DELTA
+            if new_objects or new_relations:
+                pairs = [(memo.setdefault(o, o), memo.setdefault(c, c)) for c, o in objects_in(new_objects)]
+                relations = relations_in(new_relations) if new_relations else ()
+                delta = tuple.__new__(ObjectDelta, (tuple(sorted(pairs)), tuple(sorted(relations)), (), None))
+            events.append(tuple.__new__(Event, (eid, seq, activity, objects, EMPTY_ATTRS, delta)))
+            line_numbers.append(lineno)
             continue
         try:
             value, end = _scan_once(line, 0)

@@ -29,7 +29,7 @@ from ocbcheck import (
     load_model,
     resolve_targets,
 )
-from ocbcheck import conformance
+from ocbcheck import conformance, eventlog
 from ocbcheck.cardinality import MAX_BOUND, Cardinality, ConstraintType
 from ocbcheck.violations import Violation, sort_violations
 from oracle import fold_snapshots, naive_check
@@ -1000,6 +1000,35 @@ def test_replay_state_after_the_last_event_is_the_final_snapshot():
     # Type II, the model's one eventual requirement, never fires, so prefix
     # mode downgrades nothing.
     assert kinds == {"III", "V", "VI", "VIII"}
+
+
+def test_an_asserting_event_checks_its_additions_without_copying_the_map():
+    """An asserting event's new objects are checked against the state and
+    then replaced by the snapshot, so the fold copies no class map for them:
+    the map they go to holds no copy of the initial objects, and the kept
+    stretch maps are the initial map and the snapshot's.  Types III, V, VI
+    and VIII agree with the oracle there."""
+    name = "an asserting event that adds objects, after a stretch that added none"
+    (model, log), = [(m, lg) for n, m, lg, _ in _fold_edge_cases() if n == name]
+    init = log.init.class_of
+
+    class Fold(eventlog._ReplayState):
+        def added_object(self, obj):
+            copied = type(self.class_of) is dict and self.class_of.keys() >= init.keys()
+            added.append((obj, self.class_of[obj], copied))
+
+    added = []
+    fold = Fold(log.init)
+    for index, event in enumerate(log.events):
+        fold.apply(event, index)
+    assert added == [("k2", "k", False), ("n1", "n", False)]
+    assert dict(init) == {"k1": "k", "m1": "m"}
+    assert [class_of for _, class_of in log._stretches] == [init, log.events[1].delta.assert_snapshot.class_of]
+    assert log._stretches[0][1] is init
+    oracle = sort_violations(naive_check(model, log))
+    for kind in ("III", "V", "VI", "VIII"):
+        assert check_violations(model, log, (kind,)) == [v for v in oracle if v.kind == kind], kind
+    assert {v.kind for v in oracle} == {"V", "VIII"}
 
 
 def test_snapshot_after_equals_the_oracle_fold():

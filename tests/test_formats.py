@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -27,10 +28,13 @@ from ocbcheck import (
     save_model,
     save_report,
 )
+from ocbcheck import formats
 from ocbcheck.cli import main
+from ocbcheck.eventlog import MAX_SEQ
 from scenarios import (
     hiring_log,
     hiring_model,
+    named_and_random_pairs,
     order_process_log,
     order_process_model,
     precedence_log,
@@ -673,6 +677,112 @@ def test_log_shares_equal_strings_and_object_sets():
         assert final.class_of[oid] is e1.delta.new_objects[0][1]
     assert e3.objects is e4.objects is e5.objects
     assert e1.objects is e6.objects
+
+
+def _shared(events) -> list[int]:
+    """Each string and `objects` set of `events`, in a fixed order, as the
+    position of the first one that is the same object."""
+    first: dict[int, int] = {}
+    values = []
+    for e in events:
+        delta = e.delta
+        values += [e.id, e.activity, e.objects, *sorted(e.objects), *chain(*e.attrs.items())]
+        values += chain(*delta.new_objects, *delta.new_relations, *delta.removed_relations)
+    return [first.setdefault(id(value), i) for i, value in enumerate(values)]
+
+
+def _decoded_both_ways(monkeypatch, text: str) -> tuple:
+    """`_decode_lines` of `text` by the canonical line's match and by the
+    JSON scanner alone: the init model, events, line numbers and shared
+    values, or the error message."""
+    def decoded():
+        try:
+            init, events, numbers = formats._decode_lines(text.split("\n"))
+        except FormatError as exc:
+            return str(exc)
+        return init, events, list(numbers), _shared(events)
+
+    fast = decoded()
+    with monkeypatch.context() as patch:
+        patch.setattr(formats, "_CANONICAL", "(?!)")  # matches no line
+        return fast, decoded()
+
+
+def _bench_shaped_lines() -> list[str]:
+    """Lines as `bench/inputs.py` writes them: sorted keys, but new objects
+    and new relations in the order they were made."""
+    init = {"init": {"objects": [{"class": "customer", "id": "cu1"}], "relations": []}}
+    events = [
+        {"id": "e1", "seq": 1, "activity": "create order", "objects": ["o1"],
+         "new_objects": [{"class": "order", "id": "o1"}, {"class": "order line", "id": "ol2"},
+                         {"class": "order line", "id": "ol1"}],
+         "new_relations": [["r4", "o1", "cu1"], ["r1", "o1", "ol2"], ["r1", "o1", "ol1"]]},
+        {"id": "e2", "seq": 2, "activity": "pick item", "objects": ["ol2"]},
+        {"id": "e3", "seq": 3, "activity": "deliver items", "objects": ["d1"],
+         "new_objects": [{"class": "delivery", "id": "d1"}],
+         "new_relations": [["r2", "ol2", "d1"], ["r2", "ol1", "d1"], ["r5", "d1", "cu1"]]},
+        {"id": "e4", "seq": 4, "activity": "audit"},
+        {"id": "e5", "seq": 5, "activity": "link", "new_relations": [["r1", "o1", "ol1"]]},
+        {"id": "e6", "seq": 6, "activity": "pick item", "objects": ["ol1", "ol2"]},
+    ]
+    return [json.dumps(line, sort_keys=True) for line in [init, *events]]
+
+
+_PAY = '{"activity": "pay", "id": "e1", "objects": ["t1"], "seq": 1}'
+_OPEN = '{"activity": "open", "id": "e3", "new_objects": [{"class": "ticket", "id": "t2"}], "objects": ["t1", "t2"], "seq": 3}'
+# A line between two canonical ones, so the values it shares cross paths.
+_NEAR_MISSES = [
+    '{"activity": "pa\\"y", "id": "e2", "objects": ["t1"], "seq": 2}',
+    '{"activity": "pay", "id": "e2", "objects": ["t\\u0031"], "seq": 2}',
+    '{"activity": "pay", "id": "e2", "objects": ["té", "t1"], "seq": 2}',
+    '{"activity": "pay", "id": "e2", "objects": ["t1"], "seq": 02}',
+    '{"activity": "pay", "id": "e2", "objects": ["t1"], "seq": 0}',
+    '{"activity": "pay", "id": "e2", "objects": ["t1"], "seq": %d}' % MAX_SEQ,
+    '{"activity": "pay", "id": "e2", "objects": ["t1"], "seq": %d}' % (MAX_SEQ + 1),
+    '{"activity": "pay", "id": "e2", "objects": ["t1"], "seq": 1%s}' % ("0" * 4999),
+    '{"activity":  "pay", "id": "e2",  "objects": ["t1"], "seq": 2}',
+    '{"activity": "pay", "id": "e2", "id": "e9", "objects": ["t1"], "seq": 2}',
+    '{"activity": "pay", "id": "e2", "objects": ["t1"], "seq": 2, "zone": "x"}',
+    '{"activity": "pay", "id": "e2", "objects": [], "seq": 2}',
+    '{"activity": "pay", "id": "e2", "new_objects": [], "objects": ["t1"], "seq": 2}',
+    '{"activity": "pay", "id": "e2", "objects": ["t1", "t1"], "seq": 2}',
+    '{"activity": "pay", "attrs": {"k": "v"}, "id": "e2", "objects": ["t1"], "seq": 2}',
+    '{"activity": "pay", "id": "e2", "new_objects": [{"class": "", "id": ""}], "objects": [""], "seq": 2}',
+]
+
+
+def test_canonical_lines_decode_as_the_scanner_decodes_them(monkeypatch):
+    """The canonical line's match and the JSON scanner give equal events, with
+    the same strings and `objects` sets shared, or the same error."""
+    texts = [save_log(log).decode() for _, log in named_and_random_pairs()]
+    texts += [path.read_text(encoding="utf-8") for path in sorted(DEMO.glob("*.oclog.jsonl"))]
+    texts.append("\n".join(_bench_shaped_lines()))
+    texts += [f"{_PAY}\n{line}\n{_OPEN}" for line in _NEAR_MISSES]
+    errors = 0
+    for text in texts:
+        fast, slow = _decoded_both_ways(monkeypatch, text)
+        assert fast == slow, text[:300]
+        errors += isinstance(fast, str)
+    assert errors == 5  # leading zero, seq 0, MAX_SEQ + 1, 5000 digits, unknown key
+
+
+def test_canonical_lines_skip_the_scanner(monkeypatch):
+    """The JSON scanner decodes only the init line of a `save_log` output
+    and of a bench-shaped log: every event line takes the canonical match."""
+    scanned = []
+
+    def counting(line, start):
+        scanned.append(line)
+        return scan(line, start)
+
+    scan = formats._scan_once
+    monkeypatch.setattr(formats, "_scan_once", counting)
+    saved = save_log(load_log((DEMO / "order-process.oclog.jsonl").read_bytes())).decode()
+    for lines in (saved.split("\n"), _bench_shaped_lines()):
+        scanned.clear()
+        _, events, _ = formats._decode_lines(lines)
+        assert len(events) > 5
+        assert [line[:8] for line in scanned] == ['{"init":']
 
 
 def test_load_log_memory_per_event():

@@ -7,12 +7,14 @@ and in prefix mode.
 
 from __future__ import annotations
 
+import json
 import random
 import re
 
 import pytest
 
 from ocbcheck import BcModel, EventLog, ObjectDelta, ObjectModel, OcbcModel, check_all, check_violations
+from ocbcheck import formats, load_log, save_log, save_report
 from ocbcheck.eventlog import MAX_SEQ
 from ocbcheck.report import aggregate
 from scenarios import named_and_random_pairs
@@ -109,3 +111,34 @@ def test_each_constraint_alone_keeps_its_ix_violations(prefix):
             )
             mine = [v for v in found if v.constraint == c.id]
             assert check_violations(alone, log, ("IX",), prefix=prefix) == mine, (n, c.id)
+
+
+def _shuffled(value, rng: random.Random):
+    """`value` with the keys of each of its objects in a shuffled order."""
+    if isinstance(value, dict):
+        keys = list(value)
+        rng.shuffle(keys)
+        return {key: _shuffled(value[key], rng) for key in keys}
+    if isinstance(value, list):
+        return [_shuffled(item, rng) for item in value]
+    return value
+
+
+@pytest.mark.parametrize("prefix", [False, True])
+def test_a_log_in_another_json_layout_gives_the_same_report(prefix):
+    """Compact separators and shuffled keys, written without ASCII escapes,
+    take every line off the canonical match and onto the JSON scanner; the
+    report bytes stay those of the canonical form."""
+    rng = random.Random(5)
+    canonical = re.compile(formats._CANONICAL).fullmatch
+    for n, (model, log) in enumerate(named_and_random_pairs()):
+        data = save_log(log)
+        lines = [
+            json.dumps(_shuffled(json.loads(line), rng), separators=(",", ":"), ensure_ascii=False)
+            for line in data.decode().splitlines()
+        ]
+        assert not any(map(canonical, lines)), n
+        other = load_log("\n".join(lines).encode())
+        assert other == log, n
+        report = save_report(check_all(model, load_log(data), prefix=prefix))
+        assert save_report(check_all(model, other, prefix=prefix)) == report, n
