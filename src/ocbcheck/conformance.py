@@ -31,6 +31,7 @@ from typing import Callable, Iterator
 from .cardinality import Cardinality
 from .eventlog import EMPTY_DELTA, EventLog, LogError, Relation, _ReplayState
 from .model import BehavioralConstraint, OcbcModel, RelationshipType
+from .report import _report
 from .violations import KINDS, Violation, row_key, sort_violations
 
 
@@ -534,6 +535,4 @@ def check_all(
 ):
     """Run all (or the selected) checkers and aggregate into a report, whose
     violations come in report order without a global sort."""
-    from .report import _report
-
     return _report(tuple(check_violations(model, log, kinds, prefix)), prefix)

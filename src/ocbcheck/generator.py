@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from bisect import insort
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .cardinality import Cardinality
 from .conformance import _unlinked_activities, check_violations, resolve_targets
@@ -78,13 +78,12 @@ class _ClassPlan:
         self.ambient: list[_RelNeed] = []  # pool partners at creation
         self.children: list[_RelNeed] = []  # co-created partners
         self.eventual: list[_RelNeed] = []  # later flush partners
-        self.acts: list[tuple[str, int]] = []  # (activity, count)
+        self.acts: list[tuple[str, int]] = []  # (activity, count), the creating activity first
 
     @property
     def poolable(self) -> bool:
         return (
-            self.creator_activity is None
-            and not self.is_child
+            not self.is_child
             and not self.acts
             and not self.ambient
             and not self.children
@@ -116,6 +115,8 @@ def _analyze(model: OcbcModel) -> dict[str, _ClassPlan]:
                 raise GenerationError(f"constraint {c.id}: forbidding constraint types are unsupported")
 
     for cls, plan in plans.items():
+        if plan.creator_activity is not None:
+            plan.acts.append((plan.creator_activity, 1))
         for link in model.links:
             if link.cls != cls or link.activity == plan.creator_activity:
                 continue
@@ -126,7 +127,7 @@ def _analyze(model: OcbcModel) -> dict[str, _ClassPlan]:
             )
             if target > 0:
                 plan.acts.append((link.activity, target))
-        plan.acts = _order_acts(model, cls, plan.acts)
+        plan.acts = _order_acts(model, cls, plan.acts, plan.creator_activity)
 
     # Raw relation needs: (owner class, rt, owner side) -> (eventual count, needed at creation).
     raw: dict[str, list[tuple[RelationshipType, str, str, int, bool]]] = {
@@ -223,12 +224,7 @@ def _analyze(model: OcbcModel) -> dict[str, _ClassPlan]:
 def _verify_reference_cards(model: OcbcModel, plans: dict[str, _ClassPlan]) -> None:
     """Every emitted event references exactly one object of its subject class;
     all other links of the same activity must tolerate zero references."""
-    used: set[tuple[str, str]] = set()
-    for cls, plan in plans.items():
-        if plan.creator_activity is not None:
-            used.add((plan.creator_activity, cls))
-        for activity, _count in plan.acts:
-            used.add((activity, cls))
+    used = {(activity, cls) for cls, plan in plans.items() for activity, _count in plan.acts}
     for activity, cls in sorted(used):
         for link in model.links_of_activity(activity):
             required = 1 if link.cls == cls else 0
@@ -240,11 +236,14 @@ def _verify_reference_cards(model: OcbcModel, plans: dict[str, _ClassPlan]) -> N
                 )
 
 
-def _order_acts(model: OcbcModel, cls: str, acts: list[tuple[str, int]]) -> list[tuple[str, int]]:
+def _order_acts(
+    model: OcbcModel, cls: str, acts: list[tuple[str, int]], creator: str | None
+) -> list[tuple[str, int]]:
     """Topologically order one object's activity obligations using the
-    behavioral constraints whose activities both occur in the list."""
+    behavioral constraints whose activities both occur in the list; the
+    creating activity, if any, comes before every other."""
     names = [a for a, _ in acts]
-    edges: set[tuple[str, str]] = set()
+    edges = {(creator, a) for a in names if a != creator} if creator is not None else set()
     for c in model.bcm.constraints:
         if c.ref_activity not in names or c.target_activity not in names:
             continue
@@ -321,12 +320,6 @@ class _Generator:
             self.init_class[oid] = cls
         return self.rng.sample(self.pool[cls], k)
 
-    def _emit(self, activity: str, objects: set[str], delta: ObjectDelta = EMPTY_DELTA) -> None:
-        seq = len(self.events) + 1
-        self.events.append(
-            Event(id=f"e{seq}", seq=seq, activity=activity, objects=frozenset(objects), delta=delta)
-        )
-
     def _register(self, cls: str) -> _LiveObject:
         live = _LiveObject(self._fresh(cls), self.plans[cls], self.counter)
         for need in live.plan.eventual:
@@ -370,23 +363,27 @@ class _Generator:
                 new_relations += child_relations
         return new_objects, new_relations
 
-    def _start_cluster(self, cls: str) -> None:
-        plan = self.plans[cls]
-        slot = len(self.active)  # the root's index in `active` if it has acts
-        root = self._register(cls)
-        new_objects, new_relations = self._materialize(root)
-        delta = ObjectDelta(new_objects=tuple(new_objects), new_relations=tuple(new_relations))
-        if plan.creator_activity is not None:
-            self._emit(plan.creator_activity, {root.oid}, delta)
-        # A root with no creating activity has acts (see `run`): the object
-        # enters with its first obligation event.
-        elif self._act(root, delta):
+    def _create(self, cls: str, absorbed: Iterable[list] = ()) -> None:
+        """Create one `cls` object in the delta of its first obligation event,
+        with its co-created children, its ambient relations and a relation to
+        the owner of each `absorbed` ready-demand entry."""
+        # Roots have acts (see `run`) and a flushed class has its creating
+        # activity, so the new object joins `active` at this index.
+        slot = len(self.active)
+        live = self._register(cls)
+        new_objects, new_relations = self._materialize(live)
+        for owner, need, _ in absorbed:
+            new_relations.append(need.relation(owner.oid, live.oid))
+        if self._act(live, ObjectDelta(new_objects=tuple(new_objects), new_relations=tuple(new_relations))):
             del self.active[slot]
 
     def _act(self, live: _LiveObject, delta: ObjectDelta = EMPTY_DELTA) -> bool:
         """Emit the next obligation event of `live`; True if it was the last one."""
         activity, count = live.plan.acts[live.next_act]
-        self._emit(activity, {live.oid}, delta)
+        seq = len(self.events) + 1
+        self.events.append(
+            Event(id=f"e{seq}", seq=seq, activity=activity, objects=frozenset({live.oid}), delta=delta)
+        )
         live.emitted += 1
         if live.emitted >= count:
             live.next_act += 1
@@ -399,8 +396,7 @@ class _Generator:
     def _flush(self, cls: str, drain: bool) -> None:
         """Create one `cls` object, absorbing ready demand for it."""
         ready = self.ready[cls]
-        plan = self.plans[cls]
-        rt = self.model.clam.rel_type(plan.flush_rt)
+        rt = self.model.clam.rel_type(self.plans[cls].flush_rt)
         my_side = "src" if rt.source == cls else "tar"
         always, eventually = _partner_cards(rt, my_side)
         admissible = always.intersect(eventually)
@@ -416,28 +412,21 @@ class _Generator:
             return
         m = _pick_count(self.rng, admissible, at_most=len(ready)) if not drain else smallest
         chosen = self.rng.sample(range(len(ready)), m) if not drain else range(m)
-        partner = self._register(cls)
-        new_objects, new_relations = self._materialize(partner)
+        absorbed = []
         # Descending, so each deletion leaves the positions still to visit in place.
         for i in sorted(chosen, reverse=True):
-            live, need, remaining = entry = ready[i]
-            new_relations.append(need.relation(live.oid, partner.oid))
-            if remaining > 1:
-                entry[2] = remaining - 1
-            else:
+            absorbed.append(ready[i])
+            ready[i][2] -= 1
+            if not ready[i][2]:
                 del ready[i]
-        self._emit(
-            plan.creator_activity,
-            {partner.oid},
-            ObjectDelta(new_objects=tuple(new_objects), new_relations=tuple(new_relations)),
-        )
+        self._create(cls, absorbed)
 
     def run(self) -> EventLog:
         children = {need.partner_cls for plan in self.plans.values() for need in plan.children}
         roots = [
             cls
             for cls, plan in sorted(self.plans.items())
-            if (plan.creator_activity is not None or plan.acts)
+            if plan.acts
             and cls not in children
             and not plan.is_child
             and plan.flush_rt is None
@@ -456,7 +445,7 @@ class _Generator:
                 choices.append("flush")
             action = self.rng.choice(choices)
             if action == "start":
-                self._start_cluster(self.rng.choice(roots))
+                self._create(self.rng.choice(roots))
             elif action == "act":
                 i = self.rng.randrange(len(self.active))
                 if self._act(self.active[i]):

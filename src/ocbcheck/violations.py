@@ -50,11 +50,8 @@ class Violation(NamedTuple):
     severity: str = SEVERITY_ERROR
 
     def sort_key(self) -> tuple:
-        """The report order: by kind, seq, then the fields `row_key` reads."""
-        # One unpack reads every field; a named read per field costs more.
-        kind, _, seq, constraint, obj, activity, cls, rel_type, side, temporal, observed, _, _, _, detail, _ = self
-        observed = -1 if observed is None else observed
-        return _KIND_ORDER[kind], seq, constraint, rel_type, side, temporal, activity, cls, obj, observed, detail
+        """The report order: by kind, seq, then `row_key` of the other fields."""
+        return (_KIND_ORDER[self.kind], self.seq) + row_key(self[3:])
 
     def downgraded(self) -> Violation:
         return self._replace(severity=SEVERITY_WARNING)

@@ -379,6 +379,20 @@ def precedence_log() -> EventLog:
     )
 
 
+def open_after_work_model() -> OcbcModel:
+    """Each case is created by its one `open` event, yet every `open` needs a
+    `work` of its case before it: no log with a case conforms."""
+    return OcbcModel(
+        bcm=BcModel(
+            activities=frozenset({"open", "work"}),
+            constraints=(constraint("c", "precedence", "open", "work"),),
+        ),
+        clam=ClassModel(classes=frozenset({"case"}), rel_types=()),
+        links=(link("open", "case", always="1"), link("work", "case", always="0..1", eventually="1")),
+        scope={"c": "case"},
+    )
+
+
 # -- ticket issue/pay model sized for throughput runs -------------------------
 
 

@@ -27,6 +27,7 @@ from ocbcheck.eventlog import MAX_SEQ
 from ocbcheck.violations import KINDS
 from scenarios import (
     named_and_random_pairs,
+    open_after_work_model,
     order_process_log,
     order_process_model,
     precedence_log,
@@ -214,6 +215,16 @@ def test_generate_refuses_a_negative_event_count(capsys):
     assert (captured.out, captured.err) == ("", "error: target event count -5 is negative\n")
     assert main(["generate", model, "--events", "0"]) == 0
     assert capsys.readouterr() == ("", "")
+
+
+def test_generate_refuses_a_model_ordering_an_act_before_the_creating_event(tmp_path, capsys):
+    model = tmp_path / "open-after-work.ocbc.json"
+    model.write_bytes(save_model(open_after_work_model()))
+    assert main(["generate", str(model), "--events", "4", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: class 'case': cyclic ordering between activities ['open', 'work']\n"
+    )
 
 
 def test_generate_refuses_an_event_count_past_the_largest_seq():
