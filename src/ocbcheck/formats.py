@@ -385,7 +385,8 @@ def _event(entry: dict, memo: dict) -> Event:
 # The C scanner that ``json.loads`` ends in, without its Python wrapper.
 _scan_once = json.JSONDecoder().scan_once
 
-# An event line as `save_log` writes it: only the keys activity, id,
+# An event line as `save_log` writes it, field by field, for an event with
+# no attrs, removed relations or snapshot: only the keys activity, id,
 # new_objects, new_relations, a non-empty objects and seq, in that order,
 # and strings with no escape and no control character (S).  O and R are the
 # items of new_objects and new_relations, whose groups only `findall` reads;
@@ -489,8 +490,14 @@ else:
 
 
 def save_log(log: EventLog) -> bytes:
-    """Canonical line-delimited serialization (init line first when non-empty)."""
-    lines: list[str] = []
+    """Canonical line-delimited serialization (init line first when non-empty).
+
+    Each line is ``json.dumps(entry, sort_keys=True)`` of its dict form.  An
+    event line is written field by field, keys in sorted order, so one with
+    no attrs, removed relations, snapshot or escaped string is the form that
+    `_CANONICAL` matches; `_line_json` writes the init line, attrs and an
+    asserted snapshot.  The delta's lists are already sorted (`ObjectDelta`)."""
+    q = encode_basestring_ascii
 
     def om_dict(om: ObjectModel) -> dict:
         return {
@@ -498,26 +505,28 @@ def save_log(log: EventLog) -> bytes:
             "relations": sorted(list(rel) for rel in om.relations),
         }
 
+    def relations(items: tuple) -> str:
+        return ", ".join(["[%s]" % ", ".join(map(q, rel)) for rel in items])
+
+    lines: list[str] = []
     if log.init.class_of or log.init.relations:
         lines.append(_line_json({"init": om_dict(log.init)}))
-    for event in log.events:
-        entry: dict[str, Any] = {"id": event.id, "seq": event.seq, "activity": event.activity}
-        if event.attrs:
-            entry["attrs"] = dict(sorted(event.attrs.items()))
-        if event.objects:
-            entry["objects"] = sorted(event.objects)
-        delta = event.delta
-        if delta.new_objects:
-            entry["new_objects"] = [
-                {"class": cls, "id": oid} for oid, cls in sorted(delta.new_objects)
-            ]
-        if delta.new_relations:
-            entry["new_relations"] = sorted(list(rel) for rel in delta.new_relations)
-        if delta.removed_relations:
-            entry["removed_relations"] = sorted(list(rel) for rel in delta.removed_relations)
-        if delta.assert_snapshot is not None:
-            entry["assert_snapshot"] = om_dict(delta.assert_snapshot)
-        lines.append(_line_json(entry))
+    for eid, seq, activity, objects, attrs, (new_objects, new_relations, removed, snapshot) in log.events:
+        head = mid = ""
+        if snapshot is not None:
+            head = ', "assert_snapshot": ' + _line_json(om_dict(snapshot))
+        if attrs:
+            head += ', "attrs": ' + _line_json(dict(attrs))
+        if new_objects:
+            items = ['{"class": %s, "id": %s}' % (q(cls), q(oid)) for oid, cls in new_objects]
+            mid = ', "new_objects": [%s]' % ", ".join(items)
+        if new_relations:
+            mid += ', "new_relations": [%s]' % relations(new_relations)
+        if objects:
+            mid += ', "objects": [%s]' % ", ".join(map(q, sorted(objects)))
+        if removed:
+            mid += ', "removed_relations": [%s]' % relations(removed)
+        lines.append(f'{{"activity": {q(activity)}{head}, "id": {q(eid)}{mid}, "seq": {seq}}}')
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
 
 

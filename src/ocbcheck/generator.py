@@ -21,7 +21,9 @@ from typing import Iterable, NamedTuple
 
 from .cardinality import Cardinality
 from .conformance import _unlinked_activities, check_violations, resolve_targets
-from .eventlog import EMPTY_DELTA, MAX_SEQ, Event, EventLog, LogError, ObjectDelta, ObjectModel, Relation
+from .eventlog import (
+    EMPTY_ATTRS, EMPTY_DELTA, MAX_SEQ, Event, EventLog, LogError, ObjectDelta, ObjectModel, Relation
+)
 from .model import OcbcModel, RelationshipType
 from .violations import Violation
 
@@ -374,16 +376,14 @@ class _Generator:
         new_objects, new_relations = self._materialize(live)
         for owner, need, _ in absorbed:
             new_relations.append(need.relation(owner.oid, live.oid))
-        if self._act(live, ObjectDelta(new_objects=tuple(new_objects), new_relations=tuple(new_relations))):
+        if self._act(live, ObjectDelta(new_objects, new_relations)):
             del self.active[slot]
 
     def _act(self, live: _LiveObject, delta: ObjectDelta = EMPTY_DELTA) -> bool:
         """Emit the next obligation event of `live`; True if it was the last one."""
         activity, count = live.plan.acts[live.next_act]
         seq = len(self.events) + 1
-        self.events.append(
-            Event(id=f"e{seq}", seq=seq, activity=activity, objects=frozenset({live.oid}), delta=delta)
-        )
+        self.events.append(Event(f"e{seq}", seq, activity, frozenset((live.oid,)), EMPTY_ATTRS, delta))
         live.emitted += 1
         if live.emitted >= count:
             live.next_act += 1

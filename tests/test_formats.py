@@ -5,21 +5,30 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
 
 from ocbcheck import (
+    KINDS,
     BcModel,
     ConstraintType,
+    Event,
+    EventLog,
     FormatError,
+    InjectionError,
     ModelDefectsError,
+    ObjectDelta,
+    ObjectModel,
     OcbcModel,
     Violation,
     aggregate,
     check_all,
     generate_conforming,
+    inject_violation,
     load_log,
     load_model,
     load_report,
@@ -783,6 +792,116 @@ def test_canonical_lines_skip_the_scanner(monkeypatch):
         _, events, _ = formats._decode_lines(lines)
         assert len(events) > 5
         assert [line[:8] for line in scanned] == ['{"init":']
+
+
+def _model_entry(om: ObjectModel) -> dict:
+    return {
+        "objects": [{"class": cls, "id": oid} for oid, cls in sorted(om.class_of.items())],
+        "relations": sorted(list(rel) for rel in om.relations),
+    }
+
+
+def _entry(event: Event) -> dict:
+    """The dict form of `event`, whose ``json.dumps(entry, sort_keys=True)``
+    is the line `save_log` must write: the yardstick for the writer."""
+    entry = {"id": event.id, "seq": event.seq, "activity": event.activity}
+    if event.attrs:
+        entry["attrs"] = dict(event.attrs)
+    if event.objects:
+        entry["objects"] = sorted(event.objects)
+    delta = event.delta
+    if delta.new_objects:
+        entry["new_objects"] = [{"class": cls, "id": oid} for oid, cls in sorted(delta.new_objects)]
+    if delta.new_relations:
+        entry["new_relations"] = sorted(list(rel) for rel in delta.new_relations)
+    if delta.removed_relations:
+        entry["removed_relations"] = sorted(list(rel) for rel in delta.removed_relations)
+    if delta.assert_snapshot is not None:
+        entry["assert_snapshot"] = _model_entry(delta.assert_snapshot)
+    return entry
+
+
+# Strings the JSON encoder escapes, and the empty one.
+_ODD = ["", '"', "\\", "\n", "\x00", "é", "\u2028", "\ud800"]
+
+
+def _odd_strings_log() -> EventLog:
+    """A log with attrs, removed relations and a snapshot, each of whose
+    string fields holds every string of `_ODD`."""
+    old = {f"o{s}": s for s in _ODD}
+    new = {f"n{s}": s for s in _ODD}
+    init = ObjectModel(old, [(s, f"o{s}", "o") for s in _ODD])
+    events = [
+        Event("", 1, '"', old, {s: s for s in _ODD}, ObjectDelta(
+            list(new.items()), [(s, f"n{s}", f"o{s}") for s in _ODD])),
+        Event("\ud800", 2, "\u2028", new, delta=ObjectDelta(removed_relations=init.relations)),
+        Event("é", 3, "\n", ["n\x00"], {"\\": ""}, ObjectDelta(
+            assert_snapshot=ObjectModel(new, [(s, f"n{s}", "n") for s in _ODD]))),
+    ]
+    return EventLog(init=init, events=events)
+
+
+def _writer_inputs() -> list[EventLog]:
+    """The worked and random logs, the demo logs, generated logs with each
+    kind injected (asserted snapshots, removed relations), and `_odd_strings_log`."""
+    logs = [log for _, log in named_and_random_pairs()]
+    logs += [load_log(path.read_bytes()) for path in sorted(DEMO.glob("*.oclog.jsonl"))]
+    for model in (order_process_model(), throughput_model()):
+        log = generate_conforming(model, events=60, seed=1)
+        logs.append(log)
+        for kind in KINDS:
+            try:
+                logs.append(inject_violation(model, log, kind, seed=1)[0])
+            except InjectionError:
+                pass
+    logs.append(_odd_strings_log())
+    return logs
+
+
+def test_saved_lines_are_the_encoders_lines():
+    """Each line `save_log` writes is ``json.dumps(entry, sort_keys=True)``
+    of its dict form, and the log loads back equal."""
+    keys: Counter = Counter()
+    for log in _writer_inputs():
+        data = save_log(log)
+        expected = [_entry(event) for event in log.events]
+        if log.init.class_of or log.init.relations:
+            expected.insert(0, {"init": _model_entry(log.init)})
+        assert data == "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in expected).encode()
+        assert load_log(data) == log
+        for entry in expected:
+            keys.update(entry.keys())
+    assert min(keys["attrs"], keys["removed_relations"], keys["assert_snapshot"]) > 1, keys
+
+
+def test_saved_event_lines_take_the_canonical_form(monkeypatch):
+    """An event line with no attrs, removed relations, snapshot or escaped
+    string is the form `formats._CANONICAL` decodes; `_line_json` writes only
+    the init line, attrs and snapshots."""
+    def counting(value):
+        calls.append(value)
+        return line_json(value)
+
+    calls: list = []
+    line_json = formats._line_json
+    monkeypatch.setattr(formats, "_line_json", counting)
+    canonical = re.compile(formats._CANONICAL).fullmatch
+    matched = 0
+    for log in _writer_inputs():
+        calls.clear()
+        has_init = bool(log.init.class_of or log.init.relations)
+        lines = save_log(log).decode().split("\n")[has_init:-1]
+        for event, line in zip(log.events, lines, strict=True):
+            delta = event.delta
+            if event.attrs or delta.removed_relations or delta.assert_snapshot is not None:
+                continue
+            strings = [event.id, event.activity, *event.objects, *chain(*delta.new_objects, *delta.new_relations)]
+            if all(encode_basestring_ascii(s) == f'"{s}"' for s in strings):
+                assert canonical(line), line
+                matched += 1
+        expected = has_init + sum(bool(e.attrs) + (e.delta.assert_snapshot is not None) for e in log.events)
+        assert len(calls) == expected
+    assert matched > 1000
 
 
 def test_load_log_memory_per_event():
