@@ -14,7 +14,7 @@ import json
 import re
 import sys
 from array import array
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Any
@@ -255,9 +255,10 @@ def _ctype_dict(ctype: ConstraintType) -> dict | str:
 
 
 def save_model(model: OcbcModel) -> bytes:
-    """Canonical serialization; pair shorthands are saved in expanded form."""
+    """Canonical serialization; pair shorthands are saved in expanded form.
+    The models already hold relationships, links and constraints sorted."""
     relationships = []
-    for rt in sorted(model.clam.rel_types, key=lambda r: r.id):
+    for rt in model.clam.rel_types:
         entry: dict[str, Any] = {"id": rt.id, "source": rt.source, "target": rt.target}
         _card_entry(entry, "card_src_always", rt.card_src_always, ANY)
         _card_entry(entry, "card_src_eventually", rt.card_src_eventually, rt.card_src_always)
@@ -265,14 +266,14 @@ def save_model(model: OcbcModel) -> bytes:
         _card_entry(entry, "card_tar_eventually", rt.card_tar_eventually, rt.card_tar_always)
         relationships.append(entry)
     aoc = []
-    for link in sorted(model.links, key=lambda l: (l.activity, l.cls)):
+    for link in model.links:
         entry = {"activity": link.activity, "class": link.cls}
         _card_entry(entry, "card_act_always", link.card_events_always, ANY)
         _card_entry(entry, "card_act_eventually", link.card_events_eventually, link.card_events_always)
         _card_entry(entry, "card_obj", link.card_objects, ANY)
         aoc.append(entry)
     constraints = []
-    for c in sorted(model.bcm.constraints, key=lambda c: c.id):
+    for c in model.bcm.constraints:
         constraints.append(
             {
                 "id": c.id,
@@ -476,17 +477,8 @@ def load_log(data: bytes | str) -> EventLog:
         raise FormatError(str(exc), f"line {line_numbers[order[exc.event_index]]}") from None
 
 
-# One C encoder for every line, built with the arguments that
-# ``json.dumps(value, sort_keys=True)`` passes, which builds one per call.
-if c_make_encoder is None:
-    _line_json = json.JSONEncoder(sort_keys=True).encode
-else:
-    _line_chunks = c_make_encoder(
-        None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ", ", ", True, False, True
-    )
-
-    def _line_json(value: dict) -> str:
-        return "".join(_line_chunks(value, 0))
+def _line_json(value: dict) -> str:
+    return json.dumps(value, sort_keys=True)
 
 
 def save_log(log: EventLog) -> bytes:

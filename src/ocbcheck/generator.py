@@ -5,8 +5,10 @@ Generation is obligation-driven: creating an object registers the event-count
 and relation-count obligations its eventual cardinalities impose, and the
 scheduler discharges every obligation before finishing, while never emitting
 an event that breaks an always-cardinality.  The strategy is budget-bounded
-and covers a documented model family (see `_analyze`); models outside it
-raise `GenerationError` rather than producing a silently wrong log.
+and covers a documented model family (see `_analyze`); a model found to be
+outside it raises `GenerationError`.  Not every such model is found: over
+seeds 0-2999 of `tests/scenarios.random_model` at 25 events, 67 of the 280
+logs generated fail `check_all` (ROADMAP.md, item 3).
 
 Injection mutates a conforming log and verifies with the checker that a
 violation of the requested kind appears at the mutation site; extra cascaded
@@ -135,6 +137,7 @@ def _analyze(model: OcbcModel) -> dict[str, _ClassPlan]:
     raw: dict[str, list[tuple[RelationshipType, str, str, int, bool]]] = {
         cls: [] for cls in model.clam.classes
     }
+    needs: set[tuple[str, RelationshipType, bool]] = set()  # (owner class, rt, needed at creation)
     for rt in model.clam.rel_types:
         sides = [("src", rt.target)] if rt.source == rt.target else [("src", rt.target), ("tar", rt.source)]
         for my_side, partner_cls in sides:
@@ -144,19 +147,14 @@ def _analyze(model: OcbcModel) -> dict[str, _ClassPlan]:
             at_creation = 0 not in always
             if count > 0 or at_creation:
                 raw[cls].append((rt, my_side, partner_cls, max(count, 1 if at_creation else 0), at_creation))
-
-    def needs_at_creation(cls: str, rt: RelationshipType) -> bool:
-        return any(r[0] is rt and r[4] for r in raw[cls])
-
-    def needs_eventually(cls: str, rt: RelationshipType) -> bool:
-        return any(r[0] is rt and not r[4] for r in raw[cls])
+                needs.add((cls, rt, at_creation))
 
     for cls, plan in plans.items():
         for rt, my_side, partner_cls, count, at_creation in raw[cls]:
             need = _RelNeed(rt, my_side, partner_cls, count)
             partner = plans[partner_cls]
             if at_creation:
-                if needs_eventually(partner_cls, rt):
+                if (partner_cls, rt, False) in needs:
                     # The partners exist already and are waiting for this
                     # object: creation happens by absorbing their demand.
                     if plan.flush_rt is not None and plan.flush_rt != rt.id:
@@ -164,7 +162,7 @@ def _analyze(model: OcbcModel) -> dict[str, _ClassPlan]:
                             f"class {cls!r} would need demand-driven creation on two relationships"
                         )
                     plan.flush_rt = rt.id
-                elif partner.creator_activity is not None and needs_at_creation(partner_cls, rt):
+                elif partner.creator_activity is not None and (partner_cls, rt, True) in needs:
                     # Mutual at-creation need: the creator side owns the group.
                     if plan.creator_activity is not None:
                         raise GenerationError(
@@ -293,9 +291,8 @@ class _Generator:
         self.rng = random.Random(seed)
         self.plans = _analyze(model)
         self.events: list[Event] = []
-        self.init_class: dict[str, str] = {}
         self.counter = 0
-        self.pool: dict[str, list[str]] = {}
+        self.pool: dict[str, list[str]] = {}  # the initial model: each plain class's objects
         # Objects with activity obligations left, in registration order.
         self.active: list[_LiveObject] = []
         # Relation demand of objects whose activities are done, keyed by the
@@ -314,28 +311,20 @@ class _Generator:
                     f"class {cls!r} is needed as an ambient partner but has obligations of its own"
                 )
             self.pool[cls] = [self._fresh(cls) for _ in range(self.rng.randint(2, 4))]
-            for oid in self.pool[cls]:
-                self.init_class[oid] = cls
-        while len(self.pool[cls]) < k:
-            oid = self._fresh(cls)
-            self.pool[cls].append(oid)
-            self.init_class[oid] = cls
-        return self.rng.sample(self.pool[cls], k)
+        pool = self.pool[cls]
+        while len(pool) < k:
+            pool.append(self._fresh(cls))
+        return self.rng.sample(pool, k)
 
     def _register(self, cls: str) -> _LiveObject:
+        """A new `cls` object in `active`.  Every registered class has acts:
+        roots are chosen by them (see `run`), `plan.children` holds only
+        partners with acts, and a flushed class has its creating activity."""
         live = _LiveObject(self._fresh(cls), self.plans[cls], self.counter)
         for need in live.plan.eventual:
             self.ready.setdefault(need.partner_cls, [])
-        if live.plan.acts:
-            self.active.append(live)
-        else:
-            self._release(live)
+        self.active.append(live)
         return live
-
-    def _release(self, live: _LiveObject) -> None:
-        """Make the relation demand of `live`, whose activities are done, flushable."""
-        for need in live.plan.eventual:
-            insort(self.ready[need.partner_cls], [live, need, need.count], key=lambda e: e[0].rank)
 
     def _materialize(self, live: _LiveObject) -> tuple[list, list]:
         """New objects/relations for creating `live`: itself, its co-created
@@ -369,9 +358,7 @@ class _Generator:
         """Create one `cls` object in the delta of its first obligation event,
         with its co-created children, its ambient relations and a relation to
         the owner of each `absorbed` ready-demand entry."""
-        # Roots have acts (see `run`) and a flushed class has its creating
-        # activity, so the new object joins `active` at this index.
-        slot = len(self.active)
+        slot = len(self.active)  # where `_register` puts the new object
         live = self._register(cls)
         new_objects, new_relations = self._materialize(live)
         for owner, need, _ in absorbed:
@@ -389,7 +376,9 @@ class _Generator:
             live.next_act += 1
             live.emitted = 0
             if live.next_act == len(live.plan.acts):
-                self._release(live)
+                # Its activities are done, so its relation demand is flushable.
+                for need in live.plan.eventual:
+                    insort(self.ready[need.partner_cls], [live, need, need.count], key=lambda e: e[0].rank)
                 return True
         return False
 
@@ -423,20 +412,15 @@ class _Generator:
 
     def run(self) -> EventLog:
         children = {need.partner_cls for plan in self.plans.values() for need in plan.children}
+        # A class with acts that `_analyze` marks `is_child` is in `children`.
         roots = [
-            cls
-            for cls, plan in sorted(self.plans.items())
-            if plan.acts
-            and cls not in children
-            and not plan.is_child
-            and plan.flush_rt is None
+            cls for cls, plan in sorted(self.plans.items())
+            if plan.acts and cls not in children and plan.flush_rt is None
         ]
         if self.target > 0 and not roots:
             raise GenerationError("model has no startable cluster to generate events from")
-        budget = max(self.target * 3 + 64, 256)
+        budget = max(self.target * 3 + 64, 256)  # more than the target, so only the drain can exceed it
         while len(self.events) < self.target:
-            if len(self.events) >= budget:
-                raise GenerationError(f"generation budget ({budget} events) exceeded")
             choices: list[str] = ["start"]
             if self.active:
                 choices += ["act", "act"]
@@ -463,8 +447,8 @@ class _Generator:
                 self._flush(min(cls for cls, entries in self.ready.items() if entries), drain=True)
             else:
                 break
-        init = ObjectModel(class_of=self.init_class, relations=frozenset())
-        return EventLog(init=init, events=tuple(self.events))
+        class_of = {oid: cls for cls, pool in self.pool.items() for oid in pool}
+        return EventLog(init=ObjectModel(class_of=class_of, relations=frozenset()), events=tuple(self.events))
 
 
 def generate_conforming(model: OcbcModel, events: int, seed: int = 0) -> EventLog:
@@ -560,7 +544,7 @@ def _candidates(model: OcbcModel, log: EventLog, kind: str, rng: random.Random):
 
     if kind == "I":
         # A relation with a wrongly-classed endpoint breaks snapshot validity.
-        rts = sorted(model.clam.rel_types, key=lambda r: r.id)
+        rts = list(model.clam.rel_types)  # sorted by id
         rng.shuffle(rts)
         objects = sorted(final.class_of)
         for rt in rts:

@@ -31,6 +31,7 @@ from ocbcheck.violations import KINDS
 from scenarios import (
     CARD_PAIRS,
     MULTI_RANGE_PAIRS,
+    constraint,
     event,
     link,
     order_process_log,
@@ -232,6 +233,77 @@ def test_each_creation_rule_rejects_its_model(rt, links, events, message):
     with pytest.raises(GenerationError) as caught:
         generate_conforming(model, events=events, seed=0)
     assert str(caught.value) == message
+
+
+def _model(classes, rel_types, links, constraints=(), scope=None) -> OcbcModel:
+    model = OcbcModel(
+        bcm=BcModel(activities=frozenset(l.activity for l in links), constraints=constraints),
+        clam=ClassModel(classes=frozenset(classes), rel_types=tuple(rel_types)),
+        links=tuple(links),
+        scope=scope or {},
+    )
+    assert validate_model(model) == []
+    return model
+
+
+def test_a_flush_waits_until_enough_demand_is_ready(monkeypatch):
+    """Each b takes two a's at creation, so a flush with one ready a returns
+    without an event, and the run goes on to a conforming log."""
+    model = _model("ab", [rel_type("r", "a", "b", src="2", tar="*", tar_ev="1..*")],
+                   [link("open", "a", always="1"), link("mk", "b", always="1")])
+    flush = generator._Generator._flush
+    waits = 0
+
+    def counting(self, cls, drain):
+        nonlocal waits
+        before = len(self.events)
+        flush(self, cls, drain)
+        waits += len(self.events) == before
+
+    monkeypatch.setattr(generator._Generator, "_flush", counting)
+    for seed in range(5):
+        log = generate_conforming(model, events=20, seed=seed)
+        assert check_all(model, log).conforms, seed
+    assert waits > 0
+
+
+def test_an_ambient_pool_grows_past_its_first_objects():
+    """A pool starts with two to four objects; an a that needs five b's at
+    creation grows it to five, all in the initial model."""
+    model = _model("ab", [rel_type("r", "a", "b", tar="5")], [link("open", "a", always="1")])
+    log = generate_conforming(model, events=6, seed=0)
+    assert sorted(log.init.class_of.values()) == ["b"] * 5
+    assert check_all(model, log).conforms
+
+
+def test_injection_into_an_empty_log_finds_nothing():
+    empty = EventLog(init=ObjectModel({}, frozenset()), events=())
+    for kind in KINDS:
+        with pytest.raises(InjectionError, match=f"no verified mutation of kind {kind} "):
+            inject_violation(order_process_model(), empty, kind)
+
+
+def test_ix_injection_does_not_move_the_reference_event_across_itself(monkeypatch):
+    """A same-activity constraint correlates each reference event with
+    itself; the first target in id order is the reference, which is skipped,
+    and the injection goes on to a verified one."""
+    model = _model("a", [], [link("open", "a", always="1"), link("work", "a", eventually="2")],
+                   [constraint("c", "co-existence", "work", "work")], {"c": "a"})
+    log = generate_conforming(model, events=20, seed=0)
+    assert check_all(model, log).conforms
+    resolve = generator.resolve_targets
+    skipped = 0
+
+    def recording(model, log, cid, ref_id):
+        nonlocal skipped
+        targets = resolve(model, log, cid, ref_id)
+        skipped += min(targets) == ref_id  # the move loop's first target
+        return targets
+
+    monkeypatch.setattr(generator, "resolve_targets", recording)
+    mutated, outcome = inject_violation(model, log, "IX", seed=0)
+    assert skipped > 0
+    assert any(outcome.matches(v) for v in check_violations(model, mutated, kinds=("IX",)))
 
 
 def test_generation_error_stable_across_hash_randomization(tmp_path):
