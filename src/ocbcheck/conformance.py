@@ -290,7 +290,7 @@ def _check_vi(model: OcbcModel, log: EventLog) -> list[Violation]:
 def _check_vii(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Type VII: the right number of events per object, always and eventually,
     counted from the object's first appearance."""
-    events, positions_of = log.events, log._positions
+    events = log.events
     if not events:
         return []
     # The first appearance of each object per class.
@@ -305,8 +305,9 @@ def _check_vii(model: OcbcModel, log: EventLog) -> list[Violation]:
             continue
         # The link's verdict tables, per (start, total) and per final count.
         gap_starts, allows_total = cache(always.gap_starts), cache(eventually.__contains__)
+        positions_of = log._positions.get(activity, {})
         for obj, first in first_seen.get(cls, {}).items():
-            positions = positions_of.get((obj, activity), ())
+            positions = positions_of.get(obj, ())
             # The running count is `start` at the object's first appearance and
             # `c` at event `positions[c - 1]`; a run of breaches is one problem.
             start, total = bisect_right(positions, first), len(positions)
@@ -404,16 +405,16 @@ def _correlation(
     correlated object's positions are the log's own list; several objects'
     lists are merged, so a target event referencing two of them counts once.
     """
-    via, target, positions = model.scope[constraint.id], constraint.target_activity, log._positions
+    via, positions = model.scope[constraint.id], log._positions.get(constraint.target_activity, {})
     class_of = log.final_snapshot().class_of
     nbr = None if via in model.clam.classes else log._neighbours_via(via)
 
     def targets(objects: frozenset[str]) -> list[int]:
         if nbr is None:
-            lists = [p for o in objects if class_of.get(o) == via and (p := positions.get((o, target)))]
+            lists = [p for o in objects if class_of.get(o) == via and (p := positions.get(o))]
         else:
             correlated = set().union(*(nbr.get(o, ()) for o in objects))
-            lists = [p for o in correlated if (p := positions.get((o, target)))]
+            lists = [p for o in correlated if (p := positions.get(o))]
         return lists[0] if len(lists) == 1 else sorted(set().union(*lists))
 
     return targets

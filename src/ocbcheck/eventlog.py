@@ -202,8 +202,9 @@ class EventLog:
     only record of a missing reference: `warnings` renders them, and
     conformance checking reports them as object-existence problems (type V).
     The same fold keeps the indexes the checks and queries read: the
-    positions of each activity's events, the positions of the events of each
-    (object, activity) pair (both ascending), the final snapshot, and the
+    positions of each activity's events, and per activity the positions of
+    its events that reference each object (both ascending, keyed activity
+    first so a check reads one activity's map), the final snapshot, and the
     stretches: a (start position, class map) pair for the initial model and
     for each asserted snapshot, kept when it ends: the snapshot's own map, or
     the fold's dict when the stretch adds objects.  Within a stretch objects
@@ -221,7 +222,8 @@ class EventLog:
         index_of: dict[str, int] = {}
         missing: list[tuple[int, str]] = []
         by_activity: dict[str, list[int]] = {}
-        positions: dict[tuple[str, str], list[int]] = {}
+        positions: dict[str, dict[str, list[int]]] = {}
+        entries: dict[str, tuple[list[int], dict[str, list[int]]]] = {}  # both, per activity
         state = _ReplayState(init)
         stretches: list[tuple[int, Mapping[str, str]]] = []
         start, previous_seq = 0, None
@@ -238,9 +240,18 @@ class EventLog:
                     stretches.append((start, state.class_of))
                     start = i
                 state.apply(event, i)
-            by_activity.setdefault(activity, []).append(i)
+            entry = entries.get(activity)
+            if entry is None:  # the activity's first event
+                entry = entries[activity] = ([], {})
+                by_activity[activity], positions[activity] = entry
+            at_activity, of_object = entry
+            at_activity.append(i)
             for obj in objects:
-                positions.setdefault((obj, activity), []).append(i)
+                at = of_object.get(obj)
+                if at is None:
+                    of_object[obj] = [i]  # one slot: appending to [] reserves four
+                else:
+                    at.append(i)
             if not state.class_of.keys() >= objects:
                 missing.extend((i, obj) for obj in sorted(objects - state.class_of.keys()))
         stretches.append((start, class_of := state.class_of))  # and so does the last

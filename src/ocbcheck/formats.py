@@ -362,9 +362,9 @@ def _delta(entry: dict, memo: dict) -> ObjectDelta:
 
 
 def _event(entry: dict, memo: dict) -> Event:
-    """Decode one event from the fresh dict `_decode_lines` decoded: its keys
+    """Decode one event from the fresh dict `_decode_text` decoded: its keys
     are popped in place.  Error locations are relative to the line (".seq");
-    `_decode_lines` prefixes it.
+    `_decode_text` prefixes it.
 
     `memo` maps each activity, object id, class and `objects` set decoded so
     far in this log to its first copy, so equal values share one object."""
@@ -389,72 +389,97 @@ _scan_once = json.JSONDecoder().scan_once
 # An event line as `save_log` writes it, field by field, for an event with
 # no attrs, removed relations or snapshot: only the keys activity, id,
 # new_objects, new_relations, a non-empty objects and seq, in that order,
-# and strings with no escape and no control character (S).  O and R are the
-# items of new_objects and new_relations, whose groups only `findall` reads;
-# the line's group of each of those two keys is empty when the key is absent.
+# and strings with no escape and no control character (S).  The first new
+# object's class and id have groups of their own; the other new objects (O)
+# and the new relations (R) are read by `findall` from their line's group,
+# which is empty when there are none.  `_decode_text` matches it against
+# whole lines; `save_log` writes it.
 _S = r'[^"\\\x00-\x1f]*'
 _OBJECT = r'\{"class": "(S)", "id": "(S)"\}'.replace("S", _S)
 _RELATION = r'\["(S)", "(S)", "(S)"\]'.replace("S", _S)
 _CANONICAL = (
-    r'\{"activity": "(S)", "id": "(S)"'
-    r'((?:, "new_objects": \[O(?:, O)*\])?)((?:, "new_relations": \[R(?:, R)*\])?)'
-    r'(?:, "objects": \["(S(?:", "S)*)"\])?, "seq": ([1-9][0-9]{0,18})\}'
+    r'\{"activity": "(S)", "id": "(S)"(?:, "new_objects": \[\{"class": "(S)", "id": "(S)"\}((?:, O)*)\])?'
+    r'((?:, "new_relations": \[R(?:, R)*\])?)(?:, "objects": \["(S(?:", "S)*)"\])?, "seq": ([1-9][0-9]{0,18})\}'
 ).replace("O", _OBJECT.replace("(", "(?:")).replace("R", _RELATION.replace("(", "(?:")).replace("S", _S)
 
 
-def _decode_lines(lines: list[str]) -> tuple[ObjectModel | None, list[Event], array]:
+def _decode_text(text: str) -> tuple[ObjectModel | None, list[Event], array]:
     """The init model, the events in file order and the line number of each.
 
-    A line that `_CANONICAL` matches, with its seq in range, is decoded from
-    the match's groups; any other by the JSON scanner and `_event`, which
-    also gives every error.  Both build the same event through one `memo`."""
+    One scan of `text` finds the lines that `_CANONICAL` matches whole (but
+    for a carriage return), each decoded from the match's groups.  The lines
+    between two matches, and a matched line whose seq is out of range, go to
+    the JSON scanner and `_event`, which also gives every error.  Lines end
+    at "\n" only, as JSON strings may hold U+2028, U+2029 and U+0085, and
+    the scanner strips the whitespace around each.  Both paths build the
+    same event through one `memo`, and no list of the lines is made."""
     memo: dict = {}
     sets: dict[str, frozenset[str]] = {}  # the `objects` set of each `objects` text matched
     init = None
     events: list[Event] = []
     line_numbers = array("q")
-    # Compiled here, through `re`'s cache, so a run that decodes no log skips it.
-    canonical = re.compile(_CANONICAL).fullmatch
-    objects_in, relations_in = re.compile(_OBJECT).findall, re.compile(_RELATION).findall
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if (match := canonical(line)) and (seq := int(match[6])) <= MAX_SEQ:
-            activity, eid, new_objects, new_relations, objects, _ = match.groups()
-            activity = memo.setdefault(activity, activity)
-            if objects is None:
-                objects = _NO_OBJECTS
-            else:  # equal texts give one set, so each text is split once
-                objects = sets.get(objects) or sets.setdefault(objects, _object_set(objects.split('", "'), memo))
-            delta = EMPTY_DELTA
-            if new_objects or new_relations:
-                pairs = [(memo.setdefault(o, o), memo.setdefault(c, c)) for c, o in objects_in(new_objects)]
-                relations = relations_in(new_relations) if new_relations else ()
-                delta = tuple.__new__(ObjectDelta, (tuple(sorted(pairs)), tuple(sorted(relations)), (), None))
-            events.append(tuple.__new__(Event, (eid, seq, activity, objects, EMPTY_ATTRS, delta)))
+
+    def scan(lines: str, lineno: int) -> int:
+        """Decode the lines of `lines`, the first at `lineno`; the number of
+        the line after them."""
+        nonlocal init
+        for lineno, line in enumerate(lines.split("\n"), lineno):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                value, end = _scan_once(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            if end != len(line) or type(value) is not dict:
+                # Not one whole object: parse again for the decoder's message.
+                where = f"line {lineno}"
+                value = _expect(_parse_json(line, where), dict, where)
+            if "init" in value:
+                where = f"line {lineno}"
+                if events or init is not None:
+                    raise FormatError("init model must be the first line", where)
+                init = _object_model(value.pop("init"), f"{where}.init")
+                _no_extras(value, where)
+                continue
+            try:
+                events.append(_event(value, memo))
+            except FormatError as exc:
+                raise FormatError(exc.message, f"line {lineno}{exc.where}") from None
             line_numbers.append(lineno)
-            continue
-        try:
-            value, end = _scan_once(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        if end != len(line) or type(value) is not dict:
-            # Not one whole object: parse again for the decoder's message.
-            where = f"line {lineno}"
-            value = _expect(_parse_json(line, where), dict, where)
-        if "init" in value:
-            where = f"line {lineno}"
-            if events or init is not None:
-                raise FormatError("init model must be the first line", where)
-            init = _object_model(value.pop("init"), f"{where}.init")
-            _no_extras(value, where)
-            continue
-        try:
-            events.append(_event(value, memo))
-        except FormatError as exc:
-            raise FormatError(exc.message, f"line {lineno}{exc.where}") from None
+        return lineno + 1
+
+    # Compiled here, through `re`'s cache, so a run that decodes no log skips it.
+    matches = re.compile("^" + _CANONICAL + r"\r?$", re.M).finditer(text)
+    objects_in, relations_in = re.compile(_OBJECT).findall, re.compile(_RELATION).findall
+    pos, lineno = 0, 1  # where the next line starts, and its number
+    for match in matches:
+        start, stop = match.span()
+        if start != pos:  # the lines between, up to the newline before this one
+            lineno = scan(text[pos : start - 1], lineno)
+        activity, eid, cls, oid, more_objects, new_relations, objects, seq = match.groups()
+        if (seq := int(seq)) > MAX_SEQ:
+            scan(text[start:stop], lineno)  # raises the scanner's error
+        activity = memo.setdefault(activity, activity)
+        if objects is None:
+            objects = _NO_OBJECTS
+        else:  # equal texts give one set, so each text is split once
+            objects = sets.get(objects) or sets.setdefault(objects, _object_set(objects.split('", "'), memo))
+        delta = EMPTY_DELTA
+        if cls is not None or new_relations:
+            pairs = relations = ()
+            if cls is not None:
+                pairs = ((memo.setdefault(oid, oid), memo.setdefault(cls, cls)),)
+            if more_objects:
+                more = [(memo.setdefault(o, o), memo.setdefault(c, c)) for c, o in objects_in(more_objects)]
+                pairs = tuple(sorted([*pairs, *more]))
+            if new_relations:
+                relations = tuple(sorted(relations_in(new_relations)))
+            delta = tuple.__new__(ObjectDelta, (pairs, relations, (), None))
+        events.append(tuple.__new__(Event, (eid, seq, activity, objects, EMPTY_ATTRS, delta)))
         line_numbers.append(lineno)
+        pos, lineno = stop + 1, lineno + 1
+    scan(text[pos:], lineno)
     return init, events, line_numbers
 
 
@@ -463,10 +488,9 @@ def load_log(data: bytes | str) -> EventLog:
 
     Equal strings and equal `objects` sets of one log share one object.  The
     input is released before the build: rebinding `data` frees the caller's
-    bytes (unless it keeps a reference) and then the text, and the lines go
-    once decoded."""
-    data = _decode(data).split("\n")  # not `splitlines`: JSON strings may hold U+2028, U+2029, U+0085
-    init, events, line_numbers = _decode_lines(data)
+    bytes (unless it keeps a reference), and the text goes once decoded."""
+    data = _decode(data)
+    init, events, line_numbers = _decode_text(data)
     del data
     try:
         return EventLog(init=init if init is not None else ObjectModel({}, frozenset()), events=tuple(events))

@@ -372,6 +372,58 @@ def test_criterion_9_fan_in_correlation_scaling(via, build, shape):
     )
 
 
+@pytest.mark.parametrize("every, which", [(1, "every line"), (2, "every other line")])
+def test_criterion_9_off_canonical_decode_scaling(every, which):
+    """Event lines in another JSON layout (compact separators) miss the
+    canonical line's match and go to the JSON scanner, every line or every
+    other one: loading still costs the same per line at twice the size."""
+    model = throughput_model()
+
+    def relaid(events: int) -> bytes:
+        lines = save_log(generate_conforming(model, events=events, seed=1)).decode().splitlines()
+        compact = [json.dumps(json.loads(line), separators=(",", ":")) if i % every == 0 else line
+                   for i, line in enumerate(lines)]
+        return "\n".join(compact).encode()
+
+    small, large = relaid(5000), relaid(10_000)
+    assert load_log(large) == generate_conforming(model, events=10_000, seed=1)
+
+    def per_line(data, repeats):
+        gc.collect()
+        started = time.perf_counter()
+        for _ in range(repeats):
+            log = load_log(data)
+        return (time.perf_counter() - started) / (repeats * len(log))
+
+    ratio = median_pair_ratio(lambda: per_line(small, 2), lambda: per_line(large, 1))
+    assert ratio <= 1.5, f"doubling the log scaled per-line load time by {ratio:.2f}x"
+    record_acceptance(
+        9, f"{which} off the canonical form, 5000 -> 10000 events: per-line load {ratio:.2f}x"
+    )
+
+
+def test_one_long_near_canonical_line_decodes_in_bounded_time():
+    """A line of about 1 MiB in the canonical form up to its last object id,
+    which holds an escape, or up to its end, which lacks the closing brace:
+    the first loads and the second is refused, each in about the time the
+    JSON decoder takes over it, not the time of a scan per object."""
+    ids = ", ".join(f'"t{i:07d}"' for i in range(100_000))
+    head = '{"activity": "pay", "id": "e1", "objects": [' + ids
+    escaped = (head + ', "t\\u0031"], "seq": 1}').encode()
+    unclosed = (head + '], "seq": 1').encode()
+    assert len(escaped) > 2**20
+    started = time.perf_counter()
+    json.loads(escaped)
+    decoder = time.perf_counter() - started
+    started = time.perf_counter()
+    assert len(load_log(escaped).events[0].objects) == 100_001
+    with pytest.raises(FormatError, match="^line 1: invalid JSON"):
+        load_log(unclosed)
+    elapsed = time.perf_counter() - started
+    # A scan per object would take minutes; both loads take tens of decoders.
+    assert elapsed < 100 * decoder + 1.0, f"{elapsed:.2f}s for two 1 MiB lines"
+
+
 def test_criterion_9_many_assertions_scaling():
     """An asserted snapshot every fourth event: types III, VI and VIII read
     an object's class at an event from its stretch's class map, and still
