@@ -5,31 +5,31 @@ of the finite log, which is equivalent to the suffix-quantified form on a
 total finite order.  Logs are treated as complete; callers checking a running
 process can downgrade eventual violations to warnings (prefix mode).
 
-Each kind is computed by one function, only when it is selected.  Type I
-alone folds the log again; the other kinds read what the `EventLog` build
-kept (type V its missing references, types III, VI and VIII its class map
-of each stretch between two assertions) and the objects each event brings
-in (`EventLog.introductions`, for III and VII).  Type VII reads each
-object's runs of breaching counts from the cardinality's ranges.  Type IX
-correlates once per constraint and distinct reference object set, through
-the function `resolve_targets` also uses, and counts each reference event's
-targets by two bisections, as `evaluate_bc` counts a trace.  Each kind's
-violations are sorted on their own, except type I's, which its replay keeps
-in report order; `KINDS` order then puts the kinds one after another in
-report order.
+Each kind is computed by one function, only when it is selected.  No kind
+folds the log again; each reads what the `EventLog` build kept (type V its
+missing references, types I, III, VI and VIII its class map of each stretch
+between two assertions, type I beside the deltas of its events) and the
+objects each event brings in (`EventLog.introductions`, for III and VII).
+Type VII reads each object's runs of breaching counts from the
+cardinality's ranges.  Type IX correlates once per constraint and distinct
+reference object set, through the function `resolve_targets` also uses,
+and counts each reference event's targets by two bisections, as
+`evaluate_bc` counts a trace.  Each kind's violations are sorted on their
+own, except type I's, which its replay keeps in report order; `KINDS`
+order then puts the kinds one after another in report order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from functools import cache, partial
-from itertools import repeat
-from operator import add, itemgetter
-from typing import Callable, Iterator
+from functools import cache
+from itertools import chain, compress, product, repeat, starmap
+from operator import add, is_not, itemgetter
+from typing import Callable, Iterator, Mapping
 
 from .cardinality import Cardinality
-from .eventlog import EMPTY_DELTA, EventLog, LogError, Relation, _ReplayState
+from .eventlog import EMPTY_DELTA, Event, EventLog, LogError, ObjectModel, Relation
 from .model import BehavioralConstraint, OcbcModel, RelationshipType
 from .report import _report
 from .violations import KINDS, Violation, row_key, sort_violations
@@ -61,20 +61,25 @@ def _stretch_runs(log: EventLog, positions: list[int]) -> Iterator[tuple[dict[st
         p = q
 
 
-class _Replay(_ReplayState):
-    """Type I: one pass of the log's delta fold, whose hooks keep the
-    breaches of the current state; `found` holds its violations in report
-    order.
+class _Replay:
+    """Type I: the breaches of the object model after every event, in report
+    order in `found`.
 
-    Type I reports every breach of the current state again at each event.
-    The replay keeps those breaches as `_rows`, each violation's fields
-    after kind, event and seq in report order.  It builds them again only
-    after an event that left a different breach state, and each event's
-    violations are its kind, id and seq joined to every row.
+    The log build already folded and checked the deltas, so the replay visits
+    only the events with a delta and keeps only the relation set (a re-added
+    relation counts once) and each rule's partner counts.  Classes come from
+    the build's stretch maps: a relation's endpoints exist at its event, and
+    an object keeps its class within a stretch.  An asserting event starts
+    again from its snapshot's own class map and relations.
+
+    Each event reports every breach of the current state again.  The replay
+    keeps them as `_rows`, each violation's fields after kind, event and seq
+    in report order, builds them again only after an event that left a
+    different breach state, and expands each run of events that shares them
+    in one product of the events' heads and the rows.
     """
 
     def __init__(self, model: OcbcModel, log: EventLog):
-        super().__init__(log.init)
         self._rel_type = {rt.id: rt for rt in model.clam.rel_types}
         # The rule per side that can breach (its always-cardinality is not `*`):
         # the keeper class, the always-cardinality and its rendering; and the sides each class keeps.
@@ -88,19 +93,42 @@ class _Replay(_ReplayState):
                     self._rule[rt.id, side] = (keeper, card, card.render())
                     self._sides_kept_by.setdefault(keeper, []).append((rt.id, side))
                     self._counted.setdefault(rt.id, []).append((side, field))
-        self.replaced()
-        # The breach state that `_rows` was built from.
-        self._built: tuple = ({}, {}, set())
-        self._rows: tuple[tuple, ...] = ()
+        events, stretches = log.events, iter(log._stretches)
+        self._restart(next(stretches)[1], log.init)
+        # The breach state that `_rows` was built from, and the first event that shares them.
+        self._built, self._rows, start = ({}, {}, set()), (), 0
         self.found: list[Violation] = []
-        found, new_violation = self.found, partial(tuple.__new__, Violation)
-        for index, event in enumerate(log.events):
-            if event.delta is not EMPTY_DELTA or index == 0:
-                self.apply(event, index)
-                if (self._bad_card, self._bad_type, self._unknown_rt) != self._built:
-                    self._build_rows()
-            if self._rows:
-                found.extend(map(new_violation, map(add, repeat(("I", event.id, event.seq)), self._rows)))
+        # Event 0 is visited with or without a delta, for the initial model's breaches.
+        visited = chain((True,), map(is_not, map(itemgetter(5), events[1:]), repeat(EMPTY_DELTA)))
+        for index in compress(range(len(events)), visited):
+            new_objects, new_relations, removed_relations, snapshot = events[index][5]
+            if snapshot is not None:
+                self._restart(next(stretches)[1], snapshot)
+            else:
+                for obj, cls in new_objects:
+                    self._added_object(obj, cls)
+                for rel in new_relations:
+                    if rel not in self.relations:
+                        self._changed(rel, 1)
+                for rel in removed_relations:
+                    self._changed(rel, -1)
+            if (self._bad_card, self._bad_type, self._unknown_rt) != self._built:
+                self.found += _repeated(events[start:index], self._rows)
+                self._build_rows()
+                start = index
+        self.found += _repeated(events[start:], self._rows)
+
+    def _restart(self, class_of: Mapping[str, str], snapshot: ObjectModel) -> None:
+        """The breach state of `snapshot`, whose stretch's classes are `class_of`."""
+        self.class_of, self.relations = class_of, set()
+        self._cnt: dict[tuple[str, str, str], int] = {}
+        self._bad_card: dict[tuple[str, str, str], int] = {}  # the count of each breach
+        self._bad_type: dict[tuple[str, str, str, str], tuple[str, str, str]] = {}
+        self._unknown_rt: set[Relation] = set()
+        for obj, cls in snapshot.class_of.items():
+            self._added_object(obj, cls)
+        for rel in snapshot.relations:
+            self._changed(rel, 1)
 
     def _recheck(self, key: tuple[str, str, str]) -> None:
         rt_id, side, obj = key
@@ -111,47 +139,26 @@ class _Replay(_ReplayState):
         else:
             self._bad_card.pop(key, None)
 
-    def added_relation(self, rel: Relation) -> None:
-        rt = self._rel_type.get(rel[0])
-        if rt is None:
-            self._unknown_rt.add(rel)
-            return
-        for side, field in self._counted.get(rt.id, ()):
-            key = (rt.id, side, rel[field])
-            self._cnt[key] = self._cnt.get(key, 0) + 1
-            self._recheck(key)
-        _, src, tar = rel
-        for side, obj, want in (("src", src, rt.source), ("tar", tar, rt.target)):
-            got = self.class_of.get(obj)
-            if got != want:
-                self._bad_type[(rt.id, rel[1], rel[2], side)] = (obj, got or "?", want)
-
-    def removed_relation(self, rel: Relation) -> None:
-        rt = self._rel_type.get(rel[0])
-        if rt is None:
-            self._unknown_rt.discard(rel)
-            return
-        for side, field in self._counted.get(rt.id, ()):
-            key = (rt.id, side, rel[field])
-            self._cnt[key] = self._cnt.get(key, 0) - 1
-            self._recheck(key)
-        _, src, tar = rel
-        self._bad_type.pop((rt.id, src, tar, "src"), None)
-        self._bad_type.pop((rt.id, src, tar, "tar"), None)
-
-    def added_object(self, obj: str) -> None:
-        for rt_id, side in self._sides_kept_by.get(self.class_of[obj], ()):
+    def _added_object(self, obj: str, cls: str) -> None:
+        for rt_id, side in self._sides_kept_by.get(cls, ()):
             self._recheck((rt_id, side, obj))
 
-    def replaced(self) -> None:
-        self._cnt: dict[tuple[str, str, str], int] = {}
-        self._bad_card: dict[tuple[str, str, str], int] = {}  # the count of each breach
-        self._bad_type: dict[tuple[str, str, str, str], tuple[str, str, str]] = {}
-        self._unknown_rt: set[Relation] = set()
-        for obj in self.class_of:
-            self.added_object(obj)
-        for rel in self.relations:
-            self.added_relation(rel)
+    def _changed(self, rel: Relation, step: int) -> None:
+        """Add (`step` 1) or remove (-1) a relation, and keep its breaches."""
+        (self.relations.add if step > 0 else self.relations.remove)(rel)
+        rt = self._rel_type.get(rel[0])
+        if rt is None:
+            (self._unknown_rt.add if step > 0 else self._unknown_rt.remove)(rel)
+            return
+        for side, field in self._counted.get(rt.id, ()):
+            key = (rt.id, side, rel[field])
+            self._cnt[key] = self._cnt.get(key, 0) + step
+            self._recheck(key)
+        for side, obj, want in (("src", rel[1], rt.source), ("tar", rel[2], rt.target)):
+            if step < 0:
+                self._bad_type.pop((rt.id, rel[1], rel[2], side), None)
+            elif (got := self.class_of.get(obj)) != want:
+                self._bad_type[(rt.id, rel[1], rel[2], side)] = (obj, got or "?", want)
 
     def _build_rows(self) -> None:
         """Type I: the current snapshot must be valid for the class model."""
@@ -180,6 +187,12 @@ class _Replay(_ReplayState):
                 )
             )
         self._rows = tuple(sorted((v[3:] for v in found), key=row_key))
+
+
+def _repeated(run: tuple[Event, ...], rows: tuple[tuple, ...]) -> Iterator[Violation]:
+    """Type I's violations at each event of `run`, all of which share the breach `rows`."""
+    heads = zip(repeat("I"), map(itemgetter(0), run), map(itemgetter(1), run)) if rows else ()
+    return map(tuple.__new__, repeat(Violation), starmap(add, product(heads, rows)))
 
 
 def _check_i(model: OcbcModel, log: EventLog) -> list[Violation]:

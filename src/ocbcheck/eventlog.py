@@ -6,11 +6,12 @@ place.  Deltas can add objects and add/remove relations; objects are never
 removed, so delta-built logs are monotone by construction.  An event may
 instead carry an asserted full snapshot, which replaces the folded state
 (the only way a log can exhibit monotonicity violations).  One fold serves
-the build, `snapshot_after`, type I's replay and the generator.  The build
-alone decides whether a referenced object exists at its event: the load
-warnings and type V read the missing references it keeps, and types III,
-VI and VIII the class map of each stretch between two assertions.  Types
-III and VII learn which objects each event brings in from `introductions`.
+the build, `snapshot_after` and the generator.  The build alone decides
+whether a referenced object exists at its event: the load warnings and
+type V read the missing references it keeps, and types I, III, VI and VIII
+the class map of each stretch between two assertions (type I, which reads
+the deltas again, folds none of them).  Types III and VII learn which
+objects each event brings in from `introductions`.
 """
 
 from __future__ import annotations
@@ -142,10 +143,7 @@ class Event(_EventFields):
 class _ReplayState:
     """The delta fold: the object model while replaying events, validating
     each delta against it; it copies a snapshot's class map only to add to it,
-    and the additions of an asserting event go to a map of their own.
-    A subclass observes the fold through hooks called after each change:
-    `added_object`, `added_relation` and `removed_relation` (only when the
-    relation set changes), and `replaced` (by an assertion)."""
+    and the additions of an asserting event go to a map of their own."""
 
     __slots__ = ("class_of", "relations")
 
@@ -154,42 +152,31 @@ class _ReplayState:
         self.relations: set[Relation] = set(init.relations)
 
     def apply(self, event: Event, index: int) -> None:
-        delta = event.delta
-        if delta.new_objects:
-            if delta.assert_snapshot is not None:  # replaced below, so the additions are only checked
+        new_objects, new_relations, removed_relations, snapshot = event.delta
+        if new_objects:
+            if snapshot is not None:  # replaced below, so the additions are only checked
                 self.class_of = ChainMap({}, self.class_of)
             elif type(self.class_of) is not dict:
                 self.class_of = dict(self.class_of)
         class_of, relations = self.class_of, self.relations
-        for obj, cls in delta.new_objects:
+        for obj, cls in new_objects:
             if obj in class_of:
                 raise LogError(f"object {obj!r} already exists", index, event.id)
             class_of[obj] = cls
-            self.added_object(obj)
-        for rel in delta.new_relations:
+        for rel in new_relations:
             if rel[1] not in class_of or rel[2] not in class_of:
                 endpoint = rel[1] if rel[1] not in class_of else rel[2]
                 raise LogError(
                     f"relation {rel} references unknown object {endpoint!r}", index, event.id
                 )
-            # Re-adding a present relation is idempotent (relations form a set).
-            if rel not in relations:
-                relations.add(rel)
-                self.added_relation(rel)
-        for rel in delta.removed_relations:
+            relations.add(rel)  # re-adding a present relation changes nothing
+        for rel in removed_relations:
             if rel not in relations:
                 raise LogError(f"cannot remove absent relation {rel}", index, event.id)
             relations.remove(rel)
-            self.removed_relation(rel)
-        if delta.assert_snapshot is not None:
-            self.class_of = delta.assert_snapshot.class_of
-            self.relations = set(delta.assert_snapshot.relations)
-            self.replaced()
-
-    def _ignore(self, *change) -> None:
-        """The hooks of a plain fold do nothing."""
-
-    added_object = added_relation = removed_relation = replaced = _ignore
+        if snapshot is not None:
+            self.class_of = snapshot.class_of
+            self.relations = set(snapshot.relations)
 
 
 class EventLog:

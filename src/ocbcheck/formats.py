@@ -15,7 +15,7 @@ import re
 import sys
 from array import array
 from json.encoder import encode_basestring_ascii
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from operator import itemgetter
 from typing import Any
 
@@ -595,9 +595,10 @@ def _batch_json(batch: tuple[Violation, ...]) -> str:
     if 4 * len(set(map(_SHAPE, sample))) <= len(sample):
         events, seqs = list(map(_EVENT, batch)), list(map(_SEQ, batch))
         if "" not in events and -1 not in seqs:
-            shapes = list(map(_SHAPE, batch))
-            layouts = {shape: _layout(v) for shape, v in dict(zip(shapes, batch)).items()}
-            befores, betweens, afters = zip(*map(layouts.__getitem__, shapes))
+            first: dict[tuple, int] = {}  # each shape, hashed once, to its first violation's position
+            firsts = list(map(first.setdefault, map(_SHAPE, batch), count()))
+            layouts = {i: _layout(batch[i]) for i in first.values()}
+            befores, betweens, afters = zip(*map(layouts.__getitem__, firsts))
             joints = chain(("",), repeat(_BETWEEN))
             encoded = map(encode_basestring_ascii, events)
             pieces = zip(joints, befores, encoded, betweens, map(str, seqs), afters)

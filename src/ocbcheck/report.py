@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate
-from operator import attrgetter
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .violations import KIND_TITLES, KINDS, SEVERITY_ERROR, Violation, sort_violations
@@ -39,6 +39,12 @@ class ConformanceReport(NamedTuple):
 
 
 _REL_TYPE_BUCKETS = ("src_always", "src_eventually", "tar_always", "tar_eventually", "typing")
+# The fields the tables count, read by position.
+_EDGE, _SIDE, _CONSTRAINT, _ACTIVITY, _SEVERITY = (
+    itemgetter(*map(Violation._fields.index, names))
+    for names in (("temporal", "activity", "cls"), ("rel_type", "side", "temporal"),
+                  ("constraint",), ("activity",), ("severity",))
+)
 
 
 def aggregate(violations: list[Violation], prefix: bool = False) -> ConformanceReport:
@@ -50,30 +56,28 @@ def aggregate(violations: list[Violation], prefix: bool = False) -> ConformanceR
 def _report(ordered: tuple[Violation, ...], prefix: bool) -> ConformanceReport:
     """The report of violations already in report order (`Violation.sort_key`).
     Each table is counted at C speed from the slice of its kinds."""
-    kinds = Counter(map(attrgetter("kind"), ordered))
-    summary = {kind: kinds[kind] for kind in KINDS}
-    # `ordered` is sorted by kind first, so each kind is one slice from its start.
-    start = dict(zip(KINDS, accumulate(summary.values(), initial=0)))
+    # `ordered` is sorted by kind first, so each kind is one slice, found by bisection.
+    starts = [bisect_left(ordered, i, key=lambda v: KINDS.index(v[0])) for i in range(len(KINDS))]
+    start = dict(zip(KINDS, starts))
+    summary = dict(zip(KINDS, map(sub, [*starts[1:], len(ordered)], starts)))
 
     always, eventually = Counter(), Counter()
-    edges = Counter(map(attrgetter("temporal", "activity", "cls"), ordered[start["VII"] : start["VIII"]]))
-    for (temporal, activity, cls), count in edges.items():
+    for (temporal, activity, cls), count in Counter(map(_EDGE, ordered[start["VII"] : start["VIII"]])).items():
         (always if temporal == "always" else eventually)[activity, cls] += count
     per_rel_bucket = Counter()
-    sides = Counter(map(attrgetter("rel_type", "side", "temporal"), ordered[: start["III"]]))
-    for (rel_type, side, temporal), count in sides.items():
+    for (rel_type, side, temporal), count in Counter(map(_SIDE, ordered[: start["III"]])).items():
         per_rel_bucket[rel_type, f"{side}_{temporal}" if temporal else "typing"] += count
     per_rel_type: dict[str, dict[str, int]] = {}
     for (rel_type, bucket), count in sorted(per_rel_bucket.items()):
         per_rel_type.setdefault(rel_type, dict.fromkeys(_REL_TYPE_BUCKETS, 0))[bucket] += count
     return ConformanceReport(
-        conforms=SEVERITY_ERROR not in map(attrgetter("severity"), ordered),
+        conforms=SEVERITY_ERROR not in map(_SEVERITY, ordered),
         violations=ordered,
         summary=summary,
-        per_constraint=dict(sorted(Counter(map(attrgetter("constraint"), ordered[start["IX"] :])).items())),
+        per_constraint=dict(sorted(Counter(map(_CONSTRAINT, ordered[start["IX"] :])).items())),
         per_aoc_edge={e: (always[e], eventually[e]) for e in sorted(always.keys() | eventually.keys())},
         per_rel_type=per_rel_type,
-        unknown_activities=tuple(sorted({*map(attrgetter("activity"), ordered[start["IV"] : start["V"]])})),
+        unknown_activities=tuple(sorted({*map(_ACTIVITY, ordered[start["IV"] : start["V"]])})),
         prefix_mode=prefix,
     )
 

@@ -496,6 +496,36 @@ def desk_hubs_log(n: int) -> EventLog:
     return EventLog(init=init, events=tuple(events))
 
 
+def crowd_model(rel_types: int) -> OcbcModel:
+    """A "note" references one to ten tickets, and each of `rel_types`
+    relationship types seats a ticket at exactly one desk, eventually."""
+    return OcbcModel(
+        bcm=BcModel(activities=frozenset({"open", "note"}), constraints=()),
+        clam=ClassModel(
+            classes=frozenset({"ticket", "desk"}),
+            rel_types=tuple(rel_type(f"r{i}", "ticket", "desk", tar_ev="1") for i in range(rel_types)),
+        ),
+        links=(link("open", "ticket"), link("open", "desk"), link("note", "ticket", objects="1..10")),
+        scope={},
+    )
+
+
+def crowd_log(events: int, rel_types: int, per_note: int) -> EventLog:
+    """Every other event opens a ticket and seats it at a desk over every
+    other relationship type; each "note" references the last `per_note`
+    tickets and desk d0 (types II and VIII)."""
+    init = ObjectModel(class_of={f"d{i}": "desk" for i in range(10)}, relations=frozenset())
+    log = []
+    for seq in range(1, events + 1):
+        t = (seq + 1) // 2
+        if seq % 2:
+            seats = [(f"r{i}", f"t{t}", f"d{(t + i) % 10}") for i in range(t % 2, rel_types, 2)]
+            log.append(event(f"e{seq}", seq, "open", {f"t{t}"}, new_objects=[(f"t{t}", "ticket")], new_relations=seats))
+        else:
+            log.append(event(f"e{seq}", seq, "note", {"d0", *(f"t{k}" for k in range(max(1, t - per_note + 1), t + 1))}))
+    return EventLog(init=init, events=tuple(log))
+
+
 # -- class flips: many asserted snapshots ---------------------------------------
 
 
@@ -523,6 +553,59 @@ def class_flip_log(events: int) -> EventLog:
             snapshot = ObjectModel(class_of=classes, relations=frozenset())
         log.append(event(f"e{seq}", seq, "note", {f"o{seq % 20}", f"o{(seq + 7) % 20}"}, assert_snapshot=snapshot))
     return EventLog(init=ObjectModel(class_of={o: "ticket" for o in classes}, relations=frozenset()), events=tuple(log))
+
+
+def relink_model() -> OcbcModel:
+    """A ticket sits at exactly one desk, and a desk seats at most two tickets."""
+    return OcbcModel(
+        bcm=BcModel(activities=frozenset({"note"}), constraints=()),
+        clam=ClassModel(
+            classes=frozenset({"ticket", "desk"}),
+            rel_types=(rel_type("at", "ticket", "desk", src="0..2", tar="1"),),
+        ),
+        links=(link("note", "ticket"), link("note", "desk")),
+        scope={},
+    )
+
+
+def relink_log(events: int, every: int = 4, objects: int = 12) -> EventLog:
+    """`objects` objects, one of which flips between ticket and desk at each
+    snapshot, asserted every `every`th event, while "at" relations on them
+    are added, re-added when present and removed, within and across
+    stretches.  A snapshot keeps most relations; its event also re-adds a
+    present one and adds one the snapshot drops.  The first event of a
+    stretch adds an object linked at once, which the next snapshot drops;
+    some events change nothing (types I, II and III)."""
+    rng = random.Random(f"relink:{events}:{every}:{objects}")
+    classes = {f"o{i}": "desk" if i % 3 == 0 else "ticket" for i in range(objects)}
+    relations = {("at", "o1", "o0"), ("at", "o2", "o0")}
+    init = ObjectModel(class_of=classes, relations=relations)
+    log = []
+    for seq in range(1, events + 1):
+        a, b = rng.sample(sorted(classes), 2)
+        new_objects, new, removed, snapshot = [], [("at", a, b)], [], None
+        if seq % every == 0:
+            flipped = rng.choice(sorted(classes))
+            classes = {**classes, flipped: "ticket" if classes[flipped] == "desk" else "desk"}
+            new += rng.sample(sorted(relations), min(1, len(relations)))
+            relations = {rel for rel in relations if rel[1] in classes and rel[2] in classes and rng.random() < 0.8}
+            snapshot = ObjectModel(class_of=classes, relations=relations)
+        elif seq % every == 1:
+            new_objects = [(f"n{seq}", rng.choice(("ticket", "desk")))]
+            new = [("at", f"n{seq}", a), ("at", b, f"n{seq}")]
+            relations.update(new)
+        elif relations and rng.random() < 0.3:
+            new, removed = [], [rng.choice(sorted(relations))]
+            relations.difference_update(removed)
+        elif relations and rng.random() < 0.3:
+            new = [rng.choice(sorted(relations))]
+        elif rng.random() < 0.3:
+            new = []
+        else:
+            relations.update(new)
+        log.append(event(f"e{seq}", seq, "note", {a}, new_objects=new_objects, new_relations=new,
+                         removed_relations=removed, assert_snapshot=snapshot))
+    return EventLog(init=init, events=tuple(log))
 
 
 # -- seeded random scenarios ---------------------------------------------------

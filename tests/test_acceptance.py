@@ -43,6 +43,8 @@ from scenarios import (
     MULTI_RANGE_PAIRS,
     class_flip_log,
     class_flip_model,
+    crowd_log,
+    crowd_model,
     desk_hubs_log,
     desk_model,
     fan_in_model,
@@ -59,6 +61,8 @@ from scenarios import (
     random_log,
     random_model,
     relationship_hub_log,
+    relink_log,
+    relink_model,
     throughput_model,
     ticket_log,
     ticket_model,
@@ -372,6 +376,33 @@ def test_criterion_9_fan_in_correlation_scaling(via, build, shape):
     )
 
 
+@pytest.mark.parametrize(
+    "kind, rel_types, per_note, shape",
+    [("VIII", 2, 50, "fifty counted objects per note"), ("II", 32, 5, "32 relationship types")],
+)
+def test_criterion_9_fan_in_kind_scaling(kind, rel_types, per_note, shape):
+    """VIII over events that each reference many counted objects, and II
+    over many relationship types: each kind still costs the same per event
+    at twice the size."""
+    model = crowd_model(rel_types)
+    small, large = crowd_log(1000, rel_types, per_note), crowd_log(2000, rel_types, per_note)
+
+    def per_event(log):
+        repeats = 4_000 // len(log.events)
+        gc.collect()
+        started = time.perf_counter()
+        for _ in range(repeats):
+            found = check_violations(model, log, (kind,))
+        assert len(found) > len(log.events) // 4
+        return (time.perf_counter() - started) / (repeats * len(log.events))
+
+    ratio = median_pair_ratio(lambda: per_event(small), lambda: per_event(large))
+    assert ratio <= 1.5, f"doubling the log scaled per-event {kind} time by {ratio:.2f}x"
+    record_acceptance(
+        9, f"{shape} {len(small.events)} -> {len(large.events)} events: per-event {kind} {ratio:.2f}x"
+    )
+
+
 @pytest.mark.parametrize("every, which", [(1, "every line"), (2, "every other line")])
 def test_criterion_9_off_canonical_decode_scaling(every, which):
     """Event lines in another JSON layout (compact separators) miss the
@@ -445,6 +476,32 @@ def test_criterion_9_many_assertions_scaling():
     record_acceptance(
         9, f"many assertions {len(small.events)} -> {len(large.events)} events: "
            f"per-event III, VI and VIII {ratio:.2f}x"
+    )
+
+
+def test_criterion_9_type_i_over_many_assertions_scaling():
+    """An asserted snapshot every other event flips one of four objects'
+    class while relations on them come and go: type I takes each asserting
+    event's stretch map in turn, not by a scan of the stretches, and still
+    costs the same per event at twice the size."""
+    model = relink_model()
+    small, large = relink_log(6000, every=2, objects=4), relink_log(12_000, every=2, objects=4)
+
+    def per_event(log):
+        repeats = 12_000 // len(log.events)
+        gc.collect()
+        started = time.perf_counter()
+        for _ in range(repeats):
+            found = check_violations(model, log, ("I",))
+        assert len(found) > len(log.events)
+        return (time.perf_counter() - started) / (repeats * len(log.events))
+
+    assert len(large._stretches) == 6001
+    ratio = median_pair_ratio(lambda: per_event(small), lambda: per_event(large))
+    assert ratio <= 1.5, f"doubling the log scaled per-event type I time by {ratio:.2f}x"
+    record_acceptance(
+        9, f"type I over many assertions {len(small.events)} -> {len(large.events)} events: "
+           f"per-event type I {ratio:.2f}x"
     )
 
 

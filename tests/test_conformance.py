@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import ChainMap
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,8 @@ from scenarios import (
     random_log,
     random_model,
     rel_type,
+    relink_log,
+    relink_model,
     ticket_log,
     ticket_model,
 )
@@ -180,6 +183,24 @@ def test_type_i_rows_are_built_once_per_breach_state(name, monkeypatch):
     for prefix in (False, True):
         assert check_violations(model, log, ("I",), prefix) == oracle
         assert [v for v in check_violations(model, log, prefix=prefix) if v.kind == "I"] == oracle
+
+
+@pytest.mark.parametrize("events, every", [(12, 4), (60, 3), (200, 4), (200, 5)])
+def test_type_i_takes_classes_from_the_stretch_of_each_event(events, every):
+    """Objects flip class at asserted snapshots while relations on them are
+    added, re-added when present and removed, within and across stretches.
+    Type I, which reads classes from the build's stretch maps, equals the
+    oracle alone and beside the other kinds, in full and prefix mode."""
+    model, log = relink_model(), relink_log(events, every)
+    oracle = sort_violations(naive_check(model, log))
+    type_i = [v for v in oracle if v.kind == "I"]
+    # Both cardinality and endpoint typing breaches.
+    assert {bool(v.detail) for v in type_i} == {False, True}
+    assert {v.kind for v in oracle} == {"I", "II", "III"}
+    for prefix in (False, True):
+        assert check_violations(model, log, ("I",), prefix) == type_i, prefix
+        expected = [v.downgraded() if prefix and v.kind == "II" else v for v in oracle]
+        assert check_violations(model, log, prefix=prefix) == expected, prefix
 
 
 # -- Type II: fulfilment at the end of the log --------------------------------
@@ -831,8 +852,8 @@ def test_check_sorts_no_type_i_violation(monkeypatch):
 
 
 def test_unselected_kinds_skip_the_replay(monkeypatch):
-    """Type I alone folds the log again: every selection without it, types
-    III, VI and VIII included, reads what the log build kept."""
+    """Type I alone visits the events' deltas again: every selection without
+    it, types III, VI and VIII included, reads only what the log build kept."""
     def refuse(*args):
         raise AssertionError("the per-event replay ran for kinds that do not need it")
 
@@ -974,10 +995,10 @@ def _fold_edge_cases():
 
 
 def test_replay_state_after_the_last_event_is_the_final_snapshot():
-    """The conformance replay folds deltas through the log's own fold, so its
-    state after the last event is the final snapshot the build kept; on the
-    edge cases, all kinds together and types III, VI and VIII each alone
-    agree with the oracle, in full and prefix mode."""
+    """The conformance replay reads the deltas and the stretch maps that the
+    build kept, so its state after the last event is the final snapshot the
+    build kept; on the edge cases, all kinds together and types III, VI and
+    VIII each alone agree with the oracle, in full and prefix mode."""
     def state(class_of, relations):
         return dict(class_of), frozenset(relations)
 
@@ -1002,25 +1023,27 @@ def test_replay_state_after_the_last_event_is_the_final_snapshot():
     assert kinds == {"III", "V", "VI", "VIII"}
 
 
-def test_an_asserting_event_checks_its_additions_without_copying_the_map():
+def test_an_asserting_event_checks_its_additions_without_copying_the_map(monkeypatch):
     """An asserting event's new objects are checked against the state and
     then replaced by the snapshot, so the fold copies no class map for them:
-    the map they go to holds no copy of the initial objects, and the kept
-    stretch maps are the initial map and the snapshot's.  Types III, V, VI
-    and VIII agree with the oracle there."""
+    the map they go to (seen through a recording `ChainMap` in the log
+    build) holds no copy of the initial objects, and the kept stretch maps
+    are the initial map and the snapshot's.  Types III, V, VI and VIII agree
+    with the oracle there."""
     name = "an asserting event that adds objects, after a stretch that added none"
     (model, log), = [(m, lg) for n, m, lg, _ in _fold_edge_cases() if n == name]
     init = log.init.class_of
 
-    class Fold(eventlog._ReplayState):
-        def added_object(self, obj):
-            copied = type(self.class_of) is dict and self.class_of.keys() >= init.keys()
-            added.append((obj, self.class_of[obj], copied))
+    class Recording(ChainMap):
+        """The map an asserting event's additions go to, recording each."""
+
+        def __setitem__(self, obj, cls):
+            super().__setitem__(obj, cls)
+            added.append((obj, cls, self.maps[0].keys() >= init.keys()))
 
     added = []
-    fold = Fold(log.init)
-    for index, event in enumerate(log.events):
-        fold.apply(event, index)
+    monkeypatch.setattr(eventlog, "ChainMap", Recording)
+    EventLog(log.init, log.events)
     assert added == [("k2", "k", False), ("n1", "n", False)]
     assert dict(init) == {"k1": "k", "m1": "m"}
     assert [class_of for _, class_of in log._stretches] == [init, log.events[1].delta.assert_snapshot.class_of]

@@ -41,11 +41,13 @@ from ocbcheck import formats
 from ocbcheck.cli import main
 from ocbcheck.eventlog import MAX_SEQ
 from scenarios import (
+    desk_model,
     hiring_log,
     hiring_model,
     named_and_random_pairs,
     order_process_log,
     order_process_model,
+    persistent_breach_log,
     precedence_log,
     precedence_model,
     random_log,
@@ -1116,16 +1118,20 @@ def many_violations_report(count: int):
 
 
 def test_save_report_holds_few_copies_of_the_text():
+    """Distinct violations, and a persistent type I breach repeated at every
+    event: the writer's peak stays within three times the text."""
     import tracemalloc
 
-    report = many_violations_report(30_000)
-    tracemalloc.start()
-    try:
-        data = save_report(report)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * len(data), f"peak {peak} bytes for a {len(data)}-byte report"
+    persistent = check_all(desk_model(), persistent_breach_log(10_000))
+    assert persistent.summary["I"] == 30_000
+    for report in (many_violations_report(30_000), persistent):
+        tracemalloc.start()
+        try:
+            data = save_report(report)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(data), f"peak {peak} bytes for a {len(data)}-byte report"
 
 
 def mutants(data: bytes, rng: random.Random):

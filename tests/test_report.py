@@ -92,6 +92,9 @@ def naive_tables(violations) -> dict:
 
 
 def test_aggregate_equals_a_per_violation_recount():
+    """Also on the lists whose first, a middle or the last kind is absent,
+    so that each kind's slice is found at every edge."""
+    dropped = dict.fromkeys(("I", "V", "IX"), 0)
     for seed in range(40):
         rng = random.Random(seed)
         model = random_model(rng)
@@ -99,13 +102,17 @@ def test_aggregate_equals_a_per_violation_recount():
         for prefix in (False, True):
             violations = check_violations(model, log, prefix=prefix)
             rng.shuffle(violations)
-            for part in (violations, violations[:1]):
+            without = {kind: [v for v in violations if v.kind != kind] for kind in dropped}
+            for kind, part in without.items():
+                dropped[kind] += len(part) < len(violations) and bool(part)
+            for part in (violations, violations[:1], *without.values()):
                 report = aggregate(part, prefix=prefix)
                 expected = naive_tables(part)
                 fields = {name: getattr(report, name) for name in expected}
                 assert fields == expected, (seed, prefix)
                 assert repr(fields) == repr(expected), "tables in another order"
                 assert report.prefix_mode is prefix
+    assert min(dropped.values()) >= 20, dropped
 
 
 def test_render_conforming():
