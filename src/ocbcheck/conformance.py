@@ -11,12 +11,14 @@ missing references, types I, III, VI and VIII its class map of each stretch
 between two assertions, type I beside the deltas of its events) and the
 objects each event brings in (`EventLog.introductions`, for III and VII).
 Type VII reads each object's runs of breaching counts from the
-cardinality's ranges.  Type IX correlates once per constraint and distinct
-reference object set, through the function `resolve_targets` also uses,
-and counts each reference event's targets by two bisections, as
-`evaluate_bc` counts a trace.  Each kind's violations are sorted on their
-own, except type I's, which its replay keeps in report order; `KINDS`
-order then puts the kinds one after another in report order.
+cardinality's ranges.  Type IX correlates once per constraint and
+reference object, through the function `resolve_targets` also uses, and
+counts each reference event's targets by two bisections per correlated
+object, as `evaluate_bc` counts a trace; an event on several correlated
+objects is counted over their composition, once per distinct set.  Each
+kind's violations are sorted on their own, except type I's, which its
+replay keeps in report order; `KINDS` order then puts the kinds one after
+another in report order.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import cache
 from itertools import chain, compress, product, repeat, starmap
-from operator import add, is_not, itemgetter
+from operator import add, is_not, itemgetter, not_, sub
 from typing import Callable, Iterator, Mapping
 
 from .cardinality import Cardinality
@@ -219,6 +221,7 @@ def _check_ii(model: OcbcModel, log: EventLog) -> list[Violation]:
             card = rt.card(side, "eventually")
             if card.is_universal:
                 continue
+            expected = card.render()
             for obj in by_class.get(_keeper(rt, side), ()):
                 count = counts[side].get((rt.id, obj), 0)
                 if count not in card:
@@ -226,7 +229,7 @@ def _check_ii(model: OcbcModel, log: EventLog) -> list[Violation]:
                         Violation(
                             kind="II", event=last.id, seq=last.seq, rel_type=rt.id,
                             side=side, obj=obj, temporal="eventually",
-                            observed=count, expected=card.render(),
+                            observed=count, expected=expected,
                         )
                     )
     return found
@@ -318,6 +321,7 @@ def _check_vii(model: OcbcModel, log: EventLog) -> list[Violation]:
             continue
         # The link's verdict tables, per (start, total) and per final count.
         gap_starts, allows_total = cache(always.gap_starts), cache(eventually.__contains__)
+        expected_always, expected_eventually = always.render(), eventually.render()
         positions_of = log._positions.get(activity, {})
         for obj, first in first_seen.get(cls, {}).items():
             positions = positions_of.get(obj, ())
@@ -330,7 +334,7 @@ def _check_vii(model: OcbcModel, log: EventLog) -> list[Violation]:
                 found.append(
                     Violation(
                         kind="VII", event=event.id, seq=event.seq, activity=activity, cls=cls,
-                        obj=obj, temporal="always", observed=count, expected=always.render(),
+                        obj=obj, temporal="always", observed=count, expected=expected_always,
                     )
                 )
             # An eventual-count breach on an object whose running count
@@ -340,7 +344,7 @@ def _check_vii(model: OcbcModel, log: EventLog) -> list[Violation]:
                 found.append(
                     Violation(
                         kind="VII", event=last.id, seq=last.seq, activity=activity, cls=cls,
-                        obj=obj, temporal="eventually", observed=total, expected=eventually.render(),
+                        obj=obj, temporal="eventually", observed=total, expected=expected_eventually,
                     )
                 )
     return found
@@ -371,32 +375,58 @@ def _check_viii(model: OcbcModel, log: EventLog) -> list[Violation]:
 
 
 def _check_ix(model: OcbcModel, log: EventLog) -> list[Violation]:
-    """Type IX: behavioral constraints over object-correlated target events.
-    Reference events are grouped by their object set, by value: each set is
-    correlated once, on first sight, and each reference event counts its
-    targets by two bisections."""
-    events, by_activity = log.events, log._by_activity
-    found = []
+    """Type IX: behavioral constraints over object-correlated target events,
+    counted column-wise: each reference object is correlated once, and each
+    of its reference positions counts its targets by two bisections.  A
+    reference event correlated through several objects is counted over their
+    composition, once per distinct object set; one through none counts (0, 0)."""
+    events, found = log.events, []
     for constraint in model.bcm.constraints:
         cid, ref_activity, _, ctype = constraint
         accepts, expected = cache(ctype.accepts), ctype.render()  # the verdict table
-        correlate, targets_of = _correlation(model, log, constraint), {}
-        for ref_index in by_activity.get(ref_activity, ()):
-            objects = events[ref_index].objects
-            targets = targets_of.get(objects)
-            if targets is None:
-                targets = targets_of[objects] = correlate(objects)
-            before, after = bisect_left(targets, ref_index), len(targets) - bisect_right(targets, ref_index)
-            if not accepts(before, after):
-                event = events[ref_index]
-                found.append(
-                    Violation(
-                        kind="IX", event=event.id, seq=event.seq,
-                        constraint=cid, before=before, after=after,
-                        expected=expected,
-                    )
-                )
+        correlate, refs = _correlation(model, log, constraint), log._positions.get(ref_activity, {})
+        lists = {o: targets for o in refs if (targets := correlate(o))}
+        # One (reference position, target list) pair per correlated object of a reference event.
+        columns = list(map(refs.__getitem__, lists))
+        at = list(chain.from_iterable(columns))
+        of = [targets for targets, column in zip(lists.values(), columns) for _ in column]
+        counted = set(at)
+        shared = () if len(counted) == len(at) else {p for p, n in Counter(at).items() if n > 1}
+        verdicts = map(accepts, map(bisect_left, of, at), map(sub, map(len, of), map(bisect_right, of, at)))
+        # Only a failing pair counts again, for its violation.
+        failing = [
+            (p, bisect_left(targets, p), len(targets) - bisect_right(targets, p))
+            for p, targets in compress(zip(at, of), map(not_, verdicts)) if p not in shared
+        ]
+        compose = cache(lambda objects: _composed([lists[o] for o in objects if o in lists]))
+        for p in shared:
+            longest, extras = compose(events[p].objects)
+            b = bisect_left(longest, p) + bisect_left(extras, p)
+            a = len(longest) + len(extras) - bisect_right(longest, p) - bisect_right(extras, p)
+            if not accepts(b, a):
+                failing.append((p, b, a))
+        if not accepts(0, 0):
+            failing += [(p, 0, 0) for p in log._by_activity.get(ref_activity, ()) if p not in counted]
+        found += [
+            Violation(kind="IX", event=events[p].id, seq=events[p].seq, constraint=cid,
+                      before=b, after=a, expected=expected)
+            for p, b, a in failing
+        ]
+        del lists, columns, at, of, counted  # before the next constraint builds its own
     return found
+
+
+def _composed(lists: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Two or more ascending target lists as the longest of them and the
+    ascending, distinct positions of the others that it lacks: together they
+    hold each target event once.  The others' positions are looked up in the
+    longest list by bisection while that costs less than one pass over it."""
+    longest, others = max(lists, key=len), set()
+    others.update(*(targets for targets in lists if targets is not longest))
+    if len(others) * len(longest).bit_length() >= len(longest):
+        return longest, sorted(others.difference(longest))
+    held = map(sub, map(bisect_right, repeat(longest), others), map(bisect_left, repeat(longest), others))
+    return longest, sorted(compress(others, map(not_, held)))
 
 
 _CHECKS = {
@@ -407,84 +437,53 @@ _CHECKS = {
 
 def _correlation(
     model: OcbcModel, log: EventLog, constraint: BehavioralConstraint
-) -> Callable[[frozenset[str]], list[int]]:
-    """The correlation of a constraint: a function from a reference event's
-    objects to the ascending, distinct positions of its target events.
-
-    Correlation navigates the final object model: objects of the scope class
-    that the reference event references, or partners reached from them over
-    relations of the scope relationship type in either direction.  The log
-    builds the neighbour map of a relationship type once, on first use.  One
-    correlated object's positions are the log's own list; several objects'
-    lists are merged, so a target event referencing two of them counts once.
+) -> Callable[[str], list[int] | None]:
+    """The correlation of a constraint, per reference object: a function from
+    one object to the ascending, distinct positions of its target events, or
+    nothing.  It navigates the final object model.  An object of the scope
+    class has the log's own position list; over a scope relationship type,
+    an object has the merged lists of its partners in either direction,
+    whose neighbour map the log builds once, on first use.
     """
     via, positions = model.scope[constraint.id], log._positions.get(constraint.target_activity, {})
-    class_of = log.final_snapshot().class_of
-    nbr = None if via in model.clam.classes else log._neighbours_via(via)
+    if via in model.clam.classes:
+        class_of = log.final_snapshot().class_of
+        return lambda obj: positions.get(obj) if class_of.get(obj) == via else None
+    nbr = log._neighbours_via(via)
 
-    def targets(objects: frozenset[str]) -> list[int]:
-        if nbr is None:
-            lists = [p for o in objects if class_of.get(o) == via and (p := positions.get(o))]
-        else:
-            correlated = set().union(*(nbr.get(o, ()) for o in objects))
-            lists = [p for o in correlated if (p := positions.get(o))]
+    def targets(obj: str) -> list[int]:
+        lists = [p for partner in nbr.get(obj, ()) if (p := positions.get(partner))]
         return lists[0] if len(lists) == 1 else sorted(set().union(*lists))
 
     return targets
 
 
-def check_type_i(model: OcbcModel, log: EventLog) -> list[Violation]:
-    """Validity of the object model after every event."""
-    return check_violations(model, log, ("I",))
+def _kind_check(kind: str, doc: str) -> Callable[[OcbcModel, EventLog], list[Violation]]:
+    """`check_violations` for one kind alone, as `check_type_<kind>`."""
+    def check(model: OcbcModel, log: EventLog) -> list[Violation]:
+        return check_violations(model, log, (kind,))
+
+    check.__name__ = check.__qualname__ = f"check_type_{kind.lower()}"
+    check.__doc__ = doc
+    return check
 
 
-def check_type_ii(model: OcbcModel, log: EventLog) -> list[Violation]:
-    """Fulfilment: eventual relationship cardinalities, at the final snapshot."""
-    return check_violations(model, log, ("II",))
-
-
-def check_type_iii(model: OcbcModel, log: EventLog) -> list[Violation]:
-    """Monotonicity: objects never disappear or change class."""
-    return check_violations(model, log, ("III",))
-
-
-def check_type_iv(model: OcbcModel, log: EventLog) -> list[Violation]:
-    """Activity existence: every event's activity is declared."""
-    return check_violations(model, log, ("IV",))
-
-
-def check_type_v(model: OcbcModel, log: EventLog) -> list[Violation]:
-    """Object existence: referenced objects exist when the event occurs."""
-    return check_violations(model, log, ("V",))
-
-
-def check_type_vi(model: OcbcModel, log: EventLog) -> list[Violation]:
-    """Proper classes: events only reference objects of linked classes."""
-    return check_violations(model, log, ("VI",))
-
-
-def check_type_vii(model: OcbcModel, log: EventLog) -> list[Violation]:
-    """Right number of events per object, always and eventually."""
-    return check_violations(model, log, ("VII",))
-
-
-def check_type_viii(model: OcbcModel, log: EventLog) -> list[Violation]:
-    """Right number of referenced objects per event."""
-    return check_violations(model, log, ("VIII",))
-
-
-def check_type_ix(model: OcbcModel, log: EventLog) -> list[Violation]:
-    """Behavioral constraints over object-correlated target events."""
-    return check_violations(model, log, ("IX",))
+check_type_i = _kind_check("I", "Validity of the object model after every event.")
+check_type_ii = _kind_check("II", "Fulfilment: eventual relationship cardinalities, at the final snapshot.")
+check_type_iii = _kind_check("III", "Monotonicity: objects never disappear or change class.")
+check_type_iv = _kind_check("IV", "Activity existence: every event's activity is declared.")
+check_type_v = _kind_check("V", "Object existence: referenced objects exist when the event occurs.")
+check_type_vi = _kind_check("VI", "Proper classes: events only reference objects of linked classes.")
+check_type_vii = _kind_check("VII", "Right number of events per object, always and eventually.")
+check_type_viii = _kind_check("VIII", "Right number of referenced objects per event.")
+check_type_ix = _kind_check("IX", "Behavioral constraints over object-correlated target events.")
 
 
 def resolve_targets(model: OcbcModel, log: EventLog, cid: str, ref_event: str) -> set[str]:
-    """Target events of a constraint for one reference event.
-
-    Correlation navigates the final snapshot: shared objects of the scope
-    class, or relations of the scope relationship type traversed in either
-    direction.  The IX check counts the same events, less the reference
-    event itself.
+    """Target events of a constraint for one reference event: the union of
+    what `_correlation` gives each of the event's own objects, which
+    navigates the final snapshot.  The IX check counts the same events, less
+    the reference event itself.
     """
     if not model.bcm.has_constraint(cid):
         raise LogError(f"unknown constraint {cid!r}")
@@ -495,7 +494,8 @@ def resolve_targets(model: OcbcModel, log: EventLog, cid: str, ref_event: str) -
             f"event {ref_event!r} has activity {event.activity!r}, "
             f"expected reference activity {constraint.ref_activity!r}"
         )
-    return {log.events[i].id for i in _correlation(model, log, constraint)(event.objects)}
+    correlate = _correlation(model, log, constraint)
+    return {log.events[i].id for obj in event.objects for i in correlate(obj) or ()}
 
 
 def check_violations(

@@ -4,6 +4,7 @@ plus seeded random scenario builders for the oracle and mimicking suites."""
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 from ocbcheck import (
     ActivityClassLink,
@@ -493,6 +494,40 @@ def desk_hubs_log(n: int) -> EventLog:
     for i in range(n):
         events.append(event(f"v{i}", 2 * i + 1, "visit", {"d1", "d2"}))
         events.append(event(f"s{i}", 2 * i + 2, "ship", {f"d{i % 2 + 1}"}))
+    return EventLog(init=init, events=tuple(events))
+
+
+def desk_pairs_log(n: int) -> EventLog:
+    """`n` distinct reference sets that share one busy desk (class scope
+    `desk`): visit `i` and ship `i` each reference `{d1, x_i}`, so every
+    visit correlates with all `n` ships on `d1`, its own among them."""
+    desks = [f"x{i}" for i in range(n)]
+    init = ObjectModel(class_of=dict.fromkeys(["d1", *desks], "desk"), relations=frozenset())
+    events = []
+    for i, desk in enumerate(desks):
+        events.append(event(f"v{i}", 2 * i + 1, "visit", {"d1", desk}))
+        events.append(event(f"s{i}", 2 * i + 2, "ship", {"d1", desk}))
+    return EventLog(init=init, events=tuple(events))
+
+
+def customer_pairs_log(n: int) -> EventLog:
+    """`n` distinct reference sets that share one busy customer
+    (relationship scope `r`): customer `c` owns orders `o_i` and customer
+    `k_i` owns order `q_i`, each order has one ship, and visit `i`
+    references `{c, k_i}`, so it correlates with all `n` ships of `c`'s
+    orders and the one of `q_i`."""
+    init = ObjectModel(
+        class_of={
+            "c": "customer", **{f"k{i}": "customer" for i in range(n)},
+            **{f"{o}{i}": "order" for i in range(n) for o in "oq"},
+        },
+        relations=frozenset(chain.from_iterable((("r", "c", f"o{i}"), ("r", f"k{i}", f"q{i}")) for i in range(n))),
+    )
+    events = []
+    for i in range(n):
+        events.append(event(f"v{i}", 3 * i + 1, "visit", {"c", f"k{i}"}))
+        events.append(event(f"s{i}", 3 * i + 2, "ship", {f"o{i}"}))
+        events.append(event(f"t{i}", 3 * i + 3, "ship", {f"q{i}"}))
     return EventLog(init=init, events=tuple(events))
 
 

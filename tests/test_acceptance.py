@@ -45,7 +45,9 @@ from scenarios import (
     class_flip_model,
     crowd_log,
     crowd_model,
+    customer_pairs_log,
     desk_hubs_log,
+    desk_pairs_log,
     desk_model,
     fan_in_model,
     hiring_log,
@@ -362,6 +364,36 @@ def test_criterion_9_fan_in_correlation_scaling(via, build, shape):
 
     def per_event(log):
         repeats = 40_000 // len(log.events)
+        gc.collect()
+        started = time.perf_counter()
+        for _ in range(repeats):
+            found = check_violations(model, log, ("IX",))
+        assert not found
+        return (time.perf_counter() - started) / (repeats * len(log.events))
+
+    ratio = median_pair_ratio(lambda: per_event(small), lambda: per_event(large))
+    assert ratio <= 1.5, f"doubling the log scaled per-event IX time by {ratio:.2f}x"
+    record_acceptance(
+        9, f"{shape} {len(small.events)} -> {len(large.events)} events: per-event IX {ratio:.2f}x"
+    )
+
+
+@pytest.mark.parametrize(
+    "via, build, pairs, shape",
+    [
+        ("desk", desk_pairs_log, 2000, "distinct desk sets {d1, x_i}"),
+        ("r", customer_pairs_log, 1000, "distinct customer sets {c, k_i}"),
+    ],
+)
+def test_criterion_9_distinct_set_correlation_scaling(via, build, pairs, shape):
+    """Every reference event has an object set of its own, and each set holds
+    the one busy object that correlates with all target events of its kind:
+    IX still costs the same per event at twice the size."""
+    model = fan_in_model(via)
+    small, large = build(pairs), build(2 * pairs)
+
+    def per_event(log):
+        repeats = 16_000 // len(log.events)
         gc.collect()
         started = time.perf_counter()
         for _ in range(repeats):

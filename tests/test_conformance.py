@@ -36,7 +36,9 @@ from ocbcheck.violations import Violation, sort_violations
 from oracle import fold_snapshots, naive_check
 from scenarios import (
     constraint,
+    customer_pairs_log,
     desk_model,
+    desk_pairs_log,
     event,
     fan_in_model,
     hiring_log,
@@ -53,6 +55,7 @@ from scenarios import (
     random_log,
     random_model,
     rel_type,
+    relationship_hub_log,
     relink_log,
     relink_model,
     ticket_log,
@@ -487,8 +490,14 @@ def _fan_in_case(via: str, template: str, order: list[int]) -> tuple[OcbcModel, 
                   ("visit", {"d1", "d2"}), ("visit", {"d2"}), ("ship", {"d1"}), ("ship", {"d2"}),
                   ("ship", {"d1", "d2"}), ("ship", {"d1"})]
     events = tuple(event(f"e{i}", seq, *shapes[i]) for seq, i in enumerate(order, start=1))
+    return _visit_model(via, template), EventLog(init=init, events=events)
+
+
+def _visit_model(via: str, template) -> OcbcModel:
+    """`fan_in_model` with `visit` -> `ship` and `visit` -> `visit`
+    constraints of one template via `via`."""
     base = fan_in_model(via)
-    model = OcbcModel(
+    return OcbcModel(
         bcm=BcModel(
             activities=frozenset({"visit", "ship"}),
             constraints=(constraint("to-ship", template, "visit", "ship"),
@@ -498,7 +507,6 @@ def _fan_in_case(via: str, template: str, order: list[int]) -> tuple[OcbcModel, 
         links=base.links,
         scope={"to-ship": via, "to-visit": via},
     )
-    return model, EventLog(init=init, events=events)
 
 
 @pytest.mark.parametrize("via", ["r", "desk"])
@@ -518,20 +526,24 @@ def test_fan_in_correlation_agrees_with_the_oracle(via):
             first, second = (e.objects for e in log.events if e.id in ("e0", "e1"))
             assert first == second and first is not second
             assert check_violations(model, log) == sort_violations(naive_check(model, log)), (template, order)
-            final = log.final_snapshot()
             for c in model.bcm.constraints:
                 for ref in log.events_of_activity("visit"):
-                    objects = log.event(ref).objects
-                    if via == "desk":
-                        correlated = {o for o in objects if final.class_of.get(o) == via}
-                    else:
-                        correlated = {t for rt, s, t in final.relations if rt == via and s in objects}
-                        correlated |= {s for rt, s, t in final.relations if rt == via and t in objects}
-                    expected = {
-                        e.id for e in log.events
-                        if e.activity == c.target_activity and e.objects & correlated
-                    }
+                    expected = _scanned_targets(model, log, c, log.event(ref).objects)
                     assert resolve_targets(model, log, c.id, ref) == expected, (c.id, ref)
+
+
+def _scanned_targets(model, log, c, objects):
+    """The ids of the target events of constraint `c` that `objects`
+    correlate with, by a scan of the final snapshot and the log: through
+    objects of the scope class, or their partners over relations of the
+    scope relationship type in either direction."""
+    final, via = log.final_snapshot(), model.scope[c.id]
+    if via in model.clam.classes:
+        correlated = {o for o in objects if final.class_of.get(o) == via}
+    else:
+        correlated = {t for rt, s, t in final.relations if rt == via and s in objects}
+        correlated |= {s for rt, s, t in final.relations if rt == via and t in objects}
+    return {e.id for e in log.events if e.activity == c.target_activity and e.objects & correlated}
 
 
 def test_unrelated_and_late_targets_violate_precedence():
@@ -551,17 +563,18 @@ def test_shared_object_correlation():
     assert check_type_ix(model, log) == []
 
 
-def _ix_counts(model, log):
-    """IX's (before, after) for every (constraint, reference event).
-
-    Every constraint type is replaced by one that only a sum of 2**31-1
-    target events satisfies, so IX reports each reference event with its
-    counts.
-    """
+def _blind(model):
+    """`model` with every constraint type replaced by one that only a sum of
+    2**31-1 target events satisfies, so IX reports each reference event with
+    its counts."""
     never = ConstraintType(total=Cardinality.exactly(MAX_BOUND))
     constraints = tuple(c._replace(ctype=never) for c in model.bcm.constraints)
-    blind = OcbcModel(BcModel(model.bcm.activities, constraints), model.clam, model.links, model.scope)
-    return {(v.constraint, v.event): (v.before, v.after) for v in check_type_ix(blind, log)}
+    return OcbcModel(BcModel(model.bcm.activities, constraints), model.clam, model.links, model.scope)
+
+
+def _ix_counts(model, log):
+    """IX's (before, after) for every (constraint, reference event)."""
+    return {(v.constraint, v.event): (v.before, v.after) for v in check_type_ix(_blind(model), log)}
 
 
 def _shared_partner_scenario():
@@ -669,27 +682,114 @@ def test_hiring_mutants():
 
 @pytest.mark.parametrize("via", ["r", "desk"])
 def test_equal_object_sets_share_one_correlation(via, monkeypatch):
-    """Reference events whose object sets are equal by value, though each is
-    its own frozenset, are correlated once per constraint, and each of them
-    gets the oracle's (before, after) counts."""
+    """Per constraint, each reference object is correlated at most once, and
+    each distinct object set that correlates through two or more objects is
+    composed once, though equal sets are each their own frozenset; every
+    reference event gets the oracle's (before, after) counts."""
     model, log = _fan_in_case(via, "response", list(range(9)))
-    never = ConstraintType(total=Cardinality.exactly(MAX_BOUND))  # reports every count
-    constraints = tuple(c._replace(ctype=never) for c in model.bcm.constraints)
-    model = OcbcModel(BcModel(model.bcm.activities, constraints), model.clam, model.links, model.scope)
-    correlated = []
-    correlation = conformance._correlation
+    model, constraints = _blind(model), model.bcm.constraints
+    correlated, composed, current = [], [], []
+    correlation, composition = conformance._correlation, conformance._composed
 
     def counting(model, log, constraint):
-        correlate = correlation(model, log, constraint)
-        return lambda objects: correlated.append((constraint.id, objects)) or correlate(objects)
+        correlate, current[:] = correlation(model, log, constraint), [constraint.id]
+        return lambda obj: correlated.append((constraint.id, obj)) or correlate(obj)
+
+    def composing(lists):
+        composed.append((current[0], frozenset(map(tuple, lists))))
+        return composition(lists)
 
     monkeypatch.setattr(conformance, "_correlation", counting)
+    monkeypatch.setattr(conformance, "_composed", composing)
     found = check_violations(model, log, ("IX",))
     visits = [e.objects for e in log.events if e.activity == "visit"]
     assert visits[0] == visits[1] and visits[0] is not visits[1]
-    assert len(correlated) == len(set(correlated)) == len(constraints) * len(set(visits))
+    assert len(correlated) == len(set(correlated))
+    assert set(correlated) <= {(c.id, o) for c in constraints for o in set().union(*visits)}
+    shared = {
+        (c.id, objects) for c in constraints for objects in visits
+        if sum(1 for o in objects if _scanned_targets(model, log, c, {o})) > 1
+    }
+    assert len(composed) == len(set(composed)) == len(shared) >= len(constraints)
     assert len(found) == len(constraints) * len(visits)
     assert found == [v for v in sort_violations(naive_check(model, log)) if v.kind == "IX"]
+
+
+_DESKS = ObjectModel(class_of=dict.fromkeys(("d1", "d2", "d3"), "desk"), relations=frozenset())
+_CUSTOMERS = ObjectModel(
+    class_of={"c": "customer", "k": "customer", **dict.fromkeys(("o1", "o2", "o3", "q"), "order")},
+    relations=frozenset({("r", "c", "o1"), ("r", "c", "o2"), ("r", "c", "o3"), ("r", "k", "q")}),
+)
+
+
+@pytest.mark.parametrize(
+    "via, init, shapes, objects, extra, cid, counts",
+    [
+        # d2's one ship is also on d1, whose list is the longest.
+        ("desk", _DESKS, [("s1", "ship", {"d1"}), ("s2", "ship", {"d1", "d2"}), ("v", "visit", None),
+                          ("s3", "ship", {"d1"})], {"d1"}, "d2", "to-ship", (2, 1)),
+        # d2 and d3 share their one ship, which d1's longer list lacks.
+        ("desk", _DESKS, [("s1", "ship", {"d1"}), ("s2", "ship", {"d2", "d3"}), ("v", "visit", None),
+                          ("s3", "ship", {"d1"}), ("s4", "ship", {"d1"})], {"d1", "d2"}, "d3", "to-ship", (2, 2)),
+        # Over `r`, q and k each correlate with the visits on the other, v
+        # among them once it references k: its own position, in short lists only.
+        ("r", _CUSTOMERS, [("v1", "visit", {"o1"}), ("v", "visit", None), ("v2", "visit", {"o2"}),
+                           ("vk", "visit", {"k"}), ("v3", "visit", {"o3"})], {"c", "q"}, "k", "to-visit", (1, 3)),
+    ],
+)
+def test_a_target_on_two_correlated_objects_counts_once(via, init, shapes, objects, extra, cid, counts):
+    """A target event correlated through two of a reference's objects counts
+    once, whether the longest list and a short one share it or two short
+    ones do, and a same-activity reference leaves out its own position
+    also where only short lists hold it.  Adding to the reference event an
+    object whose targets it already correlates with keeps its counts."""
+    model = _blind(_visit_model(via, "response"))
+    for refs in (objects, objects | {extra}):
+        events = (event(eid, seq, activity, objs or refs) for seq, (eid, activity, objs) in enumerate(shapes, 1))
+        log = EventLog(init=init, events=events)
+        assert _ix_counts(model, log)[cid, "v"] == counts, refs
+        oracle = [v for v in sort_violations(naive_check(model, log)) if v.kind == "IX"]
+        assert check_violations(model, log, ("IX",)) == oracle, refs
+
+
+def test_resolve_targets_correlates_only_the_event_s_objects(monkeypatch):
+    """`resolve_targets` correlates each object of its one event at most
+    once, not the log's other reference events."""
+    model, log = fan_in_model("r"), relationship_hub_log(50)
+    correlated, correlation = [], conformance._correlation
+
+    def counting(model, log, constraint):
+        correlate = correlation(model, log, constraint)
+        return lambda obj: correlated.append(obj) or correlate(obj)
+
+    monkeypatch.setattr(conformance, "_correlation", counting)
+    for ref in ("v0", "v49"):
+        correlated.clear()
+        assert resolve_targets(model, log, "c", ref) == {f"s{i}" for i in range(50)}
+        assert len(correlated) == len(set(correlated)) and set(correlated) <= log.event(ref).objects
+
+
+@pytest.mark.parametrize("via, build", [("desk", desk_pairs_log), ("r", customer_pairs_log)])
+def test_distinct_sets_on_a_busy_object_agree_with_the_oracle(via, build):
+    """Every reference event has an object set of its own that holds the one
+    busy object: under each template, and with every count reported, IX
+    equals the oracle's in full and prefix mode (a relationship scope is
+    never final; a class scope is final unless more targets can fix it)."""
+    log = build(6)
+    for template in ("response", "non-response", "precedence", "unary-precedence",
+                     "non-precedence", "co-existence", "non-co-existence", None):
+        base = fan_in_model(via)
+        bcm = BcModel(base.bcm.activities, (constraint("c", template or "response", "visit", "ship"),))
+        model = OcbcModel(bcm, base.clam, base.links, base.scope)
+        model = _blind(model) if template is None else model
+        oracle = sort_violations(naive_check(model, log))
+        assert check_violations(model, log) == oracle, template
+        ctype = model.bcm.constraint("c").ctype
+        prefix = [v.downgraded() if via == "r" or ctype.future_fixable(v.before, v.after) else v
+                  for v in oracle if v.kind == "IX"]
+        assert check_violations(model, log, ("IX",), prefix=True) == prefix, template
+        if template in ("non-response", None):  # every visit has a later ship
+            assert len(prefix) == 6, template
 
 
 def test_viii_counts_only_the_objects_an_event_finds():
