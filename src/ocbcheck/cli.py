@@ -10,10 +10,11 @@ import argparse
 import gc
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .conformance import check_all
-from .formats import FormatError, ModelDefectsError, load_log, load_model, save_log, save_report
+from .formats import FormatError, ModelDefectsError, load_log, load_model, report_chunks, save_log
 from .report import render_text
 from .violations import KINDS
 
@@ -24,15 +25,16 @@ def _read(path: str) -> bytes:
     return Path(path).read_bytes()
 
 
-def _write(payload: bytes) -> None:
-    """Write bytes to stdout as they are, whatever its text encoding.  The
-    flush makes a failed write fail here, where `main` reports it; stdout is
-    then pointed at the null device, so the flush at exit has nothing to fail on."""
+def _write(chunks: Iterable[bytes]) -> None:
+    """Write the chunks to stdout as they are, whatever its text encoding,
+    each as it is taken.  The flush makes a failed write fail here, where
+    `main` reports it; stdout is then pointed at the null device, so the
+    flush at exit has nothing to fail on."""
     if sys.stdout is None:  # fd 1 was closed at start-up
         raise OSError("stdout is closed")
     try:
         sys.stdout.flush()
-        sys.stdout.buffer.write(payload)
+        sys.stdout.buffer.writelines(chunks)
         sys.stdout.buffer.flush()
     except OSError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -110,16 +112,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for warning in log.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     report = check_all(model, log, kinds=args.types, prefix=args.prefix)
-    del log  # the report holds all that is rendered; free the log and its indexes first
+    del log  # the report holds all that is rendered; the text format, rendered whole, needs the room
     if args.format == "json":
-        payload = save_report(report)
+        chunks = report_chunks(report)  # each batch is laid out as the destination takes it
     else:
         # A log may hold a lone surrogate escape, which UTF-8 cannot encode.
-        payload = render_text(report).encode(errors="backslashreplace")
+        chunks = [render_text(report).encode(errors="backslashreplace")]
     if args.out:
-        Path(args.out).write_bytes(payload)
+        with open(args.out, "wb") as out:
+            out.writelines(chunks)
     else:
-        _write(payload)
+        _write(chunks)
     return 0 if report.conforms else 1
 
 
@@ -127,13 +130,13 @@ def _cmd_validate_model(args: argparse.Namespace) -> int:
     try:
         model = load_model(_read(args.model))
     except ModelDefectsError as exc:
-        _write("".join(f"defect {defect}\n" for defect in exc.defects).encode(errors="backslashreplace"))
+        _write([f"defect {defect}\n".encode(errors="backslashreplace") for defect in exc.defects])
         return 1
-    _write(
+    _write([
         f"model OK: {len(model.bcm.activities)} activities, "
         f"{len(model.clam.classes)} classes, {len(model.clam.rel_types)} relationships, "
         f"{len(model.bcm.constraints)} constraints\n".encode()
-    )
+    ])
     return 0
 
 
@@ -151,7 +154,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     except (GenerationError, InjectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write(save_log(log))
+    _write([save_log(log)])
     return 0
 
 

@@ -30,7 +30,6 @@ from itertools import chain, compress, product, repeat, starmap
 from operator import add, is_not, itemgetter, not_, sub
 from typing import Callable, Iterator, Mapping
 
-from .cardinality import Cardinality
 from .eventlog import EMPTY_DELTA, Event, EventLog, LogError, ObjectModel, Relation
 from .model import BehavioralConstraint, OcbcModel, RelationshipType
 from .report import _report
@@ -83,16 +82,16 @@ class _Replay:
 
     def __init__(self, model: OcbcModel, log: EventLog):
         self._rel_type = {rt.id: rt for rt in model.clam.rel_types}
-        # The rule per side that can breach (its always-cardinality is not `*`):
-        # the keeper class, the always-cardinality and its rendering; and the sides each class keeps.
-        self._rule: dict[tuple[str, str], tuple[str, Cardinality, str]] = {}
+        # The rule per side that can breach (its always-cardinality is not `*`): the keeper
+        # class, the always-cardinality's verdict per count, its rendering; and the sides each class keeps.
+        self._rule: dict[tuple[str, str], tuple[str, Callable[[int], bool], str]] = {}
         self._sides_kept_by: dict[str, list[tuple[str, str]]] = {}
         self._counted: dict[str, list[tuple[str, int]]] = {}  # per type: (side, the keeper's relation field)
         for rt in model.clam.rel_types:
             for side, field in (("tar", 1), ("src", 2)):
                 keeper, card = _keeper(rt, side), rt.card(side, "always")
                 if not card.is_universal:
-                    self._rule[rt.id, side] = (keeper, card, card.render())
+                    self._rule[rt.id, side] = (keeper, cache(card.__contains__), card.render())
                     self._sides_kept_by.setdefault(keeper, []).append((rt.id, side))
                     self._counted.setdefault(rt.id, []).append((side, field))
         events, stretches = log.events, iter(log._stretches)
@@ -134,9 +133,9 @@ class _Replay:
 
     def _recheck(self, key: tuple[str, str, str]) -> None:
         rt_id, side, obj = key
-        keeper_class, card, _ = self._rule[rt_id, side]
+        keeper_class, allows, _ = self._rule[rt_id, side]
         count = self._cnt.get(key, 0)
-        if self.class_of.get(obj) == keeper_class and count not in card:
+        if self.class_of.get(obj) == keeper_class and not allows(count):
             self._bad_card[key] = count
         else:
             self._bad_card.pop(key, None)
@@ -221,10 +220,10 @@ def _check_ii(model: OcbcModel, log: EventLog) -> list[Violation]:
             card = rt.card(side, "eventually")
             if card.is_universal:
                 continue
-            expected = card.render()
+            expected, allows = card.render(), cache(card.__contains__)  # the verdict per count
             for obj in by_class.get(_keeper(rt, side), ()):
                 count = counts[side].get((rt.id, obj), 0)
-                if count not in card:
+                if not allows(count):
                     found.append(
                         Violation(
                             kind="II", event=last.id, seq=last.seq, rel_type=rt.id,

@@ -17,7 +17,7 @@ from array import array
 from json.encoder import encode_basestring_ascii
 from itertools import chain, count, repeat
 from operator import itemgetter
-from typing import Any
+from typing import Any, Iterator
 
 from .cardinality import (
     ANY,
@@ -338,11 +338,8 @@ def _relations(items: list, where: str) -> tuple[tuple[str, str, str], ...]:
 def _object_set(items: list[str], memo: dict) -> frozenset[str]:
     """The set of `items` and its strings, each shared through `memo` with
     the equal one decoded first (see `_event`)."""
-    objects = memo.get(frozenset(items))
-    if objects is None:
-        objects = frozenset(map(memo.setdefault, items, items))
-        memo[objects] = objects
-    return objects
+    objects = frozenset(map(memo.setdefault, items, items))
+    return memo.setdefault(objects, objects)
 
 
 def _delta(entry: dict, memo: dict) -> ObjectDelta:
@@ -607,25 +604,6 @@ def _batch_json(batch: tuple[Violation, ...]) -> str:
     return flat[2:-2].replace("},\n      {", _BETWEEN)
 
 
-def _violations_json(violations: tuple[Violation, ...]) -> list[bytes]:
-    r"""The UTF-8 pieces of the violation list exactly as
-    ``json.dumps(indent=2, sort_keys=True)`` lays it out one level down, one
-    piece per batch.
-
-    Every field is a string or an integer (not a bool), and an encoded string
-    holds no raw newline, so "},\n      {" occurs only between two violations.
-    """
-    if not violations:
-        return [b"[]"]
-    pieces = [b"[\n    {\n      "]
-    for start in range(0, len(violations), _BATCH):
-        if start:
-            pieces.append(_BETWEEN.encode())
-        pieces.append(_batch_json(violations[start : start + _BATCH]).encode())
-    pieces.append(b"\n    }\n  ]")
-    return pieces
-
-
 def _indented(value: Any, newline: str = "\n") -> str:
     """`value` as ``json.dumps(indent=2, sort_keys=True)`` lays it out after
     `newline` and its indent, each scalar and key encoded by the C encoder.
@@ -642,10 +620,14 @@ def _indented(value: Any, newline: str = "\n") -> str:
     return json.dumps(value)
 
 
-def save_report(report: ConformanceReport) -> bytes:
-    r"""Canonical report serialization: sorted keys, pre-sorted violations.
+def report_chunks(report: ConformanceReport) -> Iterator[bytes]:
+    r"""The UTF-8 text of `save_report` in chunks: the frame, then each batch
+    of violations, laid out only when the chunk before it has been taken.
 
-    The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``.
+    The violation list is laid out exactly as ``json.dumps(indent=2,
+    sort_keys=True)`` lays it out one level down.  Every field is a string or
+    an integer (not a bool), and an encoded string holds no raw newline, so
+    "},\n      {" occurs only between two violations.
     """
     doc = {
         "conforms": report.conforms,
@@ -660,10 +642,25 @@ def save_report(report: ConformanceReport) -> bytes:
         "per_rel_type": report.per_rel_type,
         "unknown_activities": list(report.unknown_activities),
     }
-    frame = _indented(doc)
     # "violations" sorts last, so the frame ends with its empty list: '[]\n}'.
-    # Joining the pieces makes the one whole copy of the text.
-    return b"".join([frame[:-4].encode(), *_violations_json(report.violations), b"\n}\n"])
+    frame, violations = _indented(doc)[:-4], report.violations
+    if not violations:
+        yield (frame + "[]\n}\n").encode()
+        return
+    yield (frame + "[\n    {\n      ").encode()
+    for start in range(0, len(violations), _BATCH):
+        if start:
+            yield _BETWEEN.encode()
+        yield _batch_json(violations[start : start + _BATCH]).encode()
+    yield b"\n    }\n  ]\n}\n"
+
+
+def save_report(report: ConformanceReport) -> bytes:
+    r"""Canonical report serialization: sorted keys, pre-sorted violations.
+
+    The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``.
+    """
+    return b"".join(report_chunks(report))
 
 
 def load_report(data: bytes | str) -> ConformanceReport:

@@ -26,10 +26,12 @@ from ocbcheck.cli import main
 from ocbcheck.eventlog import MAX_SEQ
 from ocbcheck.violations import KINDS
 from scenarios import (
+    desk_model,
     named_and_random_pairs,
     open_after_work_model,
     order_process_log,
     order_process_model,
+    persistent_breach_log,
     precedence_log,
     precedence_model,
     ticket_log,
@@ -379,6 +381,71 @@ def _failing_stdout(sink):
         yield fd
     finally:
         os.close(fd)
+
+
+def _report_cases(tmp_path):
+    """(model file, log file, report) for three check inputs: a persistent
+    breach (6,000 type I violations), written in several batches; the demo
+    order model's log with one injection of each kind; the conforming demo log."""
+    demo = load_model((DEMO / "order-process.ocbc.json").read_bytes())
+    mixed = generate_conforming(demo, events=40, seed=7)
+    for seed, kind in enumerate(KINDS):
+        mixed = inject_violation(demo, mixed, kind, seed=seed)[0]
+    conforming = load_log((DEMO / "order-process.oclog.jsonl").read_bytes())
+    cases = []
+    for name, model, log in (
+        ("breach", desk_model(), persistent_breach_log(2000)),
+        ("mixed", demo, mixed),
+        ("conforming", demo, conforming),
+    ):
+        model_path, log_path = tmp_path / f"{name}.ocbc.json", tmp_path / f"{name}.oclog.jsonl"
+        model_path.write_bytes(save_model(model))
+        log_path.write_bytes(save_log(log))
+        cases.append((str(model_path), str(log_path), check_all(model, log)))
+    return cases
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_check_json_streams_the_bytes_of_save_report(tmp_path, hash_seed):
+    """The report written batch by batch, to a file or to stdout, is the one
+    `save_report` makes whole."""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    (_, _, breach), (_, _, mixed), (_, _, conforming) = cases = _report_cases(tmp_path)
+    assert breach.summary["I"] == 6000 and all(mixed.summary.values()) and conforming.conforms
+    out = tmp_path / "report.json"
+    for model, log, report in cases:
+        command = [sys.executable, "-m", "ocbcheck.cli", "check", model, log, "--format", "json"]
+        to_stdout = subprocess.run(command, env=env, capture_output=True)
+        to_file = subprocess.run([*command, "--out", str(out)], env=env, capture_output=True)
+        assert to_stdout.returncode == to_file.returncode == (0 if report.conforms else 1), to_file.stderr
+        assert to_stdout.stdout == out.read_bytes() == save_report(report)
+        assert to_file.stdout == b""
+
+
+def test_a_report_file_that_fails_mid_stream_exits_two(tmp_path):
+    """The --out file is open before the batches are laid out, so a write
+    fails between two batches: one error line, exit 2."""
+    import os
+    import subprocess
+    import sys
+
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    model, log, _ = _report_cases(tmp_path)[0]
+    result = subprocess.run(
+        [sys.executable, "-m", "ocbcheck.cli", "check", model, log, "--format", "json", "--out", "/dev/full"],
+        capture_output=True,
+    )
+    assert result.returncode == 2, result.stderr.decode(errors="replace")
+    lines = result.stderr.splitlines()
+    assert [line for line in lines if line.startswith(b"error:")] == lines[-1:], result.stderr
+    assert lines[-1].startswith(b"error: [Errno "), result.stderr
+    assert b"Traceback" not in result.stderr and b"Exception ignored" not in result.stderr
+    assert result.stdout == b""
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])

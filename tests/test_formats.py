@@ -1134,6 +1134,27 @@ def test_save_report_holds_few_copies_of_the_text():
         assert peak <= 3 * len(data), f"peak {peak} bytes for a {len(data)}-byte report"
 
 
+def test_report_chunks_lay_out_one_batch_at_a_time():
+    """Drained into a sink, the chunks of a long report never hold more than
+    a quarter of its text at once, and they are `save_report`'s bytes."""
+    import hashlib
+    import tracemalloc
+
+    report = check_all(desk_model(), persistent_breach_log(10_000))
+    sink, length = hashlib.sha256(), 0
+    tracemalloc.start()
+    try:
+        for chunk in formats.report_chunks(report):
+            sink.update(chunk)
+            length += len(chunk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    data = save_report(report)
+    assert length == len(data) and sink.digest() == hashlib.sha256(data).digest()
+    assert peak <= length // 4, f"peak {peak} bytes for a {length}-byte report"
+
+
 def mutants(data: bytes, rng: random.Random):
     """Truncations, byte flips, over-long integers and deep nesting of `data`."""
     for _ in range(30):
