@@ -8,17 +8,17 @@ process can downgrade eventual violations to warnings (prefix mode).
 Each kind is computed by one function, only when it is selected.  No kind
 folds the log again; each reads what the `EventLog` build kept (type V its
 missing references, types I, III, VI and VIII its class map of each stretch
-between two assertions, type I beside the deltas of its events) and the
-objects each event brings in (`EventLog.introductions`, for III and VII).
-Type VII reads each object's runs of breaching counts from the
-cardinality's ranges.  Type IX correlates once per constraint and
-reference object, through the function `resolve_targets` also uses, and
-counts each reference event's targets by two bisections per correlated
-object, as `evaluate_bc` counts a trace; an event on several correlated
-objects is counted over their composition, once per distinct set.  Each
-kind's violations are sorted on their own, except type I's, which its
-replay keeps in report order; `KINDS` order then puts the kinds one after
-another in report order.
+between two assertions, type I beside the deltas of the events that change
+the object model, `EventLog._changes`) and the objects each event brings in
+(`EventLog.introductions`, derived from `_changes`, for III and VII).  Type
+VII reads each object's runs of breaching counts from the cardinality's
+ranges.  Type IX correlates once per constraint and reference object, through
+the function `resolve_targets` also uses, and counts each reference event's
+targets by two bisections per correlated object, as `evaluate_bc` counts a
+trace; an event on several correlated objects is counted over their
+composition, once per distinct set.  Each kind's violations are sorted on
+their own, except type I's, which its replay keeps in report order; `KINDS`
+order then puts the kinds one after another in report order.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import cache
 from itertools import chain, compress, product, repeat, starmap
-from operator import add, is_not, itemgetter, not_, sub
+from operator import add, itemgetter, not_, sub
 from typing import Callable, Iterator, Mapping
 
-from .eventlog import EMPTY_DELTA, Event, EventLog, LogError, ObjectModel, Relation
+from .eventlog import Event, EventLog, LogError, ObjectModel, Relation
 from .model import BehavioralConstraint, OcbcModel, RelationshipType
 from .report import _report
 from .violations import KINDS, Violation, row_key, sort_violations
@@ -67,11 +67,12 @@ class _Replay:
     order in `found`.
 
     The log build already folded and checked the deltas, so the replay visits
-    only the events with a delta and keeps only the relation set (a re-added
-    relation counts once) and each rule's partner counts.  Classes come from
-    the build's stretch maps: a relation's endpoints exist at its event, and
-    an object keeps its class within a stretch.  An asserting event starts
-    again from its snapshot's own class map and relations.
+    only the events that change the object model (`EventLog._changes`) and
+    keeps only the relation set (a re-added relation counts once) and each
+    rule's partner counts.  Classes come from the build's stretch maps: a
+    relation's endpoints exist at its event, and an object keeps its class
+    within a stretch.  An asserting event starts again from its snapshot's own
+    class map and relations.
 
     Each event reports every breach of the current state again.  The replay
     keeps them as `_rows`, each violation's fields after kind, event and seq
@@ -99,9 +100,7 @@ class _Replay:
         # The breach state that `_rows` was built from, and the first event that shares them.
         self._built, self._rows, start = ({}, {}, set()), (), 0
         self.found: list[Violation] = []
-        # Event 0 is visited with or without a delta, for the initial model's breaches.
-        visited = chain((True,), map(is_not, map(itemgetter(5), events[1:]), repeat(EMPTY_DELTA)))
-        for index in compress(range(len(events)), visited):
+        for index in log._changes:  # event 0 too, for the initial model's breaches
             new_objects, new_relations, removed_relations, snapshot = events[index][5]
             if snapshot is not None:
                 self._restart(next(stretches)[1], snapshot)

@@ -5,13 +5,14 @@ The object model attached to an event is the state *after* the event took
 place.  Deltas can add objects and add/remove relations; objects are never
 removed, so delta-built logs are monotone by construction.  An event may
 instead carry an asserted full snapshot, which replaces the folded state
-(the only way a log can exhibit monotonicity violations).  One fold serves
-the build, `snapshot_after` and the generator.  The build alone decides
-whether a referenced object exists at its event: the load warnings and
-type V read the missing references it keeps, and types I, III, VI and VIII
-the class map of each stretch between two assertions (type I, which reads
-the deltas again, folds none of them).  Types III and VII learn which
-objects each event brings in from `introductions`.
+(the only way a log can exhibit monotonicity violations).  The `EventLog`
+build is the one fold; `snapshot_after` and the generator go through it.
+The build alone decides whether a referenced object exists at its event: the
+load warnings and type V read the missing references it keeps, and types I,
+III, VI and VIII the class map of each stretch between two assertions.  It
+also keeps the one index of the events that change the object model: type I
+reads their deltas again but folds none of them, and `introductions`, which
+tells types III and VII the objects each event brings in, is derived from it.
 """
 
 from __future__ import annotations
@@ -140,45 +141,6 @@ class Event(_EventFields):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-class _ReplayState:
-    """The delta fold: the object model while replaying events, validating
-    each delta against it; it copies a snapshot's class map only to add to it,
-    and the additions of an asserting event go to a map of their own."""
-
-    __slots__ = ("class_of", "relations")
-
-    def __init__(self, init: ObjectModel):
-        self.class_of: Mapping[str, str] = init.class_of
-        self.relations: set[Relation] = set(init.relations)
-
-    def apply(self, event: Event, index: int) -> None:
-        new_objects, new_relations, removed_relations, snapshot = event.delta
-        if new_objects:
-            if snapshot is not None:  # replaced below, so the additions are only checked
-                self.class_of = ChainMap({}, self.class_of)
-            elif type(self.class_of) is not dict:
-                self.class_of = dict(self.class_of)
-        class_of, relations = self.class_of, self.relations
-        for obj, cls in new_objects:
-            if obj in class_of:
-                raise LogError(f"object {obj!r} already exists", index, event.id)
-            class_of[obj] = cls
-        for rel in new_relations:
-            if rel[1] not in class_of or rel[2] not in class_of:
-                endpoint = rel[1] if rel[1] not in class_of else rel[2]
-                raise LogError(
-                    f"relation {rel} references unknown object {endpoint!r}", index, event.id
-                )
-            relations.add(rel)  # re-adding a present relation changes nothing
-        for rel in removed_relations:
-            if rel not in relations:
-                raise LogError(f"cannot remove absent relation {rel}", index, event.id)
-            relations.remove(rel)
-        if snapshot is not None:
-            self.class_of = snapshot.class_of
-            self.relations = set(snapshot.relations)
-
-
 class EventLog:
     """Totally ordered events over an evolving object model.
 
@@ -189,6 +151,8 @@ class EventLog:
     only record of a missing reference: `warnings` renders them, and
     conformance checking reports them as object-existence problems (type V).
     The same fold keeps the indexes the checks and queries read: the
+    positions of the events that change the object model (`_changes`: event
+    0, and each event whose delta is not the shared `EMPTY_DELTA`), the
     positions of each activity's events, and per activity the positions of
     its events that reference each object (both ascending, keyed activity
     first so a check reads one activity's map), the final snapshot, and the
@@ -200,8 +164,8 @@ class EventLog:
     Two logs are equal when their `init` and `events` are.
     """
 
-    __slots__ = ("init", "events", "_missing", "_index_of", "_by_activity", "_positions", "_stretches",
-                 "_final", "_neighbours", "_introductions")
+    __slots__ = ("init", "events", "_missing", "_changes", "_index_of", "_by_activity", "_positions",
+                 "_stretches", "_final", "_neighbours")
 
     def __init__(self, init: ObjectModel = EMPTY_OBJECT_MODEL, events: Iterable[Event] = ()) -> None:
         self.init = init
@@ -211,7 +175,9 @@ class EventLog:
         by_activity: dict[str, list[int]] = {}
         positions: dict[str, dict[str, list[int]]] = {}
         entries: dict[str, tuple[list[int], dict[str, list[int]]]] = {}  # both, per activity
-        state = _ReplayState(init)
+        # The fold: a map is copied only to add to it; an asserting event's additions get a map of their own.
+        class_of, relations = init.class_of, set(init.relations)
+        changes: list[int] = []
         stretches: list[tuple[int, Mapping[str, str]]] = []
         start, previous_seq = 0, None
         for i, event in enumerate(events):
@@ -222,11 +188,32 @@ class EventLog:
             if eid in index_of:
                 raise LogError(f"duplicate event id {eid!r}", i, eid)
             index_of[eid] = i
-            if delta is not EMPTY_DELTA:
-                if delta.assert_snapshot is not None:  # the stretch before it ends
-                    stretches.append((start, state.class_of))
+            if delta is not EMPTY_DELTA or not i:
+                changes.append(i)
+                new_objects, new_relations, removed_relations, snapshot = delta
+                if snapshot is not None:  # the stretch before it ends
+                    stretches.append((start, class_of))
                     start = i
-                state.apply(event, i)
+                if new_objects:
+                    if snapshot is not None:  # replaced below, so the additions are only checked
+                        class_of = ChainMap({}, class_of)
+                    elif type(class_of) is not dict:
+                        class_of = dict(class_of)
+                    for obj, cls in new_objects:
+                        if obj in class_of:
+                            raise LogError(f"object {obj!r} already exists", i, eid)
+                        class_of[obj] = cls
+                for rel in new_relations:
+                    if rel[1] not in class_of or rel[2] not in class_of:
+                        endpoint = rel[1] if rel[1] not in class_of else rel[2]
+                        raise LogError(f"relation {rel} references unknown object {endpoint!r}", i, eid)
+                    relations.add(rel)  # re-adding a present relation changes nothing
+                for rel in removed_relations:
+                    if rel not in relations:
+                        raise LogError(f"cannot remove absent relation {rel}", i, eid)
+                    relations.remove(rel)
+                if snapshot is not None:
+                    class_of, relations = snapshot.class_of, set(snapshot.relations)
             entry = entries.get(activity)
             if entry is None:  # the activity's first event
                 entry = entries[activity] = ([], {})
@@ -239,18 +226,18 @@ class EventLog:
                     of_object[obj] = [i]  # one slot: appending to [] reserves four
                 else:
                     at.append(i)
-            if not state.class_of.keys() >= objects:
-                missing.extend((i, obj) for obj in sorted(objects - state.class_of.keys()))
-        stretches.append((start, class_of := state.class_of))  # and so does the last
+            if not class_of.keys() >= objects:
+                missing.extend((i, obj) for obj in sorted(objects - class_of.keys()))
+        stretches.append((start, class_of))  # and so does the last
         class_of = MappingProxyType(class_of) if type(class_of) is dict else class_of
         self._missing = tuple(missing)
+        self._changes = changes
         self._index_of = MappingProxyType(index_of)
         self._by_activity = by_activity
         self._positions = positions
         self._stretches = stretches
-        self._final = tuple.__new__(ObjectModel, (class_of, frozenset(state.relations))) if events else init
+        self._final = tuple.__new__(ObjectModel, (class_of, frozenset(relations))) if events else init
         self._neighbours: dict[str, dict[str, set[str]]] = {}
-        self._introductions: list[tuple[int, Iterable[tuple[str, str]]]] | None = None
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -288,21 +275,15 @@ class EventLog:
         """The position of each event that can bring objects into the object
         model, with the (object, class) pairs it brings in: event 0 also
         brings in the initial model, and an asserted snapshot is the whole
-        state after its event.  Walked on first use, then kept."""
-        kept = self._introductions
-        if kept is None:
-            kept = self._introductions = []
-            for index, event in enumerate(self.events):
-                delta = event.delta
-                if delta is EMPTY_DELTA and index:
-                    continue
-                if delta.assert_snapshot is not None:
-                    kept.append((index, delta.assert_snapshot.class_of.items()))
-                elif index == 0:
-                    kept.append((index, [*self.init.class_of.items(), *delta.new_objects]))
-                else:
-                    kept.append((index, delta.new_objects))
-        return kept
+        state after its event.  Derived from the build's `_changes` on each call."""
+        events, found = self.events, []
+        for index in self._changes:
+            new_objects, _, _, snapshot = events[index].delta
+            if snapshot is not None:
+                found.append((index, snapshot.class_of.items()))
+            else:
+                found.append((index, new_objects if index else [*self.init.class_of.items(), *new_objects]))
+        return found
 
     def final_snapshot(self) -> ObjectModel:
         """Object model after the last event; the initial model for an empty log.

@@ -25,7 +25,6 @@ from .cardinality import (
     CardinalityError,
     ConstraintType,
     TEMPLATES,
-    builtin_constraint_type,
     parse_cardinality,
 )
 from .eventlog import EMPTY_ATTRS, EMPTY_DELTA, MAX_SEQ, Event, EventLog, LogError, ObjectDelta, ObjectModel
@@ -145,7 +144,7 @@ def _constraint_type(value: Any, where: str) -> ConstraintType:
                 f"(expected one of {', '.join(sorted(TEMPLATES))})",
                 where,
             )
-        return builtin_constraint_type(value)
+        return TEMPLATES[value]
     _expect(value, dict, where)
     before = _card(value, "before", where, default=None)
     after = _card(value, "after", where, default=None)
@@ -498,18 +497,14 @@ def load_log(data: bytes | str) -> EventLog:
         raise FormatError(str(exc), f"line {line_numbers[order[exc.event_index]]}") from None
 
 
-def _line_json(value: dict) -> str:
-    return json.dumps(value, sort_keys=True)
-
-
 def save_log(log: EventLog) -> bytes:
     """Canonical line-delimited serialization (init line first when non-empty).
 
     Each line is ``json.dumps(entry, sort_keys=True)`` of its dict form.  An
     event line is written field by field, keys in sorted order, so one with
     no attrs, removed relations, snapshot or escaped string is the form that
-    `_CANONICAL` matches; `_line_json` writes the init line, attrs and an
-    asserted snapshot.  The delta's lists are already sorted (`ObjectDelta`)."""
+    `_CANONICAL` matches; `json.dumps` itself writes the init line, attrs and
+    an asserted snapshot.  The delta's lists are already sorted (`ObjectDelta`)."""
     q = encode_basestring_ascii
 
     def om_dict(om: ObjectModel) -> dict:
@@ -523,13 +518,13 @@ def save_log(log: EventLog) -> bytes:
 
     lines: list[str] = []
     if log.init.class_of or log.init.relations:
-        lines.append(_line_json({"init": om_dict(log.init)}))
+        lines.append(json.dumps({"init": om_dict(log.init)}, sort_keys=True))
     for eid, seq, activity, objects, attrs, (new_objects, new_relations, removed, snapshot) in log.events:
         head = mid = ""
         if snapshot is not None:
-            head = ', "assert_snapshot": ' + _line_json(om_dict(snapshot))
+            head = ', "assert_snapshot": ' + json.dumps(om_dict(snapshot), sort_keys=True)
         if attrs:
-            head += ', "attrs": ' + _line_json(dict(attrs))
+            head += ', "attrs": ' + json.dumps(dict(attrs), sort_keys=True)
         if new_objects:
             items = ['{"class": %s, "id": %s}' % (q(cls), q(oid)) for oid, cls in new_objects]
             mid = ', "new_objects": [%s]' % ", ".join(items)

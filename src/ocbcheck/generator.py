@@ -8,7 +8,7 @@ an event that breaks an always-cardinality.  The strategy is budget-bounded
 and covers a documented model family (see `_analyze`); a model found to be
 outside it raises `GenerationError`.  Not every such model is found: over
 seeds 0-2999 of `tests/scenarios.random_model` at 25 events, 67 of the 280
-logs generated fail `check_all` (ROADMAP.md, item 3).
+logs generated fail `check_all` (ROADMAP.md, item 5).
 
 Injection mutates a conforming log and verifies with the checker that a
 violation of the requested kind appears at the mutation site; extra cascaded

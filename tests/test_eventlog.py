@@ -20,20 +20,27 @@ from ocbcheck import (
     LogError,
     ObjectDelta,
     ObjectModel,
+    check_violations,
     load_log,
+    save_log,
 )
-from ocbcheck.eventlog import EMPTY_DELTA, _ReplayState
-from oracle import fold_snapshots
+from ocbcheck.eventlog import EMPTY_DELTA
+from ocbcheck.violations import sort_violations
+from oracle import fold_snapshots, naive_check
 from scenarios import (
     class_flip_log,
+    desk_model,
     event,
     hiring_log,
+    named_and_random_pairs,
     order_object_model,
     order_process_log,
+    persistent_breach_log,
     precedence_log,
     random_case_scenario,
     random_log,
     random_model,
+    relink_log,
     ticket_log,
 )
 
@@ -186,16 +193,21 @@ def test_fold_snapshots_skip_the_dangling_relation_scan(monkeypatch):
 def test_the_fold_copies_a_class_map_only_to_add_to_it():
     init = ObjectModel(class_of={"k1": "k"}, relations=frozenset())
     asserted = ObjectModel(class_of={"k1": "k", "k2": "k"}, relations=frozenset())
-    state = _ReplayState(init)
-    assert state.class_of is init.class_of
-    state.apply(event("e1", 1, "a", {"k1"}, new_relations=[("r", "k1", "k1")]), 0)
-    assert state.class_of is init.class_of
-    state.apply(event("e2", 2, "a", new_objects=[("k3", "k")]), 1)
-    assert type(state.class_of) is dict and state.class_of == {"k1": "k", "k3": "k"}
-    state.apply(event("e3", 3, "a", assert_snapshot=asserted), 2)
-    assert state.class_of is asserted.class_of
-    state.apply(event("e4", 4, "a", new_objects=[("k4", "k")]), 3)
-    assert state.class_of == {"k1": "k", "k2": "k", "k4": "k"}
+    events = (
+        event("e1", 1, "a", {"k1"}, new_relations=[("r", "k1", "k1")]),
+        event("e2", 2, "a", new_objects=[("k3", "k")]),
+        event("e3", 3, "a", assert_snapshot=asserted),
+        event("e4", 4, "a", new_objects=[("k4", "k")]),
+    )
+    # The fold after the first k events: the final snapshot wraps the last stretch's map.
+    folded = [EventLog(init, events[:k]) for k in range(len(events) + 1)]
+    assert folded[0].final_snapshot().class_of is init.class_of
+    assert folded[1].final_snapshot().class_of is init.class_of
+    last = folded[2]._stretches[-1][1]
+    assert type(last) is dict and last == {"k1": "k", "k3": "k"}
+    assert folded[3].final_snapshot().class_of is asserted.class_of
+    last = folded[4]._stretches[-1][1]
+    assert type(last) is dict and last == {"k1": "k", "k2": "k", "k4": "k"}
     assert dict(init.class_of) == {"k1": "k"} and dict(asserted.class_of) == {"k1": "k", "k2": "k"}
     log = EventLog(init=init, events=(event("e1", 1, "a", new_objects=[("k2", "k")]),))
     assert dict(init.class_of) == {"k1": "k"} and log.final_snapshot().objects == {"k1", "k2"}
@@ -441,3 +453,85 @@ def test_asserted_stretches_keep_the_snapshot_map():
     assert retained < 600 * 1024, f"the build retains {retained / 1024:.0f} KiB"
     # 913 KiB while the fold copied every snapshot's map and then dropped the copies.
     assert peak < 600 * 1024, f"the build peaks at {peak / 1024:.0f} KiB"
+
+
+def _brought_in_by_walk(log: EventLog) -> list:
+    """`introductions()` written out as a walk over every event."""
+    walked = []
+    for index, e in enumerate(log.events):
+        delta = e.delta
+        if index and delta is EMPTY_DELTA:
+            continue
+        if delta.assert_snapshot is not None:
+            walked.append((index, list(delta.assert_snapshot.class_of.items())))
+        elif index:
+            walked.append((index, list(delta.new_objects)))
+        else:
+            walked.append((index, [*log.init.class_of.items(), *delta.new_objects]))
+    return walked
+
+
+def _change_edge_logs() -> dict[str, EventLog]:
+    """Logs whose event 0, or an empty delta, sits at the edge of the build's change index."""
+    init = ObjectModel(class_of={"d1": "desk", "t0": "ticket", "t1": "ticket"}, relations={("at", "t1", "d1")})
+    asserted = ObjectModel(class_of={"d1": "desk", "t0": "desk", "t2": "ticket", "t4": "ticket"},
+                           relations={("at", "t2", "t0")})
+    lines = [
+        {"init": {"objects": [{"id": "d1", "class": "desk"}, {"id": "t0", "class": "ticket"}], "relations": []}},
+        {"id": "e1", "seq": 1, "activity": "open", "objects": ["t0"], "new_objects": []},
+        {"id": "e2", "seq": 2, "activity": "open", "objects": ["t1"], "new_objects": [{"id": "t1", "class": "ticket"}]},
+        {"id": "e3", "seq": 3, "activity": "note", "objects": ["d1"], "new_objects": []},
+        {"id": "e4", "seq": 4, "activity": "note", "objects": ["t1"]},
+    ]
+    return {
+        "init without a first delta": EventLog(init=init, events=(
+            Event("e1", 1, "note", {"t0"}),
+            Event("e2", 2, "open", {"t2", "d1"}, delta=ObjectDelta(
+                new_objects=[("t2", "ticket")], new_relations=[("at", "t2", "d1")])),
+            Event("e3", 3, "note", {"t1"}),
+        )),
+        "first event asserts": EventLog(init=init, events=(
+            Event("e1", 1, "open", {"t0", "t1"}, delta=ObjectDelta(assert_snapshot=asserted)),
+            Event("e2", 2, "note", {"t2"}),
+            Event("e3", 3, "open", {"t3"}, delta=ObjectDelta(new_objects=[("t3", "ticket")])),
+        )),
+        "empty new_objects line": load_log("".join(json.dumps(line) + "\n" for line in lines)),
+    }
+
+
+def _change_logs() -> list[EventLog]:
+    logs = [log for _, log in named_and_random_pairs()]
+    logs += [relink_log(300), class_flip_log(400), persistent_breach_log(300), *_change_edge_logs().values()]
+    # A scenario event never carries the shared empty delta; read back, an empty one does.
+    return logs + [load_log(save_log(log)) for log in logs]
+
+
+def test_the_change_index_holds_event_0_and_every_delta_event():
+    """The build's `_changes` holds event 0 and every event whose delta is
+    not the shared empty one, and `introductions()` derived from it equals
+    a walk over every event."""
+    for log in _change_logs():
+        assert log._changes == [i for i, e in enumerate(log.events) if not i or e.delta is not EMPTY_DELTA]
+        assert [(i, list(pairs)) for i, pairs in log.introductions()] == _brought_in_by_walk(log)
+    edges = _change_edge_logs()
+    assert edges["init without a first delta"].events[0].delta is EMPTY_DELTA
+    assert edges["init without a first delta"]._changes == [0, 1]
+    assert edges["first event asserts"]._changes == [0, 2]
+    read = edges["empty new_objects line"]
+    assert read.events[0].delta == read.events[2].delta == EMPTY_DELTA
+    assert read.events[0].delta is not EMPTY_DELTA and read.events[3].delta is EMPTY_DELTA
+    assert read._changes == [0, 1, 2]
+
+
+@pytest.mark.parametrize("name", list(_change_edge_logs()))
+def test_the_change_index_edges_check_as_the_oracle(name):
+    """On the change index's edge logs type I, alone and beside the other
+    kinds, equals the oracle in full and prefix mode."""
+    model, log = desk_model(), _change_edge_logs()[name]
+    oracle = sort_violations(naive_check(model, log))
+    type_i = [v for v in oracle if v.kind == "I"]
+    assert type_i
+    for prefix in (False, True):
+        assert check_violations(model, log, ("I",), prefix) == type_i, prefix
+        expected = [v.downgraded() if prefix and v.kind == "II" else v for v in oracle]
+        assert check_violations(model, log, prefix=prefix) == expected, prefix

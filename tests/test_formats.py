@@ -9,6 +9,7 @@ from collections import Counter
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -954,15 +955,15 @@ def test_saved_lines_are_the_encoders_lines():
 
 def test_saved_event_lines_take_the_canonical_form(monkeypatch):
     """An event line with no attrs, removed relations, snapshot or escaped
-    string is the form `formats._CANONICAL` decodes; `_line_json` writes only
-    the init line, attrs and snapshots."""
-    def counting(value):
+    string is the form `formats._CANONICAL` decodes; `json.dumps` writes only
+    the init line, attrs and snapshots, keys sorted."""
+    def counting(value, **options):
         calls.append(value)
-        return line_json(value)
+        assert options == {"sort_keys": True}
+        return json.dumps(value, **options)
 
     calls: list = []
-    line_json = formats._line_json
-    monkeypatch.setattr(formats, "_line_json", counting)
+    monkeypatch.setattr(formats, "json", SimpleNamespace(dumps=counting))
     canonical = re.compile(formats._CANONICAL).fullmatch
     matched = 0
     for log in _writer_inputs():
