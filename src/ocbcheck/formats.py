@@ -136,6 +136,9 @@ def _parse_json(data: bytes | str, where: str = "document") -> Any:
 # -- model documents ---------------------------------------------------------
 
 
+_ATOMS = ("before", "after", "sum")  # a constraint type's keys, in `ConstraintType` field order
+
+
 def _constraint_type(value: Any, where: str) -> ConstraintType:
     if isinstance(value, str):
         if value not in TEMPLATES:
@@ -146,13 +149,58 @@ def _constraint_type(value: Any, where: str) -> ConstraintType:
             )
         return TEMPLATES[value]
     _expect(value, dict, where)
-    before = _card(value, "before", where, default=None)
-    after = _card(value, "after", where, default=None)
-    total = _card(value, "sum", where, default=None)
+    atoms = [_card(value, key, where, default=None) for key in _ATOMS]
     _no_extras(value, where)
-    if before is None and after is None and total is None:
+    if atoms == [None, None, None]:
         raise FormatError("constraint type needs at least one of before/after/sum", where)
-    return ConstraintType(before=before, after=after, total=total)
+    return ConstraintType(*atoms)
+
+
+# The model arrays whose entries hold cardinalities: the record type, each
+# string key's field, and each cardinality key's field and the key whose value
+# it takes when omitted (None: `*`).  An entry's first fault in this order is reported.
+_CARD_ARRAYS = {
+    "relationships": (RelationshipType, {"id": "id", "source": "source", "target": "target"}, (
+        ("card_src_always", "card_src_always", None),
+        ("card_tar_always", "card_tar_always", None),
+        ("card_src_eventually", "card_src_eventually", "card_src_always"),
+        ("card_tar_eventually", "card_tar_eventually", "card_tar_always"),
+    )),
+    "aoc": (ActivityClassLink, {"activity": "activity", "class": "cls"}, (
+        ("card_act_always", "card_events_always", None),
+        ("card_act_eventually", "card_events_eventually", "card_act_always"),
+        ("card_obj", "card_objects", None),
+    )),
+}
+
+
+def _read_array(doc: dict, name: str) -> list:
+    """The records of the `_CARD_ARRAYS` array `name` in `doc`."""
+    record, strings, cards = _CARD_ARRAYS[name]
+    records = []
+    for i, item in enumerate(_take(doc, name, list, "document", default=[])):
+        where = f"{name}[{i}]"
+        entry = _expect(item, dict, where)
+        fields = {field: _take(entry, key, str, where) for key, field in strings.items()}
+        read: dict[str, Cardinality] = {}  # the cardinalities by key, for the keys that default to them
+        for key, field, default in cards:
+            fields[field] = read[key] = _card(entry, key, where, read.get(default, ANY))
+        records.append(record(**fields))
+        _no_extras(entry, where)
+    return records
+
+
+def _write_array(records: tuple, name: str) -> list[dict]:
+    """The entries of the `_CARD_ARRAYS` array `name`, less each cardinality equal to its default."""
+    _, strings, cards = _CARD_ARRAYS[name]
+    entries = []
+    for rec in records:
+        entry = {key: getattr(rec, field) for key, field in strings.items()}
+        values = {key: getattr(rec, field) for key, field, _ in cards}
+        entry.update((key, values[key].render()) for key, _, default in cards
+                     if values[key] != values.get(default, ANY))
+        entries.append(entry)
+    return entries
 
 
 def load_model(data: bytes | str) -> OcbcModel:
@@ -161,46 +209,7 @@ def load_model(data: bytes | str) -> OcbcModel:
     activities = _string_list(_take(doc, "activities", list, "document"), "activities")
     classes = _string_list(_take(doc, "classes", list, "document"), "classes")
 
-    rel_types = []
-    for i, item in enumerate(_take(doc, "relationships", list, "document", default=[])):
-        where = f"relationships[{i}]"
-        entry = _expect(item, dict, where)
-        rid = _take(entry, "id", str, where)
-        source = _take(entry, "source", str, where)
-        target = _take(entry, "target", str, where)
-        src_always = _card(entry, "card_src_always", where)
-        tar_always = _card(entry, "card_tar_always", where)
-        rel_types.append(
-            RelationshipType(
-                id=rid,
-                source=source,
-                target=target,
-                card_src_always=src_always,
-                card_src_eventually=_card(entry, "card_src_eventually", where, default=src_always),
-                card_tar_always=tar_always,
-                card_tar_eventually=_card(entry, "card_tar_eventually", where, default=tar_always),
-            )
-        )
-        _no_extras(entry, where)
-
-    links = []
-    for i, item in enumerate(_take(doc, "aoc", list, "document", default=[])):
-        where = f"aoc[{i}]"
-        entry = _expect(item, dict, where)
-        activity = _take(entry, "activity", str, where)
-        cls = _take(entry, "class", str, where)
-        always = _card(entry, "card_act_always", where)
-        links.append(
-            ActivityClassLink(
-                activity=activity,
-                cls=cls,
-                card_events_always=always,
-                card_events_eventually=_card(entry, "card_act_eventually", where, default=always),
-                card_objects=_card(entry, "card_obj", where),
-            )
-        )
-        _no_extras(entry, where)
-
+    rel_types, links = _read_array(doc, "relationships"), _read_array(doc, "aoc")
     constraints: list[BehavioralConstraint] = []
     scope: dict[str, str] = {}
     for i, item in enumerate(_take(doc, "constraints", list, "document", default=[])):
@@ -240,37 +249,16 @@ def load_model(data: bytes | str) -> OcbcModel:
     return model
 
 
-def _card_entry(out: dict, key: str, card: Cardinality, default: Cardinality) -> None:
-    if card != default:
-        out[key] = card.render()
-
-
 def _ctype_dict(ctype: ConstraintType) -> dict | str:
     for name, template in TEMPLATES.items():
         if template == ctype:
             return name
-    atoms = {"before": ctype.before, "after": ctype.after, "sum": ctype.total}
-    return {key: card.render() for key, card in atoms.items() if card is not None}
+    return {key: card.render() for key, card in zip(_ATOMS, ctype) if card is not None}
 
 
 def save_model(model: OcbcModel) -> bytes:
     """Canonical serialization; pair shorthands are saved in expanded form.
     The models already hold relationships, links and constraints sorted."""
-    relationships = []
-    for rt in model.clam.rel_types:
-        entry: dict[str, Any] = {"id": rt.id, "source": rt.source, "target": rt.target}
-        _card_entry(entry, "card_src_always", rt.card_src_always, ANY)
-        _card_entry(entry, "card_src_eventually", rt.card_src_eventually, rt.card_src_always)
-        _card_entry(entry, "card_tar_always", rt.card_tar_always, ANY)
-        _card_entry(entry, "card_tar_eventually", rt.card_tar_eventually, rt.card_tar_always)
-        relationships.append(entry)
-    aoc = []
-    for link in model.links:
-        entry = {"activity": link.activity, "class": link.cls}
-        _card_entry(entry, "card_act_always", link.card_events_always, ANY)
-        _card_entry(entry, "card_act_eventually", link.card_events_eventually, link.card_events_always)
-        _card_entry(entry, "card_obj", link.card_objects, ANY)
-        aoc.append(entry)
     constraints = []
     for c in model.bcm.constraints:
         constraints.append(
@@ -285,8 +273,8 @@ def save_model(model: OcbcModel) -> bytes:
     doc = {
         "activities": sorted(model.bcm.activities),
         "classes": sorted(model.clam.classes),
-        "relationships": relationships,
-        "aoc": aoc,
+        "relationships": _write_array(model.clam.rel_types, "relationships"),
+        "aoc": _write_array(model.links, "aoc"),
         "constraints": constraints,
     }
     return (_indented(doc) + "\n").encode()

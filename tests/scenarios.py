@@ -531,6 +531,71 @@ def customer_pairs_log(n: int) -> EventLog:
     return EventLog(init=init, events=tuple(events))
 
 
+FAN_IN_TEMPLATES = ("response", "precedence", "co-existence")
+
+
+def fan_in_family(seed: int, via: str, events: int = 40) -> tuple[OcbcModel, EventLog]:
+    """A seeded pair of `fan_in_model(via)`'s shape whose reference events
+    correlate with several long target lists at once, with one constraint
+    per template of `FAN_IN_TEMPLATES` and its activities drawn.
+
+    Class scope `desk`: each event references 1–5 of six desks, and most
+    also reference a desk of their own that their delta creates; a few
+    reference the desk that the next event creates.  Relationship scope
+    `r`: four customers own two to four orders each, visits reference
+    1–4 customers and ships 1–2 orders; some ships create an order that
+    a customer owns from then on, or that no customer owns."""
+    rng = random.Random(f"fan-in:{seed}:{via}:{events}")
+    pairs = [("visit", "ship"), ("ship", "visit")]
+    if via == "desk":  # class scope: any two activities, equal ones too
+        pairs += [("visit", "visit"), ("ship", "ship")]
+    base = fan_in_model(via)
+    constraints = [constraint(f"c{i}", template, *rng.choice(pairs)) for i, template in enumerate(FAN_IN_TEMPLATES)]
+    model = OcbcModel(
+        bcm=BcModel(activities=base.bcm.activities, constraints=tuple(constraints)),
+        clam=base.clam,
+        links=base.links,
+        scope={c.id: via for c in constraints},
+    )
+    log = []
+    if via == "desk":
+        desks = [f"d{i}" for i in range(6)]
+        init = ObjectModel(class_of=dict.fromkeys(desks, "desk"), relations=frozenset())
+        for seq in range(1, events + 1):
+            objects, new_objects = set(rng.sample(desks, rng.randint(1, 5))), []
+            if rng.random() < 0.8:
+                objects.add(f"x{seq}")
+                new_objects = [(f"x{seq}", "desk")]
+            elif rng.random() < 0.5:
+                objects.add(f"x{seq + 1}")
+            log.append(event(f"e{seq}", seq, rng.choice(("visit", "ship")), objects, new_objects=new_objects))
+        return model, EventLog(init=init, events=tuple(log))
+    customers = [f"c{i}" for i in range(4)]
+    owned = [(c, f"o{c}-{j}") for c in customers for j in range(rng.randint(2, 4))]
+    orders = [o for _, o in owned]
+    init = ObjectModel(
+        class_of={**dict.fromkeys(customers, "customer"), **dict.fromkeys(orders, "order")},
+        relations=frozenset(("r", c, o) for c, o in owned),
+    )
+    for seq in range(1, events + 1):
+        new_objects, new_relations = [], []
+        if rng.random() < 0.5:
+            objects = set(rng.sample(customers, rng.randint(1, 4)))
+            activity = "visit"
+        else:
+            objects = set(rng.sample(orders, rng.randint(1, 2)))
+            activity = "ship"
+            if rng.random() < 0.2:
+                order = f"n{seq}"
+                objects.add(order)
+                new_objects = [(order, "order")]
+                if rng.random() < 0.8:
+                    new_relations = [("r", rng.choice(customers), order)]
+                    orders.append(order)
+        log.append(event(f"e{seq}", seq, activity, objects, new_objects=new_objects, new_relations=new_relations))
+    return model, EventLog(init=init, events=tuple(log))
+
+
 def crowd_model(rel_types: int) -> OcbcModel:
     """A "note" references one to ten tickets, and each of `rel_types`
     relationship types seats a ticket at exactly one desk, eventually."""
@@ -623,7 +688,10 @@ def relink_log(events: int, every: int = 4, objects: int = 12) -> EventLog:
             flipped = rng.choice(sorted(classes))
             classes = {**classes, flipped: "ticket" if classes[flipped] == "desk" else "desk"}
             new += rng.sample(sorted(relations), min(1, len(relations)))
-            relations = {rel for rel in relations if rel[1] in classes and rel[2] in classes and rng.random() < 0.8}
+            # Drawn in sorted order, not set (hash) order, so every process builds one log.
+            relations = {
+                rel for rel in sorted(relations) if rel[1] in classes and rel[2] in classes and rng.random() < 0.8
+            }
             snapshot = ObjectModel(class_of=classes, relations=relations)
         elif seq % every == 1:
             new_objects = [(f"n{seq}", rng.choice(("ticket", "desk")))]

@@ -141,6 +141,18 @@ def test_empty_cardinality_rejected():
         Cardinality(())
 
 
+def test_empty_range_rejected():
+    with pytest.raises(CardinalityError, match=r"^empty range 3\.\.1\b"):
+        Cardinality(((0, 1), (3, 1)))
+
+
+def test_constraint_type_str_is_its_rendering():
+    ctype = ConstraintType(before=parse_cardinality("0"), after=parse_cardinality("1..2"),
+                           total=parse_cardinality("1,3..*"))
+    assert str(ctype) == ctype.render() == "before in 0 and after in 1..2 and before+after in 1,3..*"
+    assert str(TEMPLATES["co-existence"]) == "before+after in 1..*"
+
+
 def test_builtin_templates():
     assert builtin_constraint_type("response") == ConstraintType(after=parse_cardinality("1..*"))
     assert builtin_constraint_type("unary-precedence") == ConstraintType(before=parse_cardinality("1"))

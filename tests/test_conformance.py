@@ -40,6 +40,7 @@ from scenarios import (
     desk_model,
     desk_pairs_log,
     event,
+    fan_in_family,
     fan_in_model,
     hiring_log,
     hiring_model,
@@ -790,6 +791,36 @@ def test_distinct_sets_on_a_busy_object_agree_with_the_oracle(via, build):
         assert check_violations(model, log, ("IX",), prefix=True) == prefix, template
         if template in ("non-response", None):  # every visit has a later ship
             assert len(prefix) == 6, template
+
+
+@pytest.mark.parametrize("via", ["desk", "r"])
+def test_the_fan_in_family_agrees_with_the_oracle(via, monkeypatch):
+    """Reference events correlated through several long target lists at
+    once: every kind equals the oracle's in full mode, and in prefix mode
+    the oracle's list downgraded as `check_violations` documents it (II,
+    eventual VII, and IX of a relationship scope or fixable by more
+    targets).  The family reaches `_composed` with three or more lists, one
+    of them long."""
+    composed, compose = [], conformance._composed
+
+    def recording(lists):
+        composed.append(sorted(map(len, lists)))
+        return compose(lists)
+
+    monkeypatch.setattr(conformance, "_composed", recording)
+    for seed in range(12):
+        model, log = fan_in_family(seed, via)
+        oracle = sort_violations(naive_check(model, log))
+        assert check_violations(model, log) == oracle, seed
+
+        def repairable(v):
+            if v.kind == "IX":
+                return via == "r" or model.bcm.constraint(v.constraint).ctype.future_fixable(v.before, v.after)
+            return v.kind == "II" or v.kind == "VII" and v.temporal == "eventually"
+
+        prefix = [v.downgraded() if repairable(v) else v for v in oracle]
+        assert check_violations(model, log, prefix=True) == prefix, seed
+    assert any(len(lists) >= 3 and lists[-1] >= 10 for lists in composed)
 
 
 def test_viii_counts_only_the_objects_an_event_finds():

@@ -66,6 +66,15 @@ def test_snapshot_add_then_remove_relation():
     assert ("r1", "o1", "ol1") not in log.snapshot_after("e3").relations
 
 
+def test_a_log_does_not_equal_another_type():
+    """`__eq__` leaves any other type to Python, so it compares unequal,
+    also to a tuple of the log's init and events."""
+    log = order_process_log()
+    assert log.__eq__(object()) is NotImplemented
+    assert log != object() and log != (log.init, log.events) and not log == None  # noqa: E711
+    assert log == order_process_log()
+
+
 def test_replaying_deltas_reaches_the_population_snapshot():
     om, log = order_object_model()
     replayed = log.snapshot_after("e1")

@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from itertools import chain
+from itertools import chain, product
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
@@ -40,8 +40,12 @@ from ocbcheck import (
 )
 from ocbcheck import formats
 from ocbcheck.cli import main
+from ocbcheck.cardinality import ANY
 from ocbcheck.eventlog import MAX_SEQ
+from ocbcheck.model import validate_model
 from scenarios import (
+    CARD_PAIRS,
+    MULTI_RANGE_PAIRS,
     desk_model,
     hiring_log,
     hiring_model,
@@ -114,6 +118,47 @@ def test_model_round_trip_is_byte_stable():
         data = save_model(model)
         assert load_model(data) == model
         assert save_model(load_model(data)) == data
+
+
+def test_a_cardinality_is_saved_exactly_when_it_differs_from_its_default():
+    """An omitted eventual cardinality takes its always value, and any other
+    omitted cardinality is `*`: each `card_*` key is written exactly when
+    its value differs from that default, and the document loads back to
+    the model, or to the model's defects when it has some."""
+    written, loaded = Counter(), 0
+    for pairs, seed in product((CARD_PAIRS, MULTI_RANGE_PAIRS), range(300)):
+        model = random_model(random.Random(seed), pairs)
+        data = save_model(model)
+        doc = json.loads(data)
+        expected = []
+        for rt in model.clam.rel_types:
+            expected.append({
+                "card_src_always": (rt.card_src_always, ANY),
+                "card_src_eventually": (rt.card_src_eventually, rt.card_src_always),
+                "card_tar_always": (rt.card_tar_always, ANY),
+                "card_tar_eventually": (rt.card_tar_eventually, rt.card_tar_always),
+            })
+        for link in model.links:
+            expected.append({
+                "card_act_always": (link.card_events_always, ANY),
+                "card_act_eventually": (link.card_events_eventually, link.card_events_always),
+                "card_obj": (link.card_objects, ANY),
+            })
+        for entry, cards in zip(doc["relationships"] + doc["aoc"], expected, strict=True):
+            assert {key: text for key, text in entry.items() if key.startswith("card_")} == {
+                key: card.render() for key, (card, default) in cards.items() if card != default
+            }, seed
+            written.update((key, key in entry) for key in cards)
+        defects = validate_model(model)
+        if defects:
+            with pytest.raises(ModelDefectsError) as caught:
+                load_model(data)
+            assert caught.value.defects == defects, seed
+        else:
+            assert load_model(data) == model, seed
+            loaded += 1
+    # Every key is both written and left out somewhere, and most models load.
+    assert len(written) == 14 and loaded >= 100, (written, loaded)
 
 
 def test_custom_constraint_types_are_saved_as_their_atoms():
@@ -263,6 +308,12 @@ BAD_MODELS = [
      "relationships[0].card_tar_always: bad cardinality 'x': expected cardinality term, got 'x' (at position 0)"),
     (dict(aoc=[["a1", "oca"]]),
      "aoc[0]: expected object, got list"),
+    # Of two bad keys in one entry, the one read first is reported.
+    (dict(relationships=[{"id": "r", "source": "oca", "target": "ocb", "card_src_eventually": 1,
+                          "card_tar_always": "x"}]),
+     "relationships[0].card_tar_always: bad cardinality 'x': expected cardinality term, got 'x' (at position 0)"),
+    (dict(aoc=[{"activity": "a1", "class": "oca", "card_obj": 1, "card_act_eventually": "x"}]),
+     "aoc[0].card_act_eventually: bad cardinality 'x': expected cardinality term, got 'x' (at position 0)"),
     (dict(constraints=[None]),
      "constraints[0]: expected object, got NoneType"),
     (dict(activities=["a1", 2]),

@@ -267,6 +267,25 @@ def test_a_flush_waits_until_enough_demand_is_ready(monkeypatch):
     assert waits > 0
 
 
+def test_a_drain_that_never_ends_stops_at_the_budget(monkeypatch):
+    """An object whose obligations start over after each event never leaves
+    `active`: the drain stops with an error once the log runs past its
+    budget, 256 events beyond the target for a small target."""
+    act = generator._Generator._act
+    emitted = []
+
+    def endless(self, live, delta=generator.EMPTY_DELTA):
+        act(self, live, delta)
+        live.next_act = live.emitted = 0
+        emitted.append(len(self.events))
+        return False
+
+    monkeypatch.setattr(generator._Generator, "_act", endless)
+    with pytest.raises(GenerationError, match="^generation budget exceeded while draining obligations$"):
+        generate_conforming(order_process_model(), events=5, seed=0)
+    assert emitted[-1] == 5 + 256 + 1
+
+
 def test_an_ambient_pool_grows_past_its_first_objects():
     """A pool starts with two to four objects; an a that needs five b's at
     creation grows it to five, all in the initial model."""

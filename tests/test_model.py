@@ -14,6 +14,17 @@ def test_hiring_model_is_well_formed():
     assert validate_model(hiring_model()) == []
 
 
+@pytest.mark.parametrize("build", [
+    lambda m: m.bcm, lambda m: m.clam, lambda m: m,
+], ids=["BcModel", "ClassModel", "OcbcModel"])
+def test_a_model_type_does_not_equal_another_type(build):
+    """`__eq__` leaves any other type to Python, so it compares unequal."""
+    value = build(order_process_model())
+    assert value.__eq__(object()) is NotImplemented
+    assert value != object() and value != (value,) and not value == None  # noqa: E711
+    assert value == build(order_process_model())
+
+
 def test_validation_is_idempotent():
     model = order_process_model()
     assert validate_model(model) == validate_model(model)
