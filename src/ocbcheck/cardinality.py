@@ -17,10 +17,11 @@ _TERM_RE = re.compile(r"\s*(?:(\*)|(\d+)(?:\.\.(\d+|\*))?)\s*")
 
 
 class CardinalityError(ValueError):
-    """Raised for malformed cardinality text; carries the failing position."""
+    """Raised for malformed cardinality text, with the failing position, or
+    for bad ranges given to `Cardinality`, without one."""
 
-    def __init__(self, message: str, position: int = 0):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message if position is None else f"{message} (at position {position})")
         self.position = position
 
 

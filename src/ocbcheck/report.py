@@ -7,7 +7,7 @@ from collections import Counter
 from operator import itemgetter, sub
 from typing import NamedTuple
 
-from .violations import KIND_TITLES, KINDS, SEVERITY_ERROR, Violation, sort_violations
+from .violations import KINDS, SEVERITY_ERROR, Violation, sort_violations
 
 
 class ConformanceReport(NamedTuple):
@@ -82,46 +82,36 @@ def _report(ordered: tuple[Violation, ...], prefix: bool) -> ConformanceReport:
     )
 
 
+def _breach(v: Violation, where: str) -> str:
+    """Types I and II: the detail if there is one, else the partner count."""
+    flavor = f"{v.temporal} " if v.temporal else ""
+    found = v.detail or f"object {v.obj} has {v.observed} partner(s), expected {flavor}{v.expected}"
+    return f"relationship {v.rel_type} {v.side or '-'} side: {found} at {where}"
+
+
+# Each kind's title and its line from a violation and where it was found, in `KINDS` order.
+_KIND_TEXT = {
+    "I": ("object-model validity", _breach),
+    "II": ("fulfilment", _breach),
+    "III": ("monotonicity", lambda v, where: f"object {v.obj}: {v.detail} at {where}"),
+    "IV": ("activity existence", lambda v, where: f"{where}: activity {v.activity!r} is not in the model"),
+    "V": ("object existence", lambda v, where: f"{where}: referenced object {v.obj} does not exist"),
+    "VI": ("proper classes", lambda v, where: (
+        f"{where}: activity {v.activity!r} may not reference class {v.cls!r} (object {v.obj})")),
+    "VII": ("events per object", lambda v, where: (
+        f"({v.activity}, {v.cls}) object {v.obj}: {'always' if v.temporal == 'always' else 'eventual'} "
+        f"event count {v.observed}, expected {v.expected}, at {where}")),
+    "VIII": ("objects per event", lambda v, where: (
+        f"({v.activity}, {v.cls}) {where}: references {v.observed} object(s), expected {v.expected}")),
+    "IX": ("behavioral constraints", lambda v, where: (
+        f"constraint {v.constraint} at {where}: before={v.before} after={v.after}, expected {v.expected}")),
+}
+
+
 def _violation_line(v: Violation) -> str:
     where = f"event {v.event} (seq {v.seq})" if v.event else "final state"
-    parts = [f"[{v.kind}]"]
-    if v.severity != SEVERITY_ERROR:
-        parts.append("(warning)")
-    if v.kind == "I" or v.kind == "II":
-        flavor = f"{v.temporal} " if v.temporal else ""
-        parts.append(f"relationship {v.rel_type} {v.side or '-'} side:")
-        if v.detail:
-            parts.append(v.detail)
-        else:
-            parts.append(f"object {v.obj} has {v.observed} partner(s), expected {flavor}{v.expected}")
-        parts.append(f"at {where}")
-    elif v.kind == "III":
-        parts.append(f"object {v.obj}: {v.detail} at {where}")
-    elif v.kind == "IV":
-        parts.append(f"{where}: activity {v.activity!r} is not in the model")
-    elif v.kind == "V":
-        parts.append(f"{where}: referenced object {v.obj} does not exist")
-    elif v.kind == "VI":
-        parts.append(
-            f"{where}: activity {v.activity!r} may not reference class {v.cls!r} (object {v.obj})"
-        )
-    elif v.kind == "VII":
-        flavor = "always" if v.temporal == "always" else "eventual"
-        parts.append(
-            f"({v.activity}, {v.cls}) object {v.obj}: {flavor} event count {v.observed}, "
-            f"expected {v.expected}, at {where}"
-        )
-    elif v.kind == "VIII":
-        parts.append(
-            f"({v.activity}, {v.cls}) {where}: references {v.observed} object(s), "
-            f"expected {v.expected}"
-        )
-    else:  # IX
-        parts.append(
-            f"constraint {v.constraint} at {where}: before={v.before} after={v.after}, "
-            f"expected {v.expected}"
-        )
-    return " ".join(parts)
+    tag = f"[{v.kind}]" if v.severity == SEVERITY_ERROR else f"[{v.kind}] (warning)"
+    return f"{tag} {_KIND_TEXT[v.kind][1](v, where)}"
 
 
 def render_text(report: ConformanceReport) -> str:
@@ -139,15 +129,15 @@ def render_text(report: ConformanceReport) -> str:
     else:
         lines.append(f"{total} violation(s)")
     lines.append("")
-    for kind in KINDS:
-        lines.append(f"  {kind:>4}  {KIND_TITLES[kind]:<26} {report.summary[kind]}")
+    for kind, (title, _) in _KIND_TEXT.items():
+        lines.append(f"  {kind:>4}  {title:<26} {report.summary[kind]}")
     # One scan lays out every violation line, grouped by kind.
     groups: dict[str, list[str]] = {}
     for v in report.violations:
         groups.setdefault(v.kind, []).append("  " + _violation_line(v))
-    for kind in KINDS:
+    for kind, (title, _) in _KIND_TEXT.items():
         if kind in groups:
-            lines += ["", f"Type {kind} ({KIND_TITLES[kind]}):", *groups[kind]]
+            lines += ["", f"Type {kind} ({title}):", *groups[kind]]
     if report.per_constraint:
         lines.append("")
         lines.append("violated reference events per constraint:")

@@ -7,18 +7,6 @@ from typing import NamedTuple
 KINDS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX")
 _KIND_ORDER = {kind: i for i, kind in enumerate(KINDS)}
 
-KIND_TITLES = {
-    "I": "object-model validity",
-    "II": "fulfilment",
-    "III": "monotonicity",
-    "IV": "activity existence",
-    "V": "object existence",
-    "VI": "proper classes",
-    "VII": "events per object",
-    "VIII": "objects per event",
-    "IX": "behavioral constraints",
-}
-
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 

@@ -230,3 +230,15 @@ def test_future_fixable():
 def test_all_templates_have_distinct_semantics():
     rendered = {name: TEMPLATES[name].render() for name in TEMPLATES}
     assert len(set(rendered.values())) == len(TEMPLATES)
+
+
+@pytest.mark.parametrize(
+    "ranges, message",
+    [(((0, 1), (3, 1)), "empty range 3..1"), (((-1, 2),), "negative bound -1"),
+     ((), "cardinality must be a non-empty set")],
+)
+def test_a_constructed_cardinality_claims_no_text_position(ranges, message):
+    with pytest.raises(CardinalityError) as err:
+        Cardinality(ranges)
+    assert str(err.value) == message
+    assert err.value.position is None

@@ -426,6 +426,26 @@ def test_check_json_streams_the_bytes_of_save_report(tmp_path, hash_seed):
         assert to_file.stdout == b""
 
 
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_check_text_writes_the_bytes_of_render_text(tmp_path, hash_seed):
+    """The text report, to a file or to stdout, is `render_text`'s, whatever
+    the order in which sets iterate."""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    cases = _report_cases(tmp_path)
+    out = tmp_path / "report.txt"
+    for model, log, report in cases:
+        command = [sys.executable, "-m", "ocbcheck.cli", "check", model, log, "--format", "text"]
+        to_stdout = subprocess.run(command, env=env, capture_output=True)
+        to_file = subprocess.run([*command, "--out", str(out)], env=env, capture_output=True)
+        assert to_stdout.returncode == to_file.returncode == (0 if report.conforms else 1), to_file.stderr
+        assert to_stdout.stdout == out.read_bytes() == render_text(report).encode(errors="backslashreplace")
+        assert to_file.stdout == b""
+
+
 def test_a_report_file_that_fails_mid_stream_exits_two(tmp_path):
     """The --out file is open before the batches are laid out, so a write
     fails between two batches: one error line, exit 2."""

@@ -14,9 +14,9 @@ import re
 import pytest
 
 from ocbcheck import BcModel, EventLog, ObjectDelta, ObjectModel, OcbcModel, check_all, check_violations
-from ocbcheck import formats, load_log, save_log, save_report
+from ocbcheck import formats, load_log, load_report, save_log, save_report
 from ocbcheck.eventlog import MAX_SEQ
-from ocbcheck.report import aggregate
+from ocbcheck.report import aggregate, render_text
 from scenarios import named_and_random_pairs
 
 # The type I detail names a relation as "relation (type,source,target)".
@@ -142,3 +142,11 @@ def test_a_log_in_another_json_layout_gives_the_same_report(prefix):
         assert other == log, n
         report = save_report(check_all(model, load_log(data), prefix=prefix))
         assert save_report(check_all(model, other, prefix=prefix)) == report, n
+
+
+@pytest.mark.parametrize("prefix", [False, True])
+def test_the_text_report_survives_the_report_round_trip(prefix):
+    """A report read back from its JSON document renders the same text."""
+    for n, (model, log) in enumerate(named_and_random_pairs()):
+        report = check_all(model, log, prefix=prefix)
+        assert render_text(load_report(save_report(report))) == render_text(report), n

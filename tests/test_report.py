@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+
+import pytest
 
 from ocbcheck import aggregate, check_all, check_violations, render_text
-from ocbcheck.violations import KINDS, SEVERITY_ERROR
+from ocbcheck.violations import KINDS, SEVERITY_ERROR, SEVERITY_WARNING, Violation
 from scenarios import (
     order_object_model,
     order_class_snapshot_model,
@@ -155,3 +158,97 @@ def test_prefix_mode_rendering_mentions_warnings():
     violations = check_violations(ticket_model(), ticket_log(), prefix=True)
     text = render_text(aggregate(violations, prefix=True))
     assert "warning" in text
+
+
+# -- the text line of each kind ----------------------------------------------------
+
+_LINES = [
+    (Violation("I", "e1", 1, rel_type="r1", side="src", obj="o1", temporal="always", observed=0, expected="1"),
+     "[I] relationship r1 src side: object o1 has 0 partner(s), expected always 1 at event e1 (seq 1)"),
+    (Violation("I", "e1", 1, rel_type="r1", side="tar", obj="ol1", cls="order", expected="line",
+               detail="relation (r1,ol1,o1): tar endpoint has class 'order', expected 'line'"),
+     "[I] relationship r1 tar side: relation (r1,ol1,o1): tar endpoint has class 'order', "
+     "expected 'line' at event e1 (seq 1)"),
+    (Violation("I", "e1", 1, rel_type="r9",
+               detail="relation (r9,o1,ol1): relationship type not declared in the class model"),
+     "[I] relationship r9 - side: relation (r9,o1,ol1): relationship type not declared in the "
+     "class model at event e1 (seq 1)"),
+    (Violation("II", "e9", 9, rel_type="r2", side="tar", obj="ol1", temporal="eventually", observed=2, expected="1"),
+     "[II] relationship r2 tar side: object ol1 has 2 partner(s), expected eventually 1 at event e9 (seq 9)"),
+    (Violation("II", "e9", 9, rel_type="r2", side="src", obj="o2", temporal="eventually", observed=0,
+               expected="1..*", severity=SEVERITY_WARNING),
+     "[II] (warning) relationship r2 src side: object o2 has 0 partner(s), expected eventually 1..* "
+     "at event e9 (seq 9)"),
+    (Violation("III", "e4", 4, obj="o1", detail="object disappeared from the object model"),
+     "[III] object o1: object disappeared from the object model at event e4 (seq 4)"),
+    (Violation("III", "e5", 5, obj="o3", detail="object changed class from 'order' to 'line'"),
+     "[III] object o3: object changed class from 'order' to 'line' at event e5 (seq 5)"),
+    (Violation("IV", "e2", 2, activity="melt"),
+     "[IV] event e2 (seq 2): activity 'melt' is not in the model"),
+    (Violation("V", "e3", 3, obj="ghost"),
+     "[V] event e3 (seq 3): referenced object ghost does not exist"),
+    (Violation("VI", "e3", 3, activity="pay", cls="line", obj="ol1"),
+     "[VI] event e3 (seq 3): activity 'pay' may not reference class 'line' (object ol1)"),
+    (Violation("VII", "e6", 6, activity="pay", cls="order", obj="o1", temporal="always", observed=2, expected="0..1"),
+     "[VII] (pay, order) object o1: always event count 2, expected 0..1, at event e6 (seq 6)"),
+    (Violation("VII", "e9", 9, activity="ship", cls="order", obj="o1", temporal="eventually", observed=0,
+               expected="1"),
+     "[VII] (ship, order) object o1: eventual event count 0, expected 1, at event e9 (seq 9)"),
+    (Violation("VII", "e9", 9, activity="ship", cls="order", obj="o2", temporal="eventually", observed=0,
+               expected="1", severity=SEVERITY_WARNING),
+     "[VII] (warning) (ship, order) object o2: eventual event count 0, expected 1, at event e9 (seq 9)"),
+    (Violation("VIII", "e7", 7, activity="pay", cls="order", observed=0, expected="1..*"),
+     "[VIII] (pay, order) event e7 (seq 7): references 0 object(s), expected 1..*"),
+    (Violation("IX", "e8", 8, constraint="c1", before=0, after=1, expected="before in 1"),
+     "[IX] constraint c1 at event e8 (seq 8): before=0 after=1, expected before in 1"),
+    (Violation("IX", "e9", 9, constraint="c2", before=1, after=0, expected="after in 1..*",
+               severity=SEVERITY_WARNING),
+     "[IX] (warning) constraint c2 at event e9 (seq 9): before=1 after=0, expected after in 1..*"),
+    (Violation("II", rel_type="r2", side="src", obj="o4", temporal="eventually", observed=0, expected="1"),
+     "[II] relationship r2 src side: object o4 has 0 partner(s), expected eventually 1 at final state"),
+]
+
+_TITLES = {
+    "I": "object-model validity",
+    "II": "fulfilment",
+    "III": "monotonicity",
+    "IV": "activity existence",
+    "V": "object existence",
+    "VI": "proper classes",
+    "VII": "events per object",
+    "VIII": "objects per event",
+    "IX": "behavioral constraints",
+}
+
+
+@pytest.mark.parametrize("violation, line", _LINES, ids=[line[:40] for _, line in _LINES])
+def test_each_kind_renders_its_line_under_its_header(violation, line):
+    lines = render_text(aggregate([violation], prefix=True)).split("\n")
+    at = lines.index(f"Type {violation.kind} ({_TITLES[violation.kind]}):")
+    assert lines[at + 1 : at + 3] == ["  " + line, ""]
+
+
+def test_render_pins_every_summary_row_header_and_the_footer():
+    lines = render_text(aggregate([v for v, _ in _LINES])).splitlines()
+    counts = Counter(v.kind for v, _ in _LINES)
+    assert lines[:2] == ["CONFORMS: no", f"{len(_LINES)} violation(s)"]
+    assert lines[3:12] == [
+        "     I  object-model validity      3",
+        "    II  fulfilment                 3",
+        "   III  monotonicity               2",
+        "    IV  activity existence         1",
+        "     V  object existence           1",
+        "    VI  proper classes             1",
+        "   VII  events per object          3",
+        "  VIII  objects per event          1",
+        "    IX  behavioral constraints     2",
+    ]
+    headers = [line for line in lines if line.startswith("Type ")]
+    assert headers == [f"Type {kind} ({_TITLES[kind]}):" for kind in KINDS]
+    for kind in KINDS:
+        at = lines.index(f"Type {kind} ({_TITLES[kind]}):")
+        assert all(line.startswith(f"  [{kind}] ") for line in lines[at + 1 : at + 1 + counts[kind]])
+        assert lines[at + 1 + counts[kind]] == ""
+    assert lines[-1] == "activities not in the model: melt"
+    two = aggregate([Violation("IV", "e2", 2, activity="melt"), Violation("IV", "e1", 1, activity="'a b'")])
+    assert render_text(two).endswith("\n\nactivities not in the model: 'a b', melt\n")
