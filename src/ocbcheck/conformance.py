@@ -11,14 +11,16 @@ missing references, types I, III, VI and VIII its class map of each stretch
 between two assertions, type I beside the deltas of the events that change
 the object model, `EventLog._changes`) and the objects each event brings in
 (`EventLog.introductions`, derived from `_changes`, for III and VII).  Type
-VII reads each object's runs of breaching counts from the cardinality's
-ranges.  Type IX correlates once per constraint and reference object, through
-the function `resolve_targets` also uses, and counts each reference event's
-targets by two bisections per correlated object, as `evaluate_bc` counts a
-trace; an event on several correlated objects is counted over their
-composition, once per distinct set.  Each kind's violations are sorted on
-their own, except type I's, which its replay keeps in report order; `KINDS`
-order then puts the kinds one after another in report order.
+I keeps one table of breach rows, checks each count a delta touched once, and
+sorts the rows only when the table changed.  Type VII reads each object's
+runs of breaching counts from the cardinality's ranges.  Type IX correlates
+once per constraint and reference object, through the function
+`resolve_targets` also uses, and counts each reference event's targets by two
+bisections per correlated object, as `evaluate_bc` counts a trace; an event
+on several correlated objects is counted over their composition, once per
+distinct set.  Each kind's violations are sorted on their own, except type
+I's, which its replay keeps in report order; `KINDS` order then puts the
+kinds one after another in report order.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from collections import Counter
 from functools import cache
 from itertools import chain, compress, product, repeat, starmap
 from operator import add, itemgetter, not_, sub
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .eventlog import Event, EventLog, LogError, ObjectModel, Relation
 from .model import BehavioralConstraint, OcbcModel, RelationshipType
@@ -75,9 +77,13 @@ class _Replay:
     class map and relations.
 
     Each event reports every breach of the current state again.  The replay
-    keeps them as `_rows`, each violation's fields after kind, event and seq
-    in report order, builds them again only after an event that left a
-    different breach state, and expands each run of events that shares them
+    keeps one table, `_bad`, from each breach to its row: the violation's
+    fields after kind, event and seq.  A typing or undeclared-type row is set
+    when its relation is added and dropped when it is removed; a delta
+    collects the partner counts it touches and checks each once, after the
+    whole delta, so a breach that opens and closes inside one delta builds no
+    row.  The rows are sorted into report order only after an event that left
+    the table different, and each run of events that shares them is expanded
     in one product of the events' heads and the rows.
     """
 
@@ -95,98 +101,84 @@ class _Replay:
                     self._rule[rt.id, side] = (keeper, cache(card.__contains__), card.render())
                     self._sides_kept_by.setdefault(keeper, []).append((rt.id, side))
                     self._counted.setdefault(rt.id, []).append((side, field))
+        self._touched: set[tuple[str, str, str]] = set()  # the partner counts the current delta touched
         events, stretches = log.events, iter(log._stretches)
         self._restart(next(stretches)[1], log.init)
-        # The breach state that `_rows` was built from, and the first event that shares them.
-        self._built, self._rows, start = ({}, {}, set()), (), 0
+        # The rows in report order, the table they were sorted from, and the first event that shares them.
+        self._rows, sorted_from, start = (), {}, 0
         self.found: list[Violation] = []
         for index in log._changes:  # event 0 too, for the initial model's breaches
             new_objects, new_relations, removed_relations, snapshot = events[index][5]
             if snapshot is not None:
                 self._restart(next(stretches)[1], snapshot)
             else:
-                for obj, cls in new_objects:
-                    self._added_object(obj, cls)
                 for rel in new_relations:
                     if rel not in self.relations:
                         self._changed(rel, 1)
                 for rel in removed_relations:
                     self._changed(rel, -1)
-            if (self._bad_card, self._bad_type, self._unknown_rt) != self._built:
+                self._recheck(new_objects)
+            if self._bad != sorted_from:
                 self.found += _repeated(events[start:index], self._rows)
-                self._build_rows()
-                start = index
+                self._rows, sorted_from, start = tuple(sorted(self._bad.values(), key=row_key)), dict(self._bad), index
         self.found += _repeated(events[start:], self._rows)
 
     def _restart(self, class_of: Mapping[str, str], snapshot: ObjectModel) -> None:
         """The breach state of `snapshot`, whose stretch's classes are `class_of`."""
         self.class_of, self.relations = class_of, set()
         self._cnt: dict[tuple[str, str, str], int] = {}
-        self._bad_card: dict[tuple[str, str, str], int] = {}  # the count of each breach
-        self._bad_type: dict[tuple[str, str, str, str], tuple[str, str, str]] = {}
-        self._unknown_rt: set[Relation] = set()
-        for obj, cls in snapshot.class_of.items():
-            self._added_object(obj, cls)
+        # The row of each breach: a partner count by (type, side, object), a mistyped endpoint by
+        # (type, source, target, side), a relation of an undeclared type by the relation itself.
+        self._bad: dict[tuple, tuple] = {}
         for rel in snapshot.relations:
             self._changed(rel, 1)
+        self._recheck(snapshot.class_of.items())
 
-    def _recheck(self, key: tuple[str, str, str]) -> None:
-        rt_id, side, obj = key
-        keeper_class, allows, _ = self._rule[rt_id, side]
-        count = self._cnt.get(key, 0)
-        if self.class_of.get(obj) == keeper_class and not allows(count):
-            self._bad_card[key] = count
-        else:
-            self._bad_card.pop(key, None)
-
-    def _added_object(self, obj: str, cls: str) -> None:
-        for rt_id, side in self._sides_kept_by.get(cls, ()):
-            self._recheck((rt_id, side, obj))
+    def _recheck(self, objects: Iterable[tuple[str, str]]) -> None:
+        """Set or drop the row of each partner count that the delta touched or
+        that its new (object, class) pairs keep, once per delta."""
+        for obj, cls in objects:  # a new object's counts start at 0, which can breach
+            for rt_id, side in self._sides_kept_by.get(cls, ()):
+                self._touched.add((rt_id, side, obj))
+        for key in self._touched:
+            rt_id, side, obj = key
+            keeper_class, allows, expected = self._rule[rt_id, side]
+            count = self._cnt.get(key, 0)
+            if self.class_of.get(obj) == keeper_class and not allows(count):
+                self._bad[key] = Violation(
+                    "I", rel_type=rt_id, side=side, obj=obj, temporal="always", observed=count, expected=expected
+                )[3:]
+            else:
+                self._bad.pop(key, None)
+        self._touched.clear()
 
     def _changed(self, rel: Relation, step: int) -> None:
-        """Add (`step` 1) or remove (-1) a relation, and keep its breaches."""
+        """Add (`step` 1) or remove (-1) a relation: set or drop its typing
+        rows, and touch the partner counts it changes."""
         (self.relations.add if step > 0 else self.relations.remove)(rel)
-        rt = self._rel_type.get(rel[0])
+        rt_id, src, tar = rel
+        rt = self._rel_type.get(rt_id)
         if rt is None:
-            (self._unknown_rt.add if step > 0 else self._unknown_rt.remove)(rel)
+            if step > 0:
+                self._bad[rel] = Violation(
+                    "I", rel_type=rt_id,
+                    detail=f"relation ({rt_id},{src},{tar}): relationship type not declared in the class model",
+                )[3:]
+            else:
+                del self._bad[rel]
             return
-        for side, field in self._counted.get(rt.id, ()):
-            key = (rt.id, side, rel[field])
+        for side, field in self._counted.get(rt_id, ()):
+            key = (rt_id, side, rel[field])
             self._cnt[key] = self._cnt.get(key, 0) + step
-            self._recheck(key)
-        for side, obj, want in (("src", rel[1], rt.source), ("tar", rel[2], rt.target)):
+            self._touched.add(key)
+        for side, obj, want in (("src", src, rt.source), ("tar", tar, rt.target)):
             if step < 0:
-                self._bad_type.pop((rt.id, rel[1], rel[2], side), None)
-            elif (got := self.class_of.get(obj)) != want:
-                self._bad_type[(rt.id, rel[1], rel[2], side)] = (obj, got or "?", want)
-
-    def _build_rows(self) -> None:
-        """Type I: the current snapshot must be valid for the class model."""
-        self._built = (dict(self._bad_card), dict(self._bad_type), set(self._unknown_rt))
-        found = [
-            Violation(
-                kind="I", rel_type=rt_id, side=side, obj=obj, temporal="always",
-                observed=count, expected=self._rule[rt_id, side][2],
-            )
-            for (rt_id, side, obj), count in self._bad_card.items()
-        ]
-        for (rt_id, src, tar, side), (obj, got, want) in self._bad_type.items():
-            found.append(
-                Violation(
-                    kind="I", rel_type=rt_id, side=side, obj=obj, cls=got, expected=want,
-                    detail=f"relation ({rt_id},{src},{tar}): {side} endpoint has class "
-                    f"{got!r}, expected {want!r}",
-                )
-            )
-        for rt_id, src, tar in self._unknown_rt:
-            found.append(
-                Violation(
-                    kind="I", rel_type=rt_id,
-                    detail=f"relation ({rt_id},{src},{tar}): relationship type "
-                    f"not declared in the class model",
-                )
-            )
-        self._rows = tuple(sorted((v[3:] for v in found), key=row_key))
+                self._bad.pop((rt_id, src, tar, side), None)
+            elif (got := self.class_of[obj]) != want:
+                self._bad[rt_id, src, tar, side] = Violation(
+                    "I", rel_type=rt_id, side=side, obj=obj, cls=got, expected=want,
+                    detail=f"relation ({rt_id},{src},{tar}): {side} endpoint has class {got!r}, expected {want!r}",
+                )[3:]
 
 
 def _repeated(run: tuple[Event, ...], rows: tuple[tuple, ...]) -> Iterator[Violation]:
