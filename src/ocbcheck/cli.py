@@ -56,9 +56,9 @@ def _parse_kinds(text: str) -> tuple[str, ...]:
 
 
 def _parse_injection(text: str) -> tuple[str, int]:
-    kind, _, times = text.partition("x")
+    kind, x, times = text.partition("x")
     kind = _kind(kind)
-    count = times.strip() or "1"
+    count = times.strip() if x else "1"
     if not count.isdecimal() or int(count) < 1:
         raise argparse.ArgumentTypeError(f"injection count {times!r} is not a positive integer")
     return kind, int(count)

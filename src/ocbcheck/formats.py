@@ -39,7 +39,7 @@ from .model import (
     validate_model,
 )
 from .report import ConformanceReport, aggregate
-from .violations import KINDS, Violation
+from .violations import KINDS, SEVERITY_ERROR, SEVERITY_WARNING, Violation
 
 
 class FormatError(ValueError):
@@ -376,8 +376,8 @@ _scan_once = json.JSONDecoder().scan_once
 # and strings with no escape and no control character (S).  The first new
 # object's class and id have groups of their own; the other new objects (O)
 # and the new relations (R) are read by `findall` from their line's group,
-# which is empty when there are none.  `_decode_text` matches it against
-# whole lines; `save_log` writes it.
+# which is empty when there are none.  `_decode_text` tries it first on
+# each line; `save_log` writes it.
 _S = r'[^"\\\x00-\x1f]*'
 _OBJECT = r'\{"class": "(S)", "id": "(S)"\}'.replace("S", _S)
 _RELATION = r'\["(S)", "(S)", "(S)"\]'.replace("S", _S)
@@ -390,25 +390,25 @@ _CANONICAL = (
 def _decode_text(text: str) -> tuple[ObjectModel | None, list[Event], array]:
     """The init model, the events in file order and the line number of each.
 
-    One scan of `text` finds the lines that `_CANONICAL` matches whole (but
-    for a carriage return), each decoded from the match's groups.  The lines
-    between two matches, and a matched line whose seq is out of range, go to
-    the JSON scanner and `_event`, which also gives every error.  Lines end
-    at "\n" only, as JSON strings may hold U+2028, U+2029 and U+0085, and
-    the scanner strips the whitespace around each.  Both paths build the
-    same event through one `memo`, and no list of the lines is made."""
+    One `finditer` gives one match per line.  A line that `_CANONICAL`
+    matches whole (but for a carriage return), with its seq in range, is
+    decoded from the match's groups; any other line goes to the JSON scanner
+    and `_event`, which also gives every error.  Lines end at "\n" only, as
+    JSON strings may hold U+2028, U+2029 and U+0085, and the scanner strips
+    the whitespace around each.  Both paths build the same event through one
+    `memo`, and no list of the lines is made."""
     memo: dict = {}
     sets: dict[str, frozenset[str]] = {}  # the `objects` set of each `objects` text matched
     init = None
     events: list[Event] = []
     line_numbers = array("q")
-
-    def scan(lines: str, lineno: int) -> int:
-        """Decode the lines of `lines`, the first at `lineno`; the number of
-        the line after them."""
-        nonlocal init
-        for lineno, line in enumerate(lines.split("\n"), lineno):
-            line = line.strip()
+    # Compiled here, through `re`'s cache, so a run that decodes no log skips it.
+    lines = re.compile("^(?:" + _CANONICAL + r"\r?$|(.*))", re.M).finditer(text)
+    objects_in, relations_in = re.compile(_OBJECT).findall, re.compile(_RELATION).findall
+    for lineno, match in enumerate(lines, 1):
+        activity, eid, cls, oid, more_objects, new_relations, objects, seq, _ = match.groups()
+        if seq is None or (seq := int(seq)) > MAX_SEQ:  # not canonical: the JSON scanner
+            line = match[0].strip()
             if not line:
                 continue
             try:
@@ -431,19 +431,7 @@ def _decode_text(text: str) -> tuple[ObjectModel | None, list[Event], array]:
             except FormatError as exc:
                 raise FormatError(exc.message, f"line {lineno}{exc.where}") from None
             line_numbers.append(lineno)
-        return lineno + 1
-
-    # Compiled here, through `re`'s cache, so a run that decodes no log skips it.
-    matches = re.compile("^" + _CANONICAL + r"\r?$", re.M).finditer(text)
-    objects_in, relations_in = re.compile(_OBJECT).findall, re.compile(_RELATION).findall
-    pos, lineno = 0, 1  # where the next line starts, and its number
-    for match in matches:
-        start, stop = match.span()
-        if start != pos:  # the lines between, up to the newline before this one
-            lineno = scan(text[pos : start - 1], lineno)
-        activity, eid, cls, oid, more_objects, new_relations, objects, seq = match.groups()
-        if (seq := int(seq)) > MAX_SEQ:
-            scan(text[start:stop], lineno)  # raises the scanner's error
+            continue
         activity = memo.setdefault(activity, activity)
         if objects is None:
             objects = _NO_OBJECTS
@@ -462,8 +450,6 @@ def _decode_text(text: str) -> tuple[ObjectModel | None, list[Event], array]:
             delta = tuple.__new__(ObjectDelta, (pairs, relations, (), None))
         events.append(tuple.__new__(Event, (eid, seq, activity, objects, EMPTY_ATTRS, delta)))
         line_numbers.append(lineno)
-        pos, lineno = stop + 1, lineno + 1
-    scan(text[pos:], lineno)
     return init, events, line_numbers
 
 
@@ -646,6 +632,14 @@ def save_report(report: ConformanceReport) -> bytes:
     return b"".join(report_chunks(report))
 
 
+# The values a report's violation may give each of these fields.
+_FIELD_VALUES = {
+    "side": ("", "src", "tar"),
+    "temporal": ("", "always", "eventually"),
+    "severity": (SEVERITY_ERROR, SEVERITY_WARNING),
+}
+
+
 def load_report(data: bytes | str) -> ConformanceReport:
     doc = _expect(_parse_json(data), dict, "document")
     violations = []
@@ -661,7 +655,11 @@ def load_report(data: bytes | str) -> ConformanceReport:
                 value = entry.pop(key)
                 if value is not None or default is not None:  # observed/before/after may be null
                     _expect(value, int if default is None else type(default), f"{where}.{key}")
+                if key in _FIELD_VALUES and value not in _FIELD_VALUES[key]:
+                    raise FormatError(f"unknown {key} {value!r}", f"{where}.{key}")
                 fields[key] = value
+        if kind in ("I", "II") and fields.get("temporal") and not fields.get("side"):
+            raise FormatError("a temporal breach needs side src or tar", f"{where}.side")
         _no_extras(entry, where)
         violations.append(Violation(kind=kind, **fields))
     prefix = _take(doc, "prefix_mode", bool, "document", default=False)

@@ -202,7 +202,7 @@ def test_generate_with_repeated_injection(workspace, capsys):
     assert capsys.readouterr().err.count("injected IV") == 2
 
 
-@pytest.mark.parametrize("count", ["abc", "0", "-2", "2.5"])
+@pytest.mark.parametrize("count", ["abc", "0", "-2", "2.5", ""])
 def test_injection_count_must_be_a_positive_integer(count, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["generate", str(DEMO / "order-process.ocbc.json"), "--inject", f"IXx{count}"])

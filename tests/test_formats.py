@@ -767,7 +767,7 @@ def _decoded_both_ways(monkeypatch, text: str) -> tuple:
 
     fast = decoded()
     with monkeypatch.context() as patch:
-        patch.setattr(formats, "_CANONICAL", "(?!)")  # matches no line
+        patch.setattr(formats, "_CANONICAL", "(?!)" + "()" * 8)  # matches no line; same groups
         return fast, decoded()
 
 
@@ -1086,6 +1086,13 @@ def test_report_conforms_flag_is_checked():
         ({"kind": "IX", "seq": "4"}, "violations[0].seq: expected integer, got str"),
         ({"kind": "IX", "before": True}, "violations[0].before: expected integer, got boolean"),
         ({"kind": "IV", "activity": ["a"]}, "violations[0].activity: expected string, got list"),
+        ({"kind": "I", "side": "x", "temporal": "always"}, "violations[0].side: unknown side 'x'"),
+        ({"kind": "II", "side": "", "temporal": "always"}, "violations[0].side: a temporal breach needs side src or tar"),
+        ({"kind": "I", "temporal": "eventually"}, "violations[0].side: a temporal breach needs side src or tar"),
+        ({"kind": "VII", "temporal": "sometimes"}, "violations[0].temporal: unknown temporal 'sometimes'"),
+        ({"kind": "II", "side": "src", "temporal": "x"}, "violations[0].temporal: unknown temporal 'x'"),
+        ({"kind": "IX", "severity": "bogus"}, "violations[0].severity: unknown severity 'bogus'"),
+        ({"kind": "IV", "severity": ""}, "violations[0].severity: unknown severity ''"),
     ],
 )
 def test_report_violation_fields_are_typed(entry, needle):

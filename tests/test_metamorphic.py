@@ -127,21 +127,29 @@ def _shuffled(value, rng: random.Random):
 @pytest.mark.parametrize("prefix", [False, True])
 def test_a_log_in_another_json_layout_gives_the_same_report(prefix):
     """Compact separators and shuffled keys, written without ASCII escapes,
-    take every line off the canonical match and onto the JSON scanner; the
-    report bytes stay those of the canonical form."""
+    take every line off the canonical match and onto the JSON scanner; with
+    CRLF line ends and a blank line between lines, every other line compact,
+    one log goes through both decoders.  Either way the log and the report
+    bytes stay those of the canonical form."""
     rng = random.Random(5)
     canonical = re.compile(formats._CANONICAL).fullmatch
+    mixed_logs = 0  # logs whose mixed layout keeps a canonical line and a compact one
     for n, (model, log) in enumerate(named_and_random_pairs()):
         data = save_log(log)
-        lines = [
+        plain = data.decode().splitlines()
+        compact = [
             json.dumps(_shuffled(json.loads(line), rng), separators=(",", ":"), ensure_ascii=False)
-            for line in data.decode().splitlines()
+            for line in plain
         ]
-        assert not any(map(canonical, lines)), n
-        other = load_log("\n".join(lines).encode())
-        assert other == log, n
+        assert not any(map(canonical, compact)), n
+        mixed = [compact[i] if i % 2 else line for i, line in enumerate(plain)]
+        mixed_logs += len(plain) > 1 and any(map(canonical, plain[::2]))
         report = save_report(check_all(model, load_log(data), prefix=prefix))
-        assert save_report(check_all(model, other, prefix=prefix)) == report, n
+        for text in ("\n".join(compact), "\r\n\r\n".join(mixed) + "\r\n"):
+            other = load_log(text.encode())
+            assert other == log, n
+            assert save_report(check_all(model, other, prefix=prefix)) == report, n
+    assert mixed_logs > 10
 
 
 @pytest.mark.parametrize("prefix", [False, True])

@@ -10,6 +10,8 @@ MAX_LINES = 3420
 
 
 def test_package_source_stays_under_the_line_gate():
-    lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
+    counts = {path.name: path.read_bytes().count(b"\n") for path in sorted(SRC.glob("*.py"))}
+    lines = sum(counts.values())
     assert lines > 1000  # the files were found
-    assert lines <= MAX_LINES, f"src/ocbcheck/*.py is {lines} lines, over the gate of {MAX_LINES}"
+    each = ", ".join(f"{name} {count}" for name, count in counts.items())
+    assert lines <= MAX_LINES, f"src/ocbcheck/*.py is {lines} lines, over the gate of {MAX_LINES}: {each}"
