@@ -141,16 +141,6 @@ class ModelDefect(NamedTuple):
         return f"[{self.code}] {self.subject}: {self.message}"
 
 
-def _check_duplicates(items: list[str], universe: str, defects: list[ModelDefect]) -> None:
-    seen: set[str] = set()
-    for name in items:
-        if name in seen:
-            defects.append(
-                ModelDefect("duplicate-id", name, f"{universe} id declared more than once")
-            )
-        seen.add(name)
-
-
 def validate_model(model: OcbcModel) -> list[ModelDefect]:
     """Return every well-formedness defect of the model; empty means well-formed.
 
@@ -162,8 +152,27 @@ def validate_model(model: OcbcModel) -> list[ModelDefect]:
     defects: list[ModelDefect] = []
     bcm, clam = model.bcm, model.clam
 
-    _check_duplicates([c.id for c in bcm.constraints], "constraint", defects)
-    _check_duplicates([r.id for r in clam.rel_types], "relationship", defects)
+    def unique(seen: set, key: object, subject: str, message: str) -> None:
+        if key in seen:
+            defects.append(ModelDefect("duplicate-id", subject, message))
+        seen.add(key)
+
+    def declared(subject: str, role: str, kind: str, name: str) -> None:
+        if name not in (bcm.activities if kind == "activity" else clam.classes):
+            defects.append(ModelDefect(f"dangling-{kind}", subject, f"{role}{kind} {name!r} is not declared"))
+
+    def within(subject: str, side: str, eventually: Cardinality, always: Cardinality) -> None:
+        if not eventually.is_subset_of(always):
+            defects.append(ModelDefect(
+                "eventually-not-subset", subject,
+                f"{side}eventually-cardinality {eventually} is not a subset of always-cardinality {always}",
+            ))
+
+    for universe, ids in (("constraint", [c.id for c in bcm.constraints]),
+                          ("relationship", [r.id for r in clam.rel_types])):
+        seen: set[str] = set()
+        for name in ids:
+            unique(seen, name, name, f"{universe} id declared more than once")
 
     universes = [
         ("activity", set(bcm.activities)),
@@ -181,56 +190,22 @@ def validate_model(model: OcbcModel) -> list[ModelDefect]:
                 )
 
     for c in bcm.constraints:
-        for role, act in (("reference", c.ref_activity), ("target", c.target_activity)):
-            if act not in bcm.activities:
-                defects.append(
-                    ModelDefect(
-                        "dangling-activity",
-                        c.id,
-                        f"{role} activity {act!r} is not declared",
-                    )
-                )
+        declared(c.id, "reference ", "activity", c.ref_activity)
+        declared(c.id, "target ", "activity", c.target_activity)
 
     for r in clam.rel_types:
-        for role, cls in (("source", r.source), ("target", r.target)):
-            if cls not in clam.classes:
-                defects.append(
-                    ModelDefect("dangling-class", r.id, f"{role} class {cls!r} is not declared")
-                )
+        declared(r.id, "source ", "class", r.source)
+        declared(r.id, "target ", "class", r.target)
         for side in ("src", "tar"):
-            if not r.card(side, "eventually").is_subset_of(r.card(side, "always")):
-                defects.append(
-                    ModelDefect(
-                        "eventually-not-subset",
-                        r.id,
-                        f"{side} eventually-cardinality {r.card(side, 'eventually')} "
-                        f"is not a subset of always-cardinality {r.card(side, 'always')}",
-                    )
-                )
+            within(r.id, f"{side} ", r.card(side, "eventually"), r.card(side, "always"))
 
     seen_pairs: set[tuple[str, str]] = set()
     for link in model.links:
         pair = f"({link.activity}, {link.cls})"
-        if (link.activity, link.cls) in seen_pairs:
-            defects.append(ModelDefect("duplicate-id", pair, "activity/class link declared twice"))
-        seen_pairs.add((link.activity, link.cls))
-        if link.activity not in bcm.activities:
-            defects.append(
-                ModelDefect("dangling-activity", pair, f"activity {link.activity!r} is not declared")
-            )
-        if link.cls not in clam.classes:
-            defects.append(
-                ModelDefect("dangling-class", pair, f"class {link.cls!r} is not declared")
-            )
-        if not link.card_events_eventually.is_subset_of(link.card_events_always):
-            defects.append(
-                ModelDefect(
-                    "eventually-not-subset",
-                    pair,
-                    f"eventually-cardinality {link.card_events_eventually} is not a "
-                    f"subset of always-cardinality {link.card_events_always}",
-                )
-            )
+        unique(seen_pairs, (link.activity, link.cls), pair, "activity/class link declared twice")
+        declared(pair, "", "activity", link.activity)
+        declared(pair, "", "class", link.cls)
+        within(pair, "", link.card_events_eventually, link.card_events_always)
 
     for cid in sorted(model.scope):
         if not bcm.has_constraint(cid):
@@ -243,7 +218,7 @@ def validate_model(model: OcbcModel) -> list[ModelDefect]:
             defects.append(ModelDefect("missing-scope", c.id, "constraint has no class or relationship scope"))
             continue
         if via in clam.classes:
-            for act in (c.ref_activity, c.target_activity):
+            for act in dict.fromkeys((c.ref_activity, c.target_activity)):  # a self-loop's activity once
                 if not model.has_link(act, via):
                     defects.append(
                         ModelDefect(

@@ -1,20 +1,24 @@
 """Metamorphic properties of the checker: transformations of the input whose
 effect on the report is known without an oracle.
 
-Each runs over the worked scenarios and the seeded random pairs, in full
-and in prefix mode.
+Each report property runs over the worked scenarios and the seeded random
+pairs, in full and in prefix mode.  The model properties run over seeded
+random model documents that parse but are not well-formed.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
 from ocbcheck import BcModel, EventLog, ObjectDelta, ObjectModel, OcbcModel, check_all, check_violations
-from ocbcheck import formats, load_log, load_report, save_log, save_report
+from ocbcheck import ModelDefectsError, formats, load_log, load_model, load_report, save_log, save_report
 from ocbcheck.eventlog import MAX_SEQ
 from ocbcheck.report import aggregate, render_text
 from scenarios import named_and_random_pairs
@@ -158,3 +162,94 @@ def test_the_text_report_survives_the_report_round_trip(prefix):
     for n, (model, log) in enumerate(named_and_random_pairs()):
         report = check_all(model, log, prefix=prefix)
         assert render_text(load_report(save_report(report))) == render_text(report), n
+
+
+_NAMES = ["a", "b", "c", "k", "r", "x"]  # one small pool, so names clash and dangle often
+_CARDS = ["*", "0", "1", "0..1", "1..*", "2"]
+
+
+def _defective_document(rng: random.Random) -> dict:
+    """A model document that parses, with ids, relationship ids and link pairs
+    each used by one entry or by exact copies of it: the models sort their
+    entries by id alone and `load_model` keeps one scope per constraint id, so
+    two different entries under one id keep their document order."""
+    def cards(*keys):
+        return {key: rng.choice(_CARDS) for key in keys if rng.random() < 0.4}
+
+    def copies(entries):
+        return entries + [dict(e) for e in entries if rng.random() < 0.2]
+
+    pick = lambda: rng.choice(_NAMES)  # noqa: E731
+    return {
+        "activities": rng.sample(_NAMES, rng.randint(1, 4)),
+        "classes": rng.sample(_NAMES, rng.randint(1, 4)),
+        "relationships": copies([
+            {"id": rid, "source": pick(), "target": pick(),
+             **cards("card_src_always", "card_tar_always", "card_src_eventually", "card_tar_eventually")}
+            for rid in rng.sample(_NAMES, rng.randint(0, 3))
+        ]),
+        "aoc": copies([
+            {"activity": act, "class": cls, **cards("card_act_always", "card_act_eventually", "card_obj")}
+            for act, cls in rng.sample([(a, c) for a in _NAMES for c in _NAMES], rng.randint(0, 5))
+        ]),
+        "constraints": copies([
+            {"id": cid, "type": rng.choice(["response", "precedence", "non-response"]),
+             "ref": pick(), "target": pick(), "via": pick(), **({"pair": "response"} if rng.random() < 0.1 else {})}
+            for cid in rng.sample(_NAMES, rng.randint(0, 4))
+        ]),
+    }
+
+
+def _reordered(doc: dict, rng: random.Random) -> dict:
+    return {key: rng.sample(value, len(value)) for key, value in doc.items()}
+
+
+def _defects(doc: dict) -> list:
+    with pytest.raises(ModelDefectsError) as caught:
+        load_model(json.dumps(doc))
+    return caught.value.defects
+
+
+def _defective_documents(count: int) -> list[dict]:
+    rng = random.Random(11)
+    docs = []
+    while len(docs) < count:
+        doc = _defective_document(rng)
+        try:
+            load_model(json.dumps(doc))
+        except ModelDefectsError:
+            docs.append(doc)
+    return docs
+
+
+def test_shuffling_a_model_document_keeps_its_defect_list():
+    """The defect list is a function of the model, not of the order in which
+    the document declares activities, classes, relationships, links and
+    constraints."""
+    rng = random.Random(5)
+    codes = set()
+    for n, doc in enumerate(_defective_documents(300)):
+        defects = _defects(doc)
+        codes.update(d.code for d in defects)
+        for _ in range(4):
+            assert _defects(_reordered(doc, rng)) == defects, n
+    assert codes == {"duplicate-id", "name-clash", "dangling-activity", "dangling-class",
+                     "eventually-not-subset", "scope-not-linked", "dangling-scope"}
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_shuffling_a_model_document_keeps_validate_model_output(tmp_path, hash_seed):
+    """`ocbcheck validate-model` prints the same bytes and exits 1 for a
+    defective document in any array order, whatever the order in which sets
+    iterate."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    rng = random.Random(7)
+    path = tmp_path / "model.ocbc.json"
+    docs = sorted(_defective_documents(40), key=lambda doc: len(_defects(doc)))[-3:]  # the longest lists
+    for n, doc in enumerate(docs):
+        expected = b"".join(f"defect {d}\n".encode() for d in _defects(doc))
+        for variant in (doc, _reordered(doc, rng), _reordered(doc, rng)):
+            path.write_text(json.dumps(variant))
+            result = subprocess.run([sys.executable, "-m", "ocbcheck.cli", "validate-model", str(path)],
+                                    env=env, capture_output=True)
+            assert (result.stdout, result.stderr, result.returncode) == (expected, b"", 1), n

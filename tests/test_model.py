@@ -30,8 +30,9 @@ def test_validation_is_idempotent():
     assert validate_model(model) == validate_model(model)
 
 
-def _codes(model):
-    return [d.code for d in validate_model(model)]
+def _lines(model):
+    """The defects as `validate-model` and the `error:` line print them, in order."""
+    return [str(d) for d in validate_model(model)]
 
 
 def test_rewired_scope_is_rejected():
@@ -40,9 +41,10 @@ def test_rewired_scope_is_rejected():
     scope = dict(model.scope)
     scope["c5"] = "r4"
     broken = OcbcModel(model.bcm, model.clam, model.links, scope)
-    defects = validate_model(broken)
-    assert [d.code for d in defects] == ["scope-not-linked"]
-    assert defects[0].subject == "c5"
+    assert _lines(broken) == [
+        "[scope-not-linked] c5: relationship 'r4' does not connect the classes linked to "
+        "activities 'deliver items' and 'wrap item'"
+    ]
 
 
 def test_eventually_must_be_subset_of_always():
@@ -52,7 +54,9 @@ def test_eventually_must_be_subset_of_always():
         links=(link("a", "k", always="0", eventually="1..*"),),
         scope={},
     )
-    assert _codes(model) == ["eventually-not-subset"]
+    assert _lines(model) == [
+        "[eventually-not-subset] (a, k): eventually-cardinality 1..* is not a subset of always-cardinality 0"
+    ]
 
 
 def test_relationship_eventually_subset_checked_per_side():
@@ -65,7 +69,9 @@ def test_relationship_eventually_subset_checked_per_side():
         links=(),
         scope={},
     )
-    assert _codes(model) == ["eventually-not-subset"]
+    assert _lines(model) == [
+        "[eventually-not-subset] r: src eventually-cardinality 2 is not a subset of always-cardinality 0..1"
+    ]
 
 
 def test_name_clashes_detected():
@@ -75,7 +81,7 @@ def test_name_clashes_detected():
         links=(link("x", "x"),),
         scope={"c": "x"},
     )
-    assert "name-clash" in _codes(model)
+    assert _lines(model) == ["[name-clash] x: used as both activity and class id"]
 
 
 def test_dangling_references_detected():
@@ -88,9 +94,13 @@ def test_dangling_references_detected():
         links=(link("a", "gone"),),
         scope={"c": "k"},
     )
-    codes = _codes(model)
-    assert "dangling-activity" in codes  # constraint target b
-    assert "dangling-class" in codes  # rel target and link class
+    assert _lines(model) == [
+        "[dangling-activity] c: target activity 'b' is not declared",
+        "[dangling-class] r: target class 'nope' is not declared",
+        "[dangling-class] (a, gone): class 'gone' is not declared",
+        "[scope-not-linked] c: scope class 'k' has no link to activity 'a'",
+        "[scope-not-linked] c: scope class 'k' has no link to activity 'b'",
+    ]
 
 
 def test_missing_and_dangling_scope():
@@ -106,10 +116,11 @@ def test_missing_and_dangling_scope():
         links=(link("a", "k"), link("b", "k")),
         scope={"c1": "nothing", "c3": "k"},
     )
-    codes = _codes(model)
-    assert codes.count("dangling-scope") == 1
-    assert codes.count("missing-scope") == 1
-    assert codes.count("dangling-constraint") == 1
+    assert _lines(model) == [
+        "[dangling-constraint] c3: scope given for an undeclared constraint",
+        "[dangling-scope] c1: scope 'nothing' is neither a class nor a relationship",
+        "[missing-scope] c2: constraint has no class or relationship scope",
+    ]
 
 
 def test_duplicate_ids_detected():
@@ -122,7 +133,11 @@ def test_duplicate_ids_detected():
         links=(link("a", "k"), link("a", "k")),
         scope={"c": "k"},
     )
-    assert _codes(model).count("duplicate-id") == 3
+    assert _lines(model) == [
+        "[duplicate-id] c: constraint id declared more than once",
+        "[duplicate-id] r: relationship id declared more than once",
+        "[duplicate-id] (a, k): activity/class link declared twice",
+    ]
 
 
 def test_scope_through_class_requires_both_links():
@@ -135,7 +150,57 @@ def test_scope_through_class_requires_both_links():
         links=(link("a", "k"),),
         scope={"c": "k"},
     )
-    assert _codes(model) == ["scope-not-linked"]
+    assert _lines(model) == ["[scope-not-linked] c: scope class 'k' has no link to activity 'b'"]
+
+
+def test_a_self_loop_unlinked_to_its_scope_class_is_reported_once():
+    """A constraint from an activity to itself names that activity once,
+    not once as reference and again as target."""
+    model = OcbcModel(
+        bcm=BcModel(activities=frozenset({"a"}), constraints=(constraint("c1", "response", "a", "a"),)),
+        clam=ClassModel(classes=frozenset({"C"}), rel_types=()),
+        links=(),
+        scope={"c1": "C"},
+    )
+    assert _lines(model) == ["[scope-not-linked] c1: scope class 'C' has no link to activity 'a'"]
+
+
+def test_every_defect_code_in_one_model_keeps_its_order():
+    """Ids, clashes, constraints, relationships, links, scope keys, then
+    scopes: one model trips all nine codes, each dangling-name site and
+    both eventually-cardinality sites."""
+    model = OcbcModel(
+        bcm=BcModel(
+            activities=frozenset({"a", "b", "x"}),
+            constraints=(
+                constraint("c1", "response", "a", "b"),
+                constraint("c2", "response", "z", "a"),
+                constraint("c2", "precedence", "a", "a"),
+                constraint("c3", "response", "a", "y"),
+            ),
+        ),
+        clam=ClassModel(classes=frozenset({"k", "x"}), rel_types=(rel_type("r", "p", "q", src="0..1", src_ev="2"),)),
+        links=(link("a", "k"), link("a", "k"), link("b", "m", always="1", eventually="0..1"), link("z", "k")),
+        scope={"c1": "k", "c2": "nowhere", "c9": "k"},
+    )
+    assert _lines(model) == [
+        "[duplicate-id] c2: constraint id declared more than once",
+        "[name-clash] x: used as both activity and class id",
+        "[dangling-activity] c2: reference activity 'z' is not declared",
+        "[dangling-activity] c3: target activity 'y' is not declared",
+        "[dangling-class] r: source class 'p' is not declared",
+        "[dangling-class] r: target class 'q' is not declared",
+        "[eventually-not-subset] r: src eventually-cardinality 2 is not a subset of always-cardinality 0..1",
+        "[duplicate-id] (a, k): activity/class link declared twice",
+        "[dangling-class] (b, m): class 'm' is not declared",
+        "[eventually-not-subset] (b, m): eventually-cardinality 0..1 is not a subset of always-cardinality 1",
+        "[dangling-activity] (z, k): activity 'z' is not declared",
+        "[dangling-constraint] c9: scope given for an undeclared constraint",
+        "[scope-not-linked] c1: scope class 'k' has no link to activity 'b'",
+        "[dangling-scope] c2: scope 'nowhere' is neither a class nor a relationship",
+        "[dangling-scope] c2: scope 'nowhere' is neither a class nor a relationship",
+        "[missing-scope] c3: constraint has no class or relationship scope",
+    ]
 
 
 def test_scope_through_relationship_accepts_both_orientations():
