@@ -15,12 +15,13 @@ I keeps one table of breach rows, checks each count a delta touched once, and
 sorts the rows only when the table changed.  Type VII reads each object's
 runs of breaching counts from the cardinality's ranges.  Type IX correlates
 once per constraint and reference object, through the function
-`resolve_targets` also uses, and counts each reference event's targets by two
-bisections per correlated object, as `evaluate_bc` counts a trace; an event
-on several correlated objects is counted over their composition, once per
-distinct set.  Each kind's violations are sorted on their own, except type
-I's, which its replay keeps in report order; `KINDS` order then puts the
-kinds one after another in report order.
+`resolve_targets` also uses, then walks the reference events once: each
+looks up its objects' lists and counts its targets by two bisections, as
+`evaluate_bc` counts a trace, into its one correlated list or into the
+composition of several, built once per distinct set.  Each kind's
+violations are sorted on their own, except type I's, which its replay
+keeps in report order; `KINDS` order then puts the kinds one after another
+in report order.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import cache
-from itertools import chain, compress, product, repeat, starmap
+from itertools import compress, product, repeat, starmap
 from operator import add, itemgetter, not_, sub
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -366,43 +367,35 @@ def _check_viii(model: OcbcModel, log: EventLog) -> list[Violation]:
 
 def _check_ix(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Type IX: behavioral constraints over object-correlated target events,
-    counted column-wise: each reference object is correlated once, and each
-    of its reference positions counts its targets by two bisections.  A
-    reference event correlated through several objects is counted over their
-    composition, once per distinct object set; one through none counts (0, 0)."""
+    counted in one loop over the reference events.  Each reference object is
+    correlated once; each event costs one look-up per object and two
+    bisections into the list of its one correlated object, or four into the
+    composition of several, built once per distinct object set.  An event on
+    no correlated object counts (0, 0)."""
     events, found = log.events, []
     for constraint in model.bcm.constraints:
         cid, ref_activity, _, ctype = constraint
         accepts, expected = cache(ctype.accepts), ctype.render()  # the verdict table
         correlate, refs = _correlation(model, log, constraint), log._positions.get(ref_activity, {})
         lists = {o: targets for o in refs if (targets := correlate(o))}
-        # One (reference position, target list) pair per correlated object of a reference event.
-        columns = list(map(refs.__getitem__, lists))
-        at = list(chain.from_iterable(columns))
-        of = [targets for targets, column in zip(lists.values(), columns) for _ in column]
-        counted = set(at)
-        shared = () if len(counted) == len(at) else {p for p, n in Counter(at).items() if n > 1}
-        verdicts = map(accepts, map(bisect_left, of, at), map(sub, map(len, of), map(bisect_right, of, at)))
-        # Only a failing pair counts again, for its violation.
-        failing = [
-            (p, bisect_left(targets, p), len(targets) - bisect_right(targets, p))
-            for p, targets in compress(zip(at, of), map(not_, verdicts)) if p not in shared
-        ]
+        get = lists.get
         compose = cache(lambda objects: _composed([lists[o] for o in objects if o in lists]))
-        for p in shared:
-            longest, extras = compose(events[p].objects)
-            b = bisect_left(longest, p) + bisect_left(extras, p)
-            a = len(longest) + len(extras) - bisect_right(longest, p) - bisect_right(extras, p)
+        for p in log._by_activity.get(ref_activity, ()):
+            longest = extras = ()
+            for o in events[p][3]:
+                targets = get(o)
+                if targets is not None:
+                    if longest:  # a second correlated object: count over the union
+                        longest, extras = compose(events[p][3])
+                        break
+                    longest = targets
+            b, a = bisect_left(longest, p), len(longest) - bisect_right(longest, p)
+            if extras:
+                b, a = b + bisect_left(extras, p), a + len(extras) - bisect_right(extras, p)
             if not accepts(b, a):
-                failing.append((p, b, a))
-        if not accepts(0, 0):
-            failing += [(p, 0, 0) for p in log._by_activity.get(ref_activity, ()) if p not in counted]
-        found += [
-            Violation(kind="IX", event=events[p].id, seq=events[p].seq, constraint=cid,
-                      before=b, after=a, expected=expected)
-            for p, b, a in failing
-        ]
-        del lists, columns, at, of, counted  # before the next constraint builds its own
+                found.append(Violation(kind="IX", event=events[p].id, seq=events[p].seq, constraint=cid,
+                                       before=b, after=a, expected=expected))
+        del lists, get, compose  # before the next constraint builds its own
     return found
 
 

@@ -531,6 +531,38 @@ def customer_pairs_log(n: int) -> EventLog:
     return EventLog(init=init, events=tuple(events))
 
 
+def desk_trios_log(n: int) -> EventLog:
+    """`n` distinct reference sets that each hold two busy desks (class
+    scope `desk`): visit `i` references `{d1, d2, x_i}` and ship `i`
+    `{d1 or d2 alternately, x_i}`, so every visit correlates with two long
+    lists and one short one, over an object set of its own."""
+    desks = [f"x{i}" for i in range(n)]
+    init = ObjectModel(class_of=dict.fromkeys(["d1", "d2", *desks], "desk"), relations=frozenset())
+    events = []
+    for i, desk in enumerate(desks):
+        events.append(event(f"v{i}", 2 * i + 1, "visit", {"d1", "d2", desk}))
+        events.append(event(f"s{i}", 2 * i + 2, "ship", {f"d{i % 2 + 1}", desk}))
+    return EventLog(init=init, events=tuple(events))
+
+
+def hub_order_log(n: int) -> EventLog:
+    """`n` customers that share one busy order (relationship scope `r`):
+    customer `k_i` owns the hub order `h` and its own order `q_i`; per `i`
+    one ship references `h`, one `q_i`, and visit `i` references `k_i`, so
+    it correlates with all `n` ships of `h` and the one of `q_i`."""
+    customers = [f"k{i}" for i in range(n)]
+    init = ObjectModel(
+        class_of={"h": "order", **dict.fromkeys(customers, "customer"), **{f"q{i}": "order" for i in range(n)}},
+        relations=frozenset(chain.from_iterable((("r", k, "h"), ("r", k, f"q{i}")) for i, k in enumerate(customers))),
+    )
+    events = []
+    for i, customer in enumerate(customers):
+        events.append(event(f"v{i}", 3 * i + 1, "visit", {customer}))
+        events.append(event(f"s{i}", 3 * i + 2, "ship", {"h"}))
+        events.append(event(f"t{i}", 3 * i + 3, "ship", {f"q{i}"}))
+    return EventLog(init=init, events=tuple(events))
+
+
 FAN_IN_TEMPLATES = ("response", "precedence", "co-existence")
 
 

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from collections import ChainMap
 from pathlib import Path
 
@@ -26,9 +31,11 @@ from ocbcheck import (
     check_type_viii,
     check_type_ix,
     check_violations,
+    generate_conforming,
     load_log,
     load_model,
     resolve_targets,
+    save_report,
 )
 from ocbcheck import conformance, eventlog
 from ocbcheck.cardinality import MAX_BOUND, Cardinality, ConstraintType
@@ -39,11 +46,13 @@ from scenarios import (
     customer_pairs_log,
     desk_model,
     desk_pairs_log,
+    desk_trios_log,
     event,
     fan_in_family,
     fan_in_model,
     hiring_log,
     hiring_model,
+    hub_order_log,
     link,
     named_and_random_pairs,
     order_object_model,
@@ -59,11 +68,13 @@ from scenarios import (
     relationship_hub_log,
     relink_log,
     relink_model,
+    throughput_model,
     ticket_log,
     ticket_model,
 )
 
-DEMO = Path(__file__).resolve().parent.parent / "demo"
+TESTS = Path(__file__).resolve().parent
+DEMO = TESTS.parent / "demo"
 
 
 # -- Type I: validity of every snapshot ---------------------------------------
@@ -783,12 +794,14 @@ def test_resolve_targets_correlates_only_the_event_s_objects(monkeypatch):
         assert len(correlated) == len(set(correlated)) and set(correlated) <= log.event(ref).objects
 
 
-@pytest.mark.parametrize("via, build", [("desk", desk_pairs_log), ("r", customer_pairs_log)])
+@pytest.mark.parametrize("via, build", [("desk", desk_pairs_log), ("r", customer_pairs_log),
+                                        ("desk", desk_trios_log), ("r", hub_order_log)])
 def test_distinct_sets_on_a_busy_object_agree_with_the_oracle(via, build):
-    """Every reference event has an object set of its own that holds the one
-    busy object: under each template, and with every count reported, IX
-    equals the oracle's in full and prefix mode (a relationship scope is
-    never final; a class scope is final unless more targets can fix it)."""
+    """Every reference event has an object set of its own that holds one or
+    two busy objects, or a partner of one: under each template, and with
+    every count reported, IX equals the oracle's in full and prefix mode (a
+    relationship scope is never final; a class scope is final unless more
+    targets can fix it)."""
     log = build(6)
     for template in ("response", "non-response", "precedence", "unary-precedence",
                      "non-precedence", "co-existence", "non-co-existence", None):
@@ -834,6 +847,55 @@ def test_the_fan_in_family_agrees_with_the_oracle(via, monkeypatch):
         prefix = [v.downgraded() if repairable(v) else v for v in oracle]
         assert check_violations(model, log, prefix=True) == prefix, seed
     assert any(len(lists) >= 3 and lists[-1] >= 10 for lists in composed)
+
+
+def ix_hash_seed_digest() -> str:
+    """One digest of the full and prefix reports of `fan_in_family` at 200
+    events (seeds 0-3, both scopes) and of the demo order pair."""
+    pairs = [fan_in_family(seed, via, 200) for seed in range(4) for via in ("desk", "r")]
+    pairs.append((load_model((DEMO / "order-process.ocbc.json").read_bytes()),
+                  load_log((DEMO / "order-process.oclog.jsonl").read_bytes())))
+    digest = hashlib.sha256()
+    for model, log in pairs:
+        for prefix in (False, True):
+            digest.update(save_report(check_all(model, log, prefix=prefix)))
+    return digest.hexdigest()
+
+
+def test_ix_counts_do_not_depend_on_the_hash_seed():
+    """IX takes an event's first correlated list in frozenset order, so only
+    the union of its lists may decide its counts: a child per hash seed, and
+    this process, report the same bytes."""
+    path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
+    digests = {ix_hash_seed_digest()}
+    for hash_seed in ("0", "1", "4242"):
+        result = subprocess.run(
+            [sys.executable, "-c", "import test_conformance; print(test_conformance.ix_hash_seed_digest())"],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path),
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        digests.add(result.stdout.strip())
+    assert len(digests) == 1, digests
+
+
+def test_ix_keeps_no_table_of_every_reference_position(monkeypatch):
+    """On a class-scope log where each reference event has one correlated
+    object, IX composes no lists and peaks at no more than 80 bytes of
+    tracemalloc per reference event of its larger constraint."""
+    model = throughput_model()
+    log = generate_conforming(model, events=20_000, seed=1)
+    composed = []
+    monkeypatch.setattr(conformance, "_composed", lambda lists: composed.append(lists))
+    refs = max(len(log.events_of_activity(c.ref_activity)) for c in model.bcm.constraints)
+    tracemalloc.start()
+    try:
+        assert check_violations(model, log, ("IX",)) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert composed == []
+    assert refs > 9_000 and peak <= 80 * refs, (peak, refs)
 
 
 def test_viii_counts_only_the_objects_an_event_finds():

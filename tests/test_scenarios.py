@@ -20,10 +20,12 @@ from scenarios import (
     desk_hubs_log,
     desk_model,
     desk_pairs_log,
+    desk_trios_log,
     fan_in_family,
     fan_in_model,
     hiring_log,
     hiring_model,
+    hub_order_log,
     named_and_random_pairs,
     open_after_work_model,
     order_class_snapshot_model,
@@ -60,8 +62,8 @@ def scenario_digest() -> str:
     logs = [
         order_process_log(), order_object_model()[1], hiring_log("conforming"), hiring_log("apply-before-open"),
         ticket_log(), precedence_log(), persistent_breach_log(300), relationship_hub_log(50),
-        desk_hubs_log(50), desk_pairs_log(50), customer_pairs_log(50), crowd_log(200, 4, 5),
-        class_flip_log(200), relink_log(300),
+        desk_hubs_log(50), desk_pairs_log(50), customer_pairs_log(50), desk_trios_log(50), hub_order_log(50),
+        crowd_log(200, 4, 5), class_flip_log(200), relink_log(300),
     ]
     pairs = named_and_random_pairs() + [fan_in_family(seed, via) for seed in range(12) for via in ("desk", "r")]
     for seed in range(200):
