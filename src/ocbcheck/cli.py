@@ -16,7 +16,7 @@ from pathlib import Path
 from .conformance import check_all
 from .formats import FormatError, ModelDefectsError, load_log, load_model, report_chunks, save_log
 from .report import render_text
-from .violations import KINDS
+from .violations import known_kind
 
 
 def _read(path: str) -> bytes:
@@ -42,10 +42,10 @@ def _write(chunks: Iterable[bytes]) -> None:
 
 
 def _kind(text: str) -> str:
-    kind = text.strip()
-    if kind not in KINDS:
-        raise argparse.ArgumentTypeError(f"unknown problem type {kind!r} (choose from {', '.join(KINDS)})")
-    return kind
+    try:
+        return known_kind(text.strip())
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
 
 
 def _parse_kinds(text: str) -> tuple[str, ...]:

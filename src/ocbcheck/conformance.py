@@ -18,10 +18,10 @@ once per constraint and reference object, through the function
 `resolve_targets` also uses, then walks the reference events once: each
 looks up its objects' lists and counts its targets by two bisections, as
 `evaluate_bc` counts a trace, into its one correlated list or into the
-composition of several, built once per distinct set.  Each kind's
-violations are sorted on their own, except type I's, which its replay
-keeps in report order; `KINDS` order then puts the kinds one after another
-in report order.
+composition of several, built once per distinct set.  Each kind's one
+function, `check_type_<kind>`, returns its violations in report order: type
+I's as its replay emits them, the others sorted on their own.
+`check_violations` concatenates the lists in `KINDS` order.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .eventlog import Event, EventLog, LogError, ObjectModel, Relation
 from .model import BehavioralConstraint, OcbcModel, RelationshipType
 from .report import _report
-from .violations import KINDS, Violation, row_key, sort_violations
+from .violations import KINDS, Violation, known_kind, row_key, sort_violations
 
 
 def _keeper(rt: RelationshipType, side: str) -> str:
@@ -188,13 +188,13 @@ def _repeated(run: tuple[Event, ...], rows: tuple[tuple, ...]) -> Iterator[Viola
     return map(tuple.__new__, repeat(Violation), starmap(add, product(heads, rows)))
 
 
-def _check_i(model: OcbcModel, log: EventLog) -> list[Violation]:
-    """Type I: the object model after every event is valid for the class model."""
+def check_type_i(model: OcbcModel, log: EventLog) -> list[Violation]:
+    """Type I, validity: the object model after every event is valid for the class model."""
     return _Replay(model, log).found
 
 
-def _check_ii(model: OcbcModel, log: EventLog) -> list[Violation]:
-    """Type II: eventual relationship cardinalities, at the final snapshot."""
+def check_type_ii(model: OcbcModel, log: EventLog) -> list[Violation]:
+    """Type II, fulfilment: eventual relationship cardinalities, at the final snapshot."""
     if not log.events:
         return []
     last, final = log.events[-1], log.final_snapshot()
@@ -223,13 +223,13 @@ def _check_ii(model: OcbcModel, log: EventLog) -> list[Violation]:
                             observed=count, expected=expected,
                         )
                     )
-    return found
+    return sort_violations(found)
 
 
-def _check_iii(model: OcbcModel, log: EventLog) -> list[Violation]:
-    """Type III: objects never disappear or change class.  Objects disappear
-    only at an assertion after event 0: those of the stretch before it that
-    the snapshot lacks."""
+def check_type_iii(model: OcbcModel, log: EventLog) -> list[Violation]:
+    """Type III, monotonicity: objects never disappear or change class.
+    Objects disappear only at an assertion after event 0: those of the
+    stretch before it that the snapshot lacks."""
     events, stretches, found = log.events, log._stretches, []
     for (_, before), (index, _) in zip(stretches, stretches[1:]):
         if index:
@@ -255,35 +255,35 @@ def _check_iii(model: OcbcModel, log: EventLog) -> list[Violation]:
                     )
                 )
             last_class[obj] = cls
-    return found
+    return sort_violations(found)
 
 
-def _check_iv(model: OcbcModel, log: EventLog) -> list[Violation]:
-    """Type IV: every event's activity is declared in the behavioral model."""
+def check_type_iv(model: OcbcModel, log: EventLog) -> list[Violation]:
+    """Type IV, activity existence: every event's activity is declared in the behavioral model."""
     declared, events = model.bcm.activities, log.events
-    return [
+    return sort_violations([
         Violation(kind="IV", event=events[i].id, seq=events[i].seq, activity=activity)
         for activity, positions in log._by_activity.items()
         if activity not in declared
         for i in positions
-    ]
+    ])
 
 
-def _check_v(model: OcbcModel, log: EventLog) -> list[Violation]:
-    """Type V: referenced objects exist when the event occurs, as the log
-    build found them missing."""
+def check_type_v(model: OcbcModel, log: EventLog) -> list[Violation]:
+    """Type V, object existence: referenced objects exist when the event
+    occurs, as the log build found them missing."""
     events = log.events
-    return [
+    return sort_violations([
         Violation(kind="V", event=events[i].id, seq=events[i].seq, obj=obj)
         for i, obj in log._missing
-    ]
+    ])
 
 
-def _check_vi(model: OcbcModel, log: EventLog) -> list[Violation]:
-    """Type VI: the objects an event references that exist have a class
-    linked to its activity."""
+def check_type_vi(model: OcbcModel, log: EventLog) -> list[Violation]:
+    """Type VI, proper classes: the objects an event references that exist
+    have a class linked to its activity."""
     events, has_link, missing = log.events, model.has_link, set(log._missing)
-    return [
+    return sort_violations([
         Violation(kind="VI", event=events[i].id, seq=events[i].seq, obj=obj, activity=activity, cls=cls)
         for activity in _unlinked_activities(model, log)
         for class_of, run in _stretch_runs(log, log._by_activity[activity])
@@ -291,10 +291,10 @@ def _check_vi(model: OcbcModel, log: EventLog) -> list[Violation]:
         for obj in events[i].objects
         if (cls := class_of.get(obj)) is not None and not has_link(activity, cls)
         if (i, obj) not in missing
-    ]
+    ])
 
 
-def _check_vii(model: OcbcModel, log: EventLog) -> list[Violation]:
+def check_type_vii(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Type VII: the right number of events per object, always and eventually,
     counted from the object's first appearance."""
     events = log.events
@@ -338,10 +338,10 @@ def _check_vii(model: OcbcModel, log: EventLog) -> list[Violation]:
                         obj=obj, temporal="eventually", observed=total, expected=expected_eventually,
                     )
                 )
-    return found
+    return sort_violations(found)
 
 
-def _check_viii(model: OcbcModel, log: EventLog) -> list[Violation]:
+def check_type_viii(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Type VIII: each event references the right number of objects per
     class, for the links that bound it."""
     events, missing, found = log.events, set(log._missing), []
@@ -362,10 +362,10 @@ def _check_viii(model: OcbcModel, log: EventLog) -> list[Violation]:
                             cls=cls, observed=count, expected=expected,
                         )
                     )
-    return found
+    return sort_violations(found)
 
 
-def _check_ix(model: OcbcModel, log: EventLog) -> list[Violation]:
+def check_type_ix(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Type IX: behavioral constraints over object-correlated target events,
     counted in one loop over the reference events.  Each reference object is
     correlated once; each event costs one look-up per object and two
@@ -396,7 +396,7 @@ def _check_ix(model: OcbcModel, log: EventLog) -> list[Violation]:
                 found.append(Violation(kind="IX", event=events[p].id, seq=events[p].seq, constraint=cid,
                                        before=b, after=a, expected=expected))
         del lists, get, compose  # before the next constraint builds its own
-    return found
+    return sort_violations(found)
 
 
 def _composed(lists: list[list[int]]) -> tuple[list[int], list[int]]:
@@ -413,8 +413,8 @@ def _composed(lists: list[list[int]]) -> tuple[list[int], list[int]]:
 
 
 _CHECKS = {
-    "I": _check_i, "II": _check_ii, "III": _check_iii, "IV": _check_iv, "V": _check_v,
-    "VI": _check_vi, "VII": _check_vii, "VIII": _check_viii, "IX": _check_ix,
+    "I": check_type_i, "II": check_type_ii, "III": check_type_iii, "IV": check_type_iv, "V": check_type_v,
+    "VI": check_type_vi, "VII": check_type_vii, "VIII": check_type_viii, "IX": check_type_ix,
 }
 
 
@@ -439,27 +439,6 @@ def _correlation(
         return lists[0] if len(lists) == 1 else sorted(set().union(*lists))
 
     return targets
-
-
-def _kind_check(kind: str, doc: str) -> Callable[[OcbcModel, EventLog], list[Violation]]:
-    """`check_violations` for one kind alone, as `check_type_<kind>`."""
-    def check(model: OcbcModel, log: EventLog) -> list[Violation]:
-        return check_violations(model, log, (kind,))
-
-    check.__name__ = check.__qualname__ = f"check_type_{kind.lower()}"
-    check.__doc__ = doc
-    return check
-
-
-check_type_i = _kind_check("I", "Validity of the object model after every event.")
-check_type_ii = _kind_check("II", "Fulfilment: eventual relationship cardinalities, at the final snapshot.")
-check_type_iii = _kind_check("III", "Monotonicity: objects never disappear or change class.")
-check_type_iv = _kind_check("IV", "Activity existence: every event's activity is declared.")
-check_type_v = _kind_check("V", "Object existence: referenced objects exist when the event occurs.")
-check_type_vi = _kind_check("VI", "Proper classes: events only reference objects of linked classes.")
-check_type_vii = _kind_check("VII", "Right number of events per object, always and eventually.")
-check_type_viii = _kind_check("VIII", "Right number of referenced objects per event.")
-check_type_ix = _kind_check("IX", "Behavioral constraints over object-correlated target events.")
 
 
 def resolve_targets(model: OcbcModel, log: EventLog, cid: str, ref_event: str) -> set[str]:
@@ -488,21 +467,21 @@ def check_violations(
     prefix: bool = False,
 ) -> list[Violation]:
     """All violations of the selected kinds, each kind taken once, in report
-    order (`Violation.sort_key`), which no global sort has to restore: each
-    kind's list sorted on its own (type I comes in order), one after another
-    in `KINDS` order, which is where the order starts.
+    order (`Violation.sort_key`) with no global sort: each kind's function,
+    `check_type_<kind>`, returns its list in report order, and the lists are
+    concatenated in `KINDS` order.  `kinds` is never a `str`.
 
     In prefix mode, violations that future events could still repair
     (fulfilment, eventual event-count shortfalls, behavioral violations
     fixable by more target events, and every behavioral violation of a
     relationship-scoped constraint) are downgraded to warnings.
     """
-    # KINDS.index also refuses an unknown kind.
-    selected = KINDS if kinds is None else sorted(set(kinds), key=KINDS.index)
+    if isinstance(kinds, str):
+        raise TypeError(f"kinds must be a collection of problem types, not the str {kinds!r}")
+    selected = KINDS if kinds is None else sorted(set(map(known_kind, kinds)), key=KINDS.index)
     out: list[Violation] = []
     for kind in selected:
-        found = _CHECKS[kind](model, log)
-        out += found if kind == "I" else sort_violations(found)
+        out += _CHECKS[kind](model, log)
     if prefix:
         out = [_downgrade(model, v) for v in out]
     return out

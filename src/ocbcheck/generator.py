@@ -27,7 +27,7 @@ from .eventlog import (
     EMPTY_ATTRS, EMPTY_DELTA, MAX_SEQ, Event, EventLog, LogError, ObjectDelta, ObjectModel, Relation
 )
 from .model import OcbcModel, RelationshipType
-from .violations import Violation
+from .violations import Violation, known_kind
 
 
 class GenerationError(RuntimeError):
@@ -682,10 +682,10 @@ def inject_violation(
     outcome names the confirmed violation site.  Cascaded violations of
     other kinds may accompany the injected one (for example, dropping a
     relation for a fulfilment breach also starves behavioral constraints
-    scoped through that relationship).
+    scoped through that relationship).  An unknown kind is a `ValueError`.
     """
     rng = random.Random(seed)
-    for init, events, probe in _candidates(model, log, kind, rng):
+    for init, events, probe in _candidates(model, log, known_kind(kind), rng):
         try:
             mutated = _rebuild(init, events)
             found = check_violations(model, mutated, kinds=(kind,))

@@ -11,6 +11,13 @@ SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
 
+def known_kind(kind: str) -> str:
+    """`kind` if it is one of `KINDS`; the library and the CLI refuse any other with this text."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown problem type {kind!r} (choose from {', '.join(KINDS)})")
+    return kind
+
+
 class Violation(NamedTuple):
     """One detected conformance problem.
 

@@ -257,6 +257,23 @@ def test_bad_types_flag_rejected(workspace, capsys):
         main(["check", model, log, "--types", "X"])
 
 
+@pytest.mark.parametrize("flag, value, kind", [
+    ("--types", "I,X", "X"), ("--types", " ix ", "ix"), ("--inject", "Xx2", "X"),
+])
+def test_an_unknown_kind_is_refused_in_the_library_s_words(flag, value, kind, capsys):
+    model, log = (str(DEMO / f"order-process.{ext}") for ext in ("ocbc.json", "oclog.jsonl"))
+    command = ["check", model, log] if flag == "--types" else ["generate", model]
+    with pytest.raises(SystemExit) as exc:
+        main([*command, flag, value])
+    with pytest.raises(ValueError) as library:
+        check_all(load_model(Path(model).read_bytes()), load_log(Path(log).read_bytes()), (kind,))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"ocbcheck {command[0]}: error: argument {flag}: unknown problem type {kind!r} "
+        "(choose from I, II, III, IV, V, VI, VII, VIII, IX)"
+    ) == f"ocbcheck {command[0]}: error: argument {flag}: {library.value}"
+
+
 def test_repeated_types_are_checked_once(capsys):
     model, log = (str(DEMO / f"unmatched-precedence.{ext}") for ext in ("ocbc.json", "oclog.jsonl"))
     assert main(["check", model, log, "--types", "IX,IX", "--format", "json"]) == 1

@@ -1030,7 +1030,15 @@ def test_check_all_equals_concatenation_of_individual_checkers():
 
 def test_each_kind_comes_in_report_order_without_a_global_sort():
     """`check_violations` and `check_all` hand back each kind's list already
-    in report order, one kind after another."""
+    in report order, one kind after another.  Each kind's list is the one
+    its exported `check_type_<kind>` returns, and that function is the one
+    `check_violations` calls for the kind."""
+    checks = dict(zip(KINDS, (
+        check_type_i, check_type_ii, check_type_iii, check_type_iv, check_type_v,
+        check_type_vi, check_type_vii, check_type_viii, check_type_ix,
+    )))
+    for kind, check in checks.items():
+        assert conformance._CHECKS[kind] is check, kind
     for model, log in named_and_random_pairs():
         for prefix in (False, True):
             found = check_violations(model, log, prefix=prefix)
@@ -1039,6 +1047,10 @@ def test_each_kind_comes_in_report_order_without_a_global_sort():
             for kind in KINDS:
                 alone = check_violations(model, log, (kind,), prefix)
                 assert alone == sort_violations(alone), kind
+        for kind, check in checks.items():
+            direct = check(model, log)
+            assert direct == sort_violations(direct), kind
+            assert direct == check_violations(model, log, (kind,)), kind
 
 
 def test_check_sorts_no_type_i_violation(monkeypatch):
@@ -1055,6 +1067,31 @@ def test_check_sorts_no_type_i_violation(monkeypatch):
         others = [v for v in violations if v.kind != "I"]
         assert len(violations) - len(others) == 900 and others
         assert "I" not in keyed and len(keyed) <= len(others), check.__name__
+    keyed.clear()
+    assert len(check_type_i(model, log)) == 900 and keyed == []
+
+
+def test_a_str_of_kinds_is_refused():
+    """A bare `str` would split into letters: "II" would check type I, and
+    "VII" types V and I."""
+    model, log = order_process_model(), order_process_log()
+    for check in (check_violations, check_all):
+        for kinds in ("II", "VII", "I", ""):
+            with pytest.raises(TypeError, match=f"not the str {kinds!r}"):
+                check(model, log, kinds)
+
+
+def test_an_unknown_kind_is_refused_by_name():
+    """The library names the unknown kind in the CLI's words, whatever else
+    is selected with it."""
+    model, log = order_process_model(), order_process_log()
+    for check in (check_violations, check_all):
+        for kinds in (("X",), ("I", "ix"), ("IX", "")):
+            with pytest.raises(ValueError) as caught:
+                check(model, log, kinds)
+            assert str(caught.value) == (
+                f"unknown problem type {kinds[-1]!r} (choose from I, II, III, IV, V, VI, VII, VIII, IX)"
+            )
 
 
 def test_unselected_kinds_skip_the_replay(monkeypatch):

@@ -302,6 +302,19 @@ def test_injection_into_an_empty_log_finds_nothing():
             inject_violation(order_process_model(), empty, kind)
 
 
+def test_injection_of_an_unknown_kind_is_refused_by_name():
+    """An unknown kind is the caller's error, named as the CLI names it, not
+    an `InjectionError` that blames the model or log."""
+    model = order_process_model()
+    log = generate_conforming(model, events=20, seed=0)
+    for kind in ("X", "ix", "VII "):
+        with pytest.raises(ValueError) as caught:
+            inject_violation(model, log, kind)
+        assert str(caught.value) == (
+            f"unknown problem type {kind!r} (choose from I, II, III, IV, V, VI, VII, VIII, IX)"
+        )
+
+
 def test_ix_injection_does_not_move_the_reference_event_across_itself(monkeypatch):
     """A same-activity constraint correlates each reference event with
     itself; the first target in id order is the reference, which is skipped,
