@@ -12,11 +12,12 @@ import os
 import sys
 from collections.abc import Iterable
 from pathlib import Path
+from typing import Any, Callable
 
 from .conformance import check_all
 from .formats import FormatError, ModelDefectsError, load_log, load_model, report_chunks, save_log
 from .report import render_text
-from .violations import known_kind
+from .violations import known_kind, selected_kinds
 
 
 def _read(path: str) -> bytes:
@@ -41,23 +42,21 @@ def _write(chunks: Iterable[bytes]) -> None:
         raise
 
 
-def _kind(text: str) -> str:
+def _argument(check: Callable[[Any], Any], value: Any) -> Any:
+    """`check(value)`, whose `ValueError` argparse reports with the same text."""
     try:
-        return known_kind(text.strip())
+        return check(value)
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error)) from None
 
 
 def _parse_kinds(text: str) -> tuple[str, ...]:
-    kinds = tuple(dict.fromkeys(_kind(part) for part in text.split(",") if part.strip()))
-    if not kinds:
-        raise argparse.ArgumentTypeError("no problem type selected")
-    return kinds
+    return _argument(selected_kinds, [part.strip() for part in text.split(",") if part.strip()])
 
 
 def _parse_injection(text: str) -> tuple[str, int]:
     kind, x, times = text.partition("x")
-    kind = _kind(kind)
+    kind = _argument(known_kind, kind.strip())
     count = times.strip() if x else "1"
     if not count.isdecimal() or int(count) < 1:
         raise argparse.ArgumentTypeError(f"injection count {times!r} is not a positive integer")

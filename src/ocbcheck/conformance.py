@@ -13,14 +13,15 @@ the object model, `EventLog._changes`) and the objects each event brings in
 (`EventLog.introductions`, derived from `_changes`, for III and VII).  Type
 I keeps one table of breach rows, checks each count a delta touched once, and
 sorts the rows only when the table changed.  Type VII reads each object's
-runs of breaching counts from the cardinality's ranges.  Type IX correlates
-once per constraint and reference object, through the function
-`resolve_targets` also uses, then walks the reference events once: each
-looks up its objects' lists and counts its targets by two bisections, as
-`evaluate_bc` counts a trace, into its one correlated list or into the
-composition of several, built once per distinct set.  Each kind's one
-function, `check_type_<kind>`, returns its violations in report order: type
-I's as its replay emits them, the others sorted on their own.
+runs of breaching counts from the cardinality's ranges.  Type IX unites
+target lists by one rule, `_composed`, into a pair: the longest list and the
+positions the others add.  Each reference object gets a pair once per
+constraint, through the function `resolve_targets` also uses (in relationship
+scope, its partners' lists composed); each reference event counts its targets
+by bisection, as `evaluate_bc` counts a trace, in its one correlated object's
+pair or in the composition of several, built once per distinct set.  Each
+kind's one function, `check_type_<kind>`, returns its violations in report
+order: type I's as its replay emits them, the others sorted on their own.
 `check_violations` concatenates the lists in `KINDS` order.
 """
 
@@ -31,12 +32,12 @@ from collections import Counter
 from functools import cache
 from itertools import compress, product, repeat, starmap
 from operator import add, itemgetter, not_, sub
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .eventlog import Event, EventLog, LogError, ObjectModel, Relation
 from .model import BehavioralConstraint, OcbcModel, RelationshipType
 from .report import _report
-from .violations import KINDS, Violation, known_kind, row_key, sort_violations
+from .violations import KINDS, Violation, row_key, selected_kinds, sort_violations
 
 
 def _keeper(rt: RelationshipType, side: str) -> str:
@@ -368,44 +369,48 @@ def check_type_viii(model: OcbcModel, log: EventLog) -> list[Violation]:
 def check_type_ix(model: OcbcModel, log: EventLog) -> list[Violation]:
     """Type IX: behavioral constraints over object-correlated target events,
     counted in one loop over the reference events.  Each reference object is
-    correlated once; each event costs one look-up per object and two
-    bisections into the list of its one correlated object, or four into the
-    composition of several, built once per distinct object set.  An event on
-    no correlated object counts (0, 0)."""
+    correlated once, to a pair of lists; each event costs one look-up per
+    object and up to four bisections into its one correlated object's pair,
+    or into the composition of several objects' pairs, built once per
+    distinct object set.  An event on no correlated object counts (0, 0)."""
     events, found = log.events, []
     for constraint in model.bcm.constraints:
         cid, ref_activity, _, ctype = constraint
         accepts, expected = cache(ctype.accepts), ctype.render()  # the verdict table
         correlate, refs = _correlation(model, log, constraint), log._positions.get(ref_activity, {})
-        lists = {o: targets for o in refs if (targets := correlate(o))}
-        get = lists.get
-        compose = cache(lambda objects: _composed([lists[o] for o in objects if o in lists]))
+        pairs = {o: pair for o in refs if (pair := correlate(o))}
+        get = pairs.get
+        compose = cache(lambda objects: _composed([t for o in objects if o in pairs for t in pairs[o]]))
         for p in log._by_activity.get(ref_activity, ()):
             longest = extras = ()
             for o in events[p][3]:
-                targets = get(o)
-                if targets is not None:
+                pair = get(o)
+                if pair is not None:
                     if longest:  # a second correlated object: count over the union
                         longest, extras = compose(events[p][3])
                         break
-                    longest = targets
+                    longest, extras = pair
             b, a = bisect_left(longest, p), len(longest) - bisect_right(longest, p)
             if extras:
                 b, a = b + bisect_left(extras, p), a + len(extras) - bisect_right(extras, p)
             if not accepts(b, a):
                 found.append(Violation(kind="IX", event=events[p].id, seq=events[p].seq, constraint=cid,
                                        before=b, after=a, expected=expected))
-        del lists, get, compose  # before the next constraint builds its own
+        del pairs, get, compose  # before the next constraint builds its own
     return sort_violations(found)
 
 
-def _composed(lists: list[list[int]]) -> tuple[list[int], list[int]]:
-    """Two or more ascending target lists as the longest of them and the
-    ascending, distinct positions of the others that it lacks: together they
-    hold each target event once.  The others' positions are looked up in the
-    longest list by bisection while that costs less than one pass over it."""
-    longest, others = max(lists, key=len), set()
-    others.update(*(targets for targets in lists if targets is not longest))
+def _composed(lists: list[Sequence[int]]) -> tuple[Sequence[int], Sequence[int]]:
+    """The one rule that unites ascending target lists, those of an object's
+    partners or the pairs of an event's objects: the longest list, and the
+    ascending, distinct positions of the others that it lacks, which together
+    hold each target event once; those are looked up in the longest list by
+    bisection while that costs less than one pass over it."""
+    shorter = sorted(lists, key=len)
+    longest = shorter.pop()
+    if not shorter:
+        return longest, ()
+    others = set().union(*shorter)
     if len(others) * len(longest).bit_length() >= len(longest):
         return longest, sorted(others.difference(longest))
     held = map(sub, map(bisect_right, repeat(longest), others), map(bisect_left, repeat(longest), others))
@@ -420,33 +425,28 @@ _CHECKS = {
 
 def _correlation(
     model: OcbcModel, log: EventLog, constraint: BehavioralConstraint
-) -> Callable[[str], list[int] | None]:
+) -> Callable[[str], tuple[Sequence[int], Sequence[int]] | None]:
     """The correlation of a constraint, per reference object: a function from
-    one object to the ascending, distinct positions of its target events, or
-    nothing.  It navigates the final object model.  An object of the scope
-    class has the log's own position list; over a scope relationship type,
-    an object has the merged lists of its partners in either direction,
-    whose neighbour map the log builds once, on first use.
-    """
+    one object to the pair of its target events' positions that `_composed`
+    makes, or nothing.  It navigates the final object model.  An object of
+    the scope class has the log's own position list and no extras; over a
+    scope relationship type, an object has its partners' lists in either
+    direction composed, through the neighbour map the log builds once."""
     via, positions = model.scope[constraint.id], log._positions.get(constraint.target_activity, {})
     if via in model.clam.classes:
         class_of = log.final_snapshot().class_of
-        return lambda obj: positions.get(obj) if class_of.get(obj) == via else None
+        return lambda obj: (positions[obj], ()) if obj in positions and class_of.get(obj) == via else None
     nbr = log._neighbours_via(via)
-
-    def targets(obj: str) -> list[int]:
-        lists = [p for partner in nbr.get(obj, ()) if (p := positions.get(partner))]
-        return lists[0] if len(lists) == 1 else sorted(set().union(*lists))
-
-    return targets
+    return lambda obj: (
+        _composed(lists) if (lists := [p for partner in nbr.get(obj, ()) if (p := positions.get(partner))]) else None
+    )
 
 
 def resolve_targets(model: OcbcModel, log: EventLog, cid: str, ref_event: str) -> set[str]:
-    """Target events of a constraint for one reference event: the union of
-    what `_correlation` gives each of the event's own objects, which
-    navigates the final snapshot.  The IX check counts the same events, less
-    the reference event itself.
-    """
+    """Target events of a constraint for one reference event: the ids in
+    both lists of the pair `_correlation` gives each of the event's own
+    objects, through the final snapshot.  The IX check counts the same
+    events, less the reference event itself."""
     if not model.bcm.has_constraint(cid):
         raise LogError(f"unknown constraint {cid!r}")
     constraint = model.bcm.constraint(cid)
@@ -457,30 +457,25 @@ def resolve_targets(model: OcbcModel, log: EventLog, cid: str, ref_event: str) -
             f"expected reference activity {constraint.ref_activity!r}"
         )
     correlate = _correlation(model, log, constraint)
-    return {log.events[i].id for obj in event.objects for i in correlate(obj) or ()}
+    return {log.events[i].id for obj in event.objects for targets in correlate(obj) or () for i in targets}
 
 
 def check_violations(
-    model: OcbcModel,
-    log: EventLog,
-    kinds: tuple[str, ...] | None = None,
-    prefix: bool = False,
+    model: OcbcModel, log: EventLog, kinds: Iterable[str] | None = None, prefix: bool = False
 ) -> list[Violation]:
     """All violations of the selected kinds, each kind taken once, in report
     order (`Violation.sort_key`) with no global sort: each kind's function,
     `check_type_<kind>`, returns its list in report order, and the lists are
-    concatenated in `KINDS` order.  `kinds` is never a `str`.
+    concatenated in `KINDS` order.  `kinds`, when given, is checked by
+    `selected_kinds`.
 
     In prefix mode, violations that future events could still repair
     (fulfilment, eventual event-count shortfalls, behavioral violations
     fixable by more target events, and every behavioral violation of a
     relationship-scoped constraint) are downgraded to warnings.
     """
-    if isinstance(kinds, str):
-        raise TypeError(f"kinds must be a collection of problem types, not the str {kinds!r}")
-    selected = KINDS if kinds is None else sorted(set(map(known_kind, kinds)), key=KINDS.index)
     out: list[Violation] = []
-    for kind in selected:
+    for kind in KINDS if kinds is None else selected_kinds(kinds):
         out += _CHECKS[kind](model, log)
     if prefix:
         out = [_downgrade(model, v) for v in out]
@@ -503,12 +498,7 @@ def _downgrade(model: OcbcModel, violation: Violation) -> Violation:
     return violation
 
 
-def check_all(
-    model: OcbcModel,
-    log: EventLog,
-    kinds: tuple[str, ...] | None = None,
-    prefix: bool = False,
-):
+def check_all(model: OcbcModel, log: EventLog, kinds: Iterable[str] | None = None, prefix: bool = False):
     """Run all (or the selected) checkers and aggregate into a report, whose
     violations come in report order without a global sort."""
     return _report(tuple(check_violations(model, log, kinds, prefix)), prefix)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 KINDS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX")
 _KIND_ORDER = {kind: i for i, kind in enumerate(KINDS)}
@@ -16,6 +16,16 @@ def known_kind(kind: str) -> str:
     if kind not in KINDS:
         raise ValueError(f"unknown problem type {kind!r} (choose from {', '.join(KINDS)})")
     return kind
+
+
+def selected_kinds(kinds: Iterable[str]) -> tuple[str, ...]:
+    """A selection of problem types, each once, in `KINDS` order; refuses a `str`, an unknown or no kind."""
+    if isinstance(kinds, str):
+        raise TypeError(f"kinds must be a collection of problem types, not the str {kinds!r}")
+    chosen = set(map(known_kind, kinds))
+    if not chosen:
+        raise ValueError("no problem type selected")
+    return tuple(sorted(chosen, key=KINDS.index))
 
 
 class Violation(NamedTuple):

@@ -52,6 +52,7 @@ from scenarios import (
     fan_in_model,
     hiring_log,
     hiring_model,
+    hub_order_log,
     order_object_model,
     order_class_snapshot_model,
     order_process_log,
@@ -383,12 +384,13 @@ def test_criterion_9_fan_in_correlation_scaling(via, build, shape):
     [
         ("desk", desk_pairs_log, 2000, "distinct desk sets {d1, x_i}"),
         ("r", customer_pairs_log, 1000, "distinct customer sets {c, k_i}"),
+        ("r", hub_order_log, 1000, "customers k_i of one hub order"),
     ],
 )
 def test_criterion_9_distinct_set_correlation_scaling(via, build, pairs, shape):
     """Every reference event has an object set of its own, and each set holds
-    the one busy object that correlates with all target events of its kind:
-    IX still costs the same per event at twice the size."""
+    the one busy object, or a partner of it, that correlates with all target
+    events of its kind: IX still costs the same per event at twice the size."""
     model = fan_in_model(via)
     small, large = build(pairs), build(2 * pairs)
 

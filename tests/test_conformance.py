@@ -495,9 +495,10 @@ def test_resolve_targets_validates_inputs():
 def _fan_in_case(via: str, template: str, order: list[int]) -> tuple[OcbcModel, EventLog]:
     """A small fan-in log in the given event order, with `visit` -> `ship`
     and `visit` -> `visit` constraints of one template via `via`.  Visits
-    share object sets, each built as its own frozenset; some ships reference
-    two correlated objects, and one visit on a customer's order correlates
-    with the customer's visits, itself among them."""
+    share object sets, each built as its own frozenset, the first two
+    correlated through two objects; some ships reference two correlated
+    objects, and one visit on a customer's order correlates with the
+    customer's visits, itself among them."""
     if via == "r":
         orders = ("o1", "o2", "o3", "o4", "o5")
         init = ObjectModel(
@@ -506,7 +507,7 @@ def _fan_in_case(via: str, template: str, order: list[int]) -> tuple[OcbcModel, 
                 {("r", "c1", "o1"), ("r", "c1", "o2"), ("r", "c1", "o3"), ("r", "c2", "o4"), ("r", "c2", "o5")}
             ),
         )
-        shapes = [("visit", {"c1"}), ("visit", {"c1"}), ("visit", {"c2"}), ("visit", {"c1", "c2"}),
+        shapes = [("visit", {"c1", "c2"}), ("visit", {"c1", "c2"}), ("visit", {"c2"}), ("visit", {"c1"}),
                   ("visit", {"c1", "o2"}), ("ship", {"o1"}), ("ship", {"o2", "o3"}), ("ship", {"o4"}),
                   ("ship", {"o1", "o5"})]
     else:
@@ -707,21 +708,34 @@ def test_hiring_mutants():
 
 @pytest.mark.parametrize("via", ["r", "desk"])
 def test_equal_object_sets_share_one_correlation(via, monkeypatch):
-    """Per constraint, each reference object is correlated at most once, and
-    each distinct object set that correlates through two or more objects is
-    composed once, though equal sets are each their own frozenset; every
-    reference event gets the oracle's (before, after) counts."""
+    """Per constraint, each reference object is correlated once, its
+    partners' lists are composed at most once, and each distinct object set
+    that correlates through two or more objects is composed once, though
+    equal sets are each their own frozenset; every reference event gets the
+    oracle's (before, after) counts."""
     model, log = _fan_in_case(via, "response", list(range(9)))
     model, constraints = _blind(model), model.bcm.constraints
-    correlated, composed, current = [], [], []
+    correlated, merged, composed, current = [], [], [], [None, None]
     correlation, composition = conformance._correlation, conformance._composed
 
     def counting(model, log, constraint):
-        correlate, current[:] = correlation(model, log, constraint), [constraint.id]
-        return lambda obj: correlated.append((constraint.id, obj)) or correlate(obj)
+        correlate, current[:] = correlation(model, log, constraint), [constraint.id, None]
+
+        def traced(obj):  # a composition while `obj` is correlated merges its partners' lists
+            correlated.append((constraint.id, obj))
+            current[1] = obj
+            pair = correlate(obj)
+            current[1] = None
+            return pair
+
+        return traced
 
     def composing(lists):
-        composed.append((current[0], frozenset(map(tuple, lists))))
+        cid, obj = current
+        if obj is None:
+            composed.append((cid, frozenset(map(tuple, lists))))
+        else:
+            merged.append((cid, obj))
         return composition(lists)
 
     monkeypatch.setattr(conformance, "_correlation", counting)
@@ -730,7 +744,9 @@ def test_equal_object_sets_share_one_correlation(via, monkeypatch):
     visits = [e.objects for e in log.events if e.activity == "visit"]
     assert visits[0] == visits[1] and visits[0] is not visits[1]
     assert len(correlated) == len(set(correlated))
-    assert set(correlated) <= {(c.id, o) for c in constraints for o in set().union(*visits)}
+    assert set(correlated) == {(c.id, o) for c in constraints for o in set().union(*visits)}
+    assert len(merged) == len(set(merged)) and set(merged) <= set(correlated)
+    assert bool(merged) == (via == "r")
     shared = {
         (c.id, objects) for c in constraints for objects in visits
         if sum(1 for o in objects if _scanned_targets(model, log, c, {o})) > 1
@@ -1092,6 +1108,20 @@ def test_an_unknown_kind_is_refused_by_name():
             assert str(caught.value) == (
                 f"unknown problem type {kinds[-1]!r} (choose from I, II, III, IV, V, VI, VII, VIII, IX)"
             )
+
+
+def test_an_empty_selection_is_refused():
+    """The library refuses a selection of no kind as the CLI does, in its
+    words, rather than report a log that violates IX as conforming."""
+    model = load_model((DEMO / "unmatched-precedence.ocbc.json").read_bytes())
+    log = load_log((DEMO / "unmatched-precedence.oclog.jsonl").read_bytes())
+    assert not check_all(model, log).conforms
+    for check in (check_violations, check_all):
+        for kinds in ((), [], frozenset(), iter(())):
+            with pytest.raises(ValueError) as caught:
+                check(model, log, kinds)
+            assert str(caught.value) == "no problem type selected"
+    assert [v.kind for v in check_violations(model, log, iter(["IX", "IX"]))] == ["IX", "IX"]
 
 
 def test_unselected_kinds_skip_the_replay(monkeypatch):
